@@ -27,7 +27,6 @@ from .povm_so3 import (
     cos_omega_xy,
     cos_omega_z,
     cos_omega_z_m0,
-    haar_integrate,
     m0_overlap_matrix,
     optimal_m0_state,
     optimize_eccentricity,

@@ -1,15 +1,21 @@
-"""Angular momentum special functions, exact at double precision.
+"""Angular momentum special functions.
 
-Clebsch-Gordan coefficients (Condon-Shortley phases) via the Racah finite sum,
-Wigner small-d and full D matrices in the active z-y-z convention
+Clebsch-Gordan coefficients (Condon-Shortley phases) via the Racah finite sum
+in exact rational arithmetic, Wigner small-d and full D matrices in the active
+z-y-z convention
 U(psi, theta, phi) = exp(-i J_z psi) exp(-i J_y theta) exp(-i J_z phi),
 and spin coherent state coefficients.
 
 Half-odd spins are handled by storing twice the quantum number as an integer,
 so no floating point equality on values like 9/2 is ever relied on. The
-Clebsch-Gordan sum runs over exact integer factorials; the d-matrix and
-coherent-state routines use a log-factorial table built once at import time.
-All functions here are pure and safe to call concurrently.
+Clebsch-Gordan coefficient is an exact oracle up to MAX_J: its square is
+formed as one exact rational before the square root is taken. Whole tables of
+coefficients are not built here but by an eigensolve of the coupled L^2
+(`states.coupling_tensor`). Whole d-matrices come from the eigendecomposition
+of J_y (`small_d_matrices`); the scalar term-by-term `wigner_small_d` sum
+cancels catastrophically as l grows and is accurate only for small l. The
+coherent-state and scalar d routines use a log-factorial table built once at
+import time. All functions here are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -72,9 +78,11 @@ def clebsch_gordan(j1, j2, l, m1, m2, m) -> float:
     """Clebsch-Gordan coefficient <j1 m1; j2 m2 | l m>, Condon-Shortley phases.
 
     Evaluated with the Racah finite sum. The alternating sum and the squared
-    prefactor are exact rationals over integer factorials, so the returned
-    double is correctly rounded to a few ulp even at large j; a log-factorial
-    route loses just enough near j = 15 to break 1e-12 orthogonality checks.
+    prefactor are exact rationals over integer factorials, and the square of
+    the coefficient is formed from them as one exact rational, which cannot
+    overflow since it is at most 1. The returned double is therefore within
+    an ulp of the exact value at every j up to MAX_J; a log-factorial route loses just
+    enough near j = 15 to break 1e-12 orthogonality checks.
     Arguments may be ints, floats, or HalfInt; half-odd values are fine.
     Raises ValueError for a violated triangle rule or out-of-range
     projections, and returns 0.0 for the selection rule m != m1 + m2.
@@ -120,7 +128,8 @@ def clebsch_gordan(j1, j2, l, m1, m2, m) -> float:
         total += Fraction(-1 if k & 1 else 1, den)
     if total == 0:
         return 0.0
-    return float(total) * math.sqrt(float(pre2))
+    magnitude = math.sqrt(float(total * total * pre2))
+    return -magnitude if total < 0 else magnitude
 
 
 def wigner_small_d(l, mp, m, beta: float) -> float:
@@ -209,11 +218,15 @@ def _jy_eig(tl: int):
 def small_d_matrices(l, betas) -> np.ndarray:
     """Stack of full d^l(beta) matrices, shape (len(betas), 2l+1, 2l+1).
 
-    Computed as exp(-i beta J_y) through the eigendecomposition of J_y, which
-    is much faster than the term-by-term sum when whole matrices are needed
-    on quadrature grids. Rows index mp, columns m, both ascending from -l.
+    Computed as exp(-i beta J_y) = V exp(-i beta Lambda) V^H through the
+    eigendecomposition of J_y, one batched matrix product for all betas; it
+    stays accurate at every l and is much faster than the term-by-term sum
+    when whole matrices are needed on quadrature grids. Rows index mp,
+    columns m, both ascending from -l. The result is a C-contiguous float64
+    array that owns its data (the imaginary part vanishes), so caching it
+    does not keep the complex product alive.
     """
     eigvals, eigvecs = _jy_eig(_twice(l))
     phases = np.exp(-1j * np.outer(np.asarray(betas, dtype=float), eigvals))
-    stack = np.einsum("ik,bk,jk->bij", eigvecs, phases, eigvecs.conj())
-    return stack.real
+    stack = (eigvecs * phases[:, None, :]) @ eigvecs.conj().T
+    return np.ascontiguousarray(stack.real)

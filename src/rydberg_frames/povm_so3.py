@@ -9,8 +9,10 @@ error rotation.
 
 Quadrature is exact, not approximate: the integrands are trigonometric
 polynomials of degree <= 2(n-1) per Euler angle (plus degree 1 from the axis
-weight), so 2n Gauss-Legendre nodes in cos(beta) and 4n+4 equispaced nodes in
-alpha and gamma integrate them exactly at double precision.
+weight), so 2n Gauss-Legendre nodes in cos(beta) integrate the beta average
+exactly at double precision. The alpha and gamma averages are done in closed
+form by Fourier orthogonality, which is exactly equivalent to the 4n+4
+equispaced nodes in alpha and gamma that QuadratureRule declares.
 """
 
 from __future__ import annotations
@@ -127,25 +129,6 @@ def bob_fiducial(a: WaveFunction) -> FiducialVector:
     return FiducialVector(a.n, blocks)
 
 
-def haar_integrate(f, rule: QuadratureRule) -> float:
-    """Integrate f(alpha, beta, gamma) against the normalized Haar measure.
-
-    f must accept numpy arrays broadcastable to shape
-    (n_alpha, n_beta, n_gamma); the result is exact for trigonometric
-    polynomials within the rule's degree.
-    """
-    betas, wbeta = rule.beta_nodes()
-    alphas = rule.alpha_nodes()
-    gammas = rule.gamma_nodes()
-    vals = np.asarray(
-        f(alphas[:, None, None], betas[None, :, None], gammas[None, None, :])
-    )
-    vals = np.broadcast_to(vals, (rule.n_alpha, rule.n_beta, rule.n_gamma))
-    per_beta = vals.sum(axis=(0, 2)) / (rule.n_alpha * rule.n_gamma)
-    total = float(np.real_if_close(np.sum(per_beta * wbeta)))
-    return total
-
-
 def _t_stack(a: WaveFunction, fid: FiducialVector, rule: QuadratureRule) -> np.ndarray:
     """T[b, mp, m] = sum_l sqrt(2l+1) conj(a_{l,mp}) d^l_{mp,m}(beta_b) b_{l,m}."""
     L = a.n - 1
@@ -160,29 +143,23 @@ def _t_stack(a: WaveFunction, fid: FiducialVector, rule: QuadratureRule) -> np.n
 
 
 def _haar_moments(a: WaveFunction, fid: FiducialVector, rule: QuadratureRule):
-    """Quadrature of |<A|U|B>|^2 times {1, cos(beta), (1+cos(beta)) cos(alpha+gamma)}."""
+    """Haar averages of |<A|U|B>|^2 times {1, cos(beta), (1+cos(beta)) cos(alpha+gamma)}.
+
+    With <A|U(alpha, beta, gamma)|B> = sum T[b, mp, m] e^{-i alpha mp} e^{-i gamma m},
+    orthogonality of the Fourier modes gives the alpha and gamma averages in
+    closed form: |<A|U|B>|^2 averages to sum |T[b]|^2, and its product with
+    cos(alpha + gamma) to Re sum T[b, mp+1, m+1] conj(T[b, mp, m]). Both equal
+    the rule's equispaced alpha x gamma sums exactly, because those are exact
+    for every frequency present (at most 2n-1 against 4n+4 nodes).
+    """
     betas, wbeta = rule.beta_nodes()
     cosbeta = np.cos(betas)
-    alphas = rule.alpha_nodes()
-    gammas = rule.gamma_nodes()
-    L = a.n - 1
-    m_vals = np.arange(-L, L + 1)
-    e_alpha = np.exp(-1j * np.outer(alphas, m_vals))
-    e_gamma = np.exp(-1j * np.outer(gammas, m_vals))
-    cos_ag = np.cos(alphas[:, None] + gammas[None, :])
-    cell = 1.0 / (rule.n_alpha * rule.n_gamma)
-
     t = _t_stack(a, fid, rule)
-    total = 0.0
-    mom_z = 0.0
-    mom_xy = 0.0
-    for b in range(rule.n_beta):
-        amp = e_alpha @ t[b] @ e_gamma.T
-        prob = (amp.real**2 + amp.imag**2) * cell
-        s0 = float(prob.sum())
-        total += wbeta[b] * s0
-        mom_z += wbeta[b] * cosbeta[b] * s0
-        mom_xy += wbeta[b] * (1.0 + cosbeta[b]) * float((prob * cos_ag).sum())
+    s0 = (t.real**2 + t.imag**2).sum(axis=(1, 2))
+    sxy = (t[:, 1:, 1:] * np.conj(t[:, :-1, :-1])).real.sum(axis=(1, 2))
+    total = float(wbeta @ s0)
+    mom_z = float(wbeta @ (cosbeta * s0))
+    mom_xy = float(wbeta @ ((1.0 + cosbeta) * sxy))
     return total, mom_z, mom_xy
 
 

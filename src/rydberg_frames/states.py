@@ -130,34 +130,63 @@ def eccentricity(spec: EllipticSpec) -> float:
 
 @lru_cache(maxsize=None)
 def coupling_tensor(n: int) -> np.ndarray:
-    """C^{jj l}_{m1 m2, m1+m2} for j = (n-1)/2, indexed [l, j+m1, j+m2]."""
-    j = HalfInt(n - 1)
+    """C^{jj l}_{m1 m2, m1+m2} for j = (n-1)/2, indexed [l, j+m1, j+m2].
+
+    Built one total projection M >= 0 at a time: in the |m1, M-m1> basis the
+    coupled L^2 = J1^2 + J2^2 + 2 J1z J2z + J1+ J2- + J1- J2+ is a real
+    symmetric tridiagonal block whose eigenvalues l(l+1), l = M .. 2j, ascend
+    with l. Condon-Shortley phases make the m1 = +j entry of every |l M>
+    positive, but that entry can lie below rounding (about 1e-30 for l = 2j,
+    M = 0 at n = 101), so signs are fixed through quantities of order one.
+    The highest-weight state |M M> has entries of sign (-1)^(j-m1), so its
+    alternating sum is positive. Every other |l M> takes the sign that makes
+    its overlap with L- |l M+1> positive, an overlap of magnitude
+    sqrt((l+M+1)(l-M)) >= 1. Negative M follows from
+    C(-m1, -m2) = (-1)^(2j-l) C(m1, m2). The exact Racah sum
+    (`angmom.clebsch_gordan`) is the test oracle, not part of the build.
+    """
+    j = (n - 1) / 2.0
+    m = np.arange(n) - j
+    ladder = np.append(_ladder_factors(n), 0.0)  # <m+1| J+ |m> at index j+m
     out = np.zeros((n, n, n))
-    for l in range(n):
-        tl = 2 * l
-        for i1 in range(n):
-            tm1 = 2 * i1 - (n - 1)
-            for i2 in range(n):
-                tm2 = 2 * i2 - (n - 1)
-                if abs(tm1 + tm2) > tl:
-                    continue
-                out[l, i1, i2] = clebsch_gordan(
-                    j, j, l, HalfInt(tm1), HalfInt(tm2), HalfInt(tm1 + tm2)
-                )
+    above = np.zeros((n, n + 1))  # [l, j+m1] amplitudes of |l M+1>
+    for big_m in range(n - 1, -1, -1):
+        i1 = np.arange(big_m, n)
+        i2 = big_m + n - 1 - i1
+        # J1+ J2- couples |i1, i2> to |i1+1, i2-1>
+        coupling = ladder[i1[:-1]] * ladder[i2[1:]]
+        block = (
+            np.diag(2.0 * j * (j + 1.0) + 2.0 * m[i1] * m[i2])
+            + np.diag(coupling, 1)
+            + np.diag(coupling, -1)
+        )
+        ls = np.arange(big_m, n)
+        vecs = np.linalg.eigh(block)[1].T  # row k is l = M + k
+        # L- = J1- + J2- applied to |l M+1>
+        lowered = (ladder[i1] * above[ls[:, None], i1 + 1]
+                   + ladder[i2] * above[ls[:, None], i1])
+        signs = np.sign(np.einsum("la,la->l", vecs, lowered))
+        signs[0] = np.sign(vecs[0] @ (-1.0) ** (n - 1 - i1))
+        vecs *= signs[:, None]
+        out[ls[:, None], i1[None, :], i2[None, :]] = vecs
+        above[ls[:, None], i1[None, :]] = vecs
+    lower = np.add.outer(np.arange(n), np.arange(n)) < n - 1
+    parity = (-1.0) ** (n - 1 - np.arange(n))
+    out[:, lower] = parity[:, None] * out[:, ::-1, ::-1][:, lower]
     out.setflags(write=False)
     return out
 
 
 def from_product_amplitudes(n: int, psi: np.ndarray) -> WaveFunction:
     """Couple a two-spin amplitude table psi[j+m1, j+m2] into |l m> blocks."""
-    cg = coupling_tensor(n)
-    blocks = []
-    for l in range(n):
-        weighted = np.flipud(cg[l] * psi)
-        # anti-diagonal i1 + i2 = m + (n-1) collects all m1 + m2 = m
-        block = np.array([np.trace(weighted, offset=m) for m in range(-l, l + 1)])
-        blocks.append(block)
-    return WaveFunction(n, blocks)
+    weighted = coupling_tensor(n) * psi[None, :, :]
+    # shear row i1 right by i1, so column i1 + i2 = m + (n-1) collects all
+    # m1 + m2 = m; the pad column keeps wrapped entries out of the sums
+    sheared = np.zeros((n, n, 2 * n), dtype=complex)
+    sheared[:, :, :n] = weighted
+    sheared = sheared.reshape(n, 2 * n * n)[:, : n * (2 * n - 1)]
+    sums = sheared.reshape(n, n, 2 * n - 1).sum(axis=1)
+    return WaveFunction(n, [sums[l, n - 1 - l : n + l] for l in range(n)])
 
 
 def to_product_amplitudes(state) -> np.ndarray:

@@ -63,6 +63,15 @@ class TestClebschGordan:
             value = abs(clebsch_gordan(4.5, 4.5, l, -4.5, 4.5, 0))
             assert math.floor(value * 1e4) / 1e4 == pytest.approx(ref, abs=1e-12)
 
+    @pytest.mark.parametrize("n, m1", [(70, 0.5), (101, 1)])
+    def test_large_j_column_sum_rule(self, n, m1):
+        # the squared prefactor alone overflows a double from n = 70 on;
+        # n = 101 is j = MAX_J
+        j = (n - 1) / 2
+        values = np.array([clebsch_gordan(j, j, l, m1, -m1, 0) for l in range(n)])
+        assert np.abs(values).max() <= 1.0
+        assert math.fsum(values**2) == pytest.approx(1.0, abs=1e-14)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             clebsch_gordan(1, 1, 3, 0, 0, 0)  # triangle
@@ -149,6 +158,13 @@ class TestSmallD:
                     assert stack[bi, imp, im] == pytest.approx(
                         wigner_small_d(l, mp, m, beta), abs=1e-12
                     )
+
+    def test_stack_owns_contiguous_real_data_at_l39(self):
+        stack = small_d_matrices(39, np.linspace(0.1, 3.0, 7))
+        assert stack.dtype == np.float64
+        assert stack.flags.c_contiguous and stack.flags.owndata
+        eye = np.eye(79)
+        assert max(np.abs(d @ d.T - eye).max() for d in stack) <= 1e-13
 
     def test_projection_out_of_range(self):
         with pytest.raises(ValueError):

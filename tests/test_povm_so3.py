@@ -3,23 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from rydberg_frames.geometry import EulerAngles, Y_AXIS
+from rydberg_frames.geometry import EulerAngles, UnitVector, Y_AXIS
 from rydberg_frames.povm_so3 import (
     FidelityReport,
     QuadratureRule,
+    _haar_moments,
+    _t_stack,
     alice_two_axis_state,
     bob_fiducial,
     cos_omega_xy,
     cos_omega_z,
     cos_omega_z_m0,
-    haar_integrate,
     m0_overlap_matrix,
     optimal_m0_state,
     optimize_eccentricity,
     povm_completeness_deviation,
 )
 from rydberg_frames.states import (
+    EllipticSpec,
     WaveFunction,
+    build_elliptic,
     circular_state,
     expectation_LK,
     extreme_stark,
@@ -41,6 +44,24 @@ def random_m0_state(n, rng):
     for l in range(n):
         blocks[l][l] = amps[l]
     return WaveFunction(n, blocks)
+
+
+def haar_integrate(f, rule: QuadratureRule) -> float:
+    """Brute-force oracle: f(alpha, beta, gamma) on the rule's full 3-D grid.
+
+    f must accept numpy arrays broadcastable to shape
+    (n_alpha, n_beta, n_gamma); the result is exact for trigonometric
+    polynomials within the rule's degree.
+    """
+    betas, wbeta = rule.beta_nodes()
+    alphas = rule.alpha_nodes()
+    gammas = rule.gamma_nodes()
+    vals = np.asarray(
+        f(alphas[:, None, None], betas[None, :, None], gammas[None, None, :])
+    )
+    vals = np.broadcast_to(vals, (rule.n_alpha, rule.n_beta, rule.n_gamma))
+    per_beta = vals.sum(axis=(0, 2)) / (rule.n_alpha * rule.n_gamma)
+    return float(np.real_if_close(np.sum(per_beta * wbeta)))
 
 
 class TestFiducial:
@@ -91,6 +112,39 @@ class TestHaarIntegrate:
                 rule,
             )
             assert value == pytest.approx(1.0, abs=1e-12)
+
+
+class TestClosedFormMoments:
+    @staticmethod
+    def grid_moments(a, rule):
+        # |<A|U|B>|^2 on every (alpha, beta, gamma) node, then the 3-D sum
+        t = _t_stack(a, bob_fiducial(a), rule)
+        m_vals = np.arange(-(a.n - 1), a.n)
+        e_alpha = np.exp(-1j * np.outer(rule.alpha_nodes(), m_vals))
+        e_gamma = np.exp(-1j * np.outer(rule.gamma_nodes(), m_vals))
+        prob = np.abs(np.einsum("ap,bpm,gm->abg", e_alpha, t, e_gamma)) ** 2
+        return (
+            haar_integrate(lambda al, be, ga: prob, rule),
+            haar_integrate(lambda al, be, ga: prob * np.cos(be), rule),
+            haar_integrate(
+                lambda al, be, ga: prob * (1 + np.cos(be)) * np.cos(al + ga), rule
+            ),
+        )
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_match_full_grid(self, n):
+        rng = np.random.default_rng(100 + n)
+        directions = [UnitVector.normalized(*rng.normal(size=3)) for _ in range(2)]
+        states = [
+            alice_two_axis_state(n, 0.7),
+            build_elliptic(EllipticSpec(n, *directions)),
+            random_wavefunction(n, rng),
+        ]
+        rule = QuadratureRule.for_shell(n)
+        for a in states:
+            closed = _haar_moments(a, bob_fiducial(a), rule)
+            grid = self.grid_moments(a, rule)
+            assert np.abs(np.subtract(closed, grid)).max() <= 1e-14
 
 
 class TestSingleAxis:

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from rydberg_frames.angmom import clebsch_gordan
+from rydberg_frames.angmom import HalfInt, clebsch_gordan
 from rydberg_frames.geometry import EulerAngles, UnitVector, X_AXIS, Y_AXIS, Z_AXIS, euler_matrix, matrix_to_euler
 from rydberg_frames.states import (
     EllipticSpec,
     WaveFunction,
     build_elliptic,
     circular_state,
+    coupling_tensor,
     dispersion_sum,
     eccentricity,
     expectation_LK,
@@ -91,6 +92,46 @@ class TestConstruction:
             WaveFunction(2, [np.array([1.0, 0.0]), np.array([0.0, 0.0, 0.0])])  # bad shape
 
 
+def racah_column(n, tm1, tm2):
+    """Exact-sum C^{jj l}_{m1 m2} for every l, from twice the projections."""
+    j = HalfInt(n - 1)
+    return np.array([
+        clebsch_gordan(j, j, l, HalfInt(tm1), HalfInt(tm2), HalfInt(tm1 + tm2))
+        if abs(tm1 + tm2) <= 2 * l else 0.0
+        for l in range(n)
+    ])
+
+
+class TestCouplingTensor:
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_matches_racah_oracle(self, n):
+        # every entry, so both signs of M = m1 + m2
+        tensor = coupling_tensor(n)
+        for i1 in range(n):
+            for i2 in range(n):
+                expected = racah_column(n, 2 * i1 - (n - 1), 2 * i2 - (n - 1))
+                assert np.abs(tensor[:, i1, i2] - expected).max() <= 1e-14
+
+    @pytest.mark.parametrize("n, i1", [(70, 35), (101, 51), (101, 75)])
+    def test_large_shell_sign_convention(self, n, i1):
+        # the M = 0 column through (m1, -m1); the m1 = +j entry of |l 0> is
+        # below rounding for large l, so a sign taken from it would be noise
+        # and flip whole columns by O(0.1)
+        expected = racah_column(n, 2 * i1 - (n - 1), (n - 1) - 2 * i1)
+        got = coupling_tensor(n)[:, i1, n - 1 - i1]
+        assert np.abs(got - expected).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [40, 64, 101])
+    def test_orthonormal_per_projection(self, n):
+        tensor = coupling_tensor(n)
+        total = np.add.outer(np.arange(n), np.arange(n))
+        for s in range(2 * n - 1):
+            columns = tensor[:, total == s]
+            present = np.arange(n) >= abs(s - (n - 1))  # l >= |M|
+            gram = columns @ columns.T
+            assert np.abs(gram - np.diag(present.astype(float))).max() <= 1e-12
+
+
 class TestExpectations:
     def test_elliptic_frame_components(self):
         rng = np.random.default_rng(11)
@@ -131,7 +172,7 @@ class TestExpectations:
 
     def test_dispersion_coherent(self):
         rng = np.random.default_rng(13)
-        for n in (2, 5, 11):
+        for n in (2, 5, 11, 64):
             spec = EllipticSpec(n, random_direction(rng), random_direction(rng))
             assert dispersion_sum(build_elliptic(spec)) == pytest.approx(2.0 * (n - 1), abs=1e-9)
             assert dispersion_sum(product_state(spec)) == pytest.approx(2.0 * (n - 1), abs=1e-9)
