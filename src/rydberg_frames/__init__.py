@@ -17,7 +17,7 @@ from .angmom import (
     wigner_small_d,
 )
 from .geometry import EulerAngles, UnitVector, X_AXIS, Y_AXIS, Z_AXIS
-from .ortho import ErrorSample, GainReport, gain_factor, orthogonalize, sample_error_pair
+from .ortho import GainReport, gain_factor, orthogonalize
 from .povm_so3 import (
     FidelityReport,
     FiducialVector,
@@ -35,9 +35,7 @@ from .povm_so3 import (
 from .povm_so4 import (
     BlockOperator,
     OutcomeBatch,
-    So4Outcome,
     philox_rng,
-    sample_outcome,
     sample_outcome_batch,
     so4_cos_omega,
     so4_infidelity,

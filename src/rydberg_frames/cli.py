@@ -319,7 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p5 = sub.add_parser("ortho", help="orthogonalization gain across n")
     add_common(p5)
-    p5.add_argument("--n-list", type=_parse_int_list, default=[5, 10, 20, 40])
+    p5.add_argument("--n-list", type=_parse_int_list, default=[5, 10, 20, 40],
+                    help="comma separated shells (default 5,10,20,40; exits 1 by "
+                    "design, since the n = 40 ratio band is only a large-n limit)")
     p5.add_argument("--samples", type=int, default=1000000)
     p5.add_argument("--seed", type=int, default=0)
 
@@ -342,10 +344,21 @@ def main(argv=None) -> int:
         if args.kind == "elliptic" and args.e is None:
             print("state --kind elliptic requires --e", file=sys.stderr)
             return 2
-        cmd_state(args.kind, args.n, args.e, args.out)
+        if args.kind == "elliptic" and not 0.0 <= args.e <= 1.0:
+            print(f"state --e must lie in [0, 1], got {args.e}", file=sys.stderr)
+            return 2
+        try:
+            cmd_state(args.kind, args.n, args.e, args.out)
+        except OSError as exc:
+            print(f"cannot write the state: {exc}", file=sys.stderr)
+            return 2
         return 0
 
-    tol = load_tolerances(args.tolerance_file)
+    try:
+        tol = load_tolerances(args.tolerance_file)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or undecodable bytes
+        print(f"cannot load tolerances: {exc}", file=sys.stderr)
+        return 2
     if args.command == "table1":
         meta, columns, rows, ok = cmd_table1(tol)
     elif args.command == "table2":
@@ -359,9 +372,13 @@ def main(argv=None) -> int:
         if args.n < 2 or args.samples < 0:
             print("so4 requires n >= 2 and samples >= 0", file=sys.stderr)
             return 2
-        meta, columns, rows, ok = cmd_so4(
-            args.n, args.v1, args.v2, args.samples, args.seed, tol, args.dump_samples
-        )
+        try:
+            meta, columns, rows, ok = cmd_so4(
+                args.n, args.v1, args.v2, args.samples, args.seed, tol, args.dump_samples
+            )
+        except OSError as exc:
+            print(f"cannot write the outcome dump: {exc}", file=sys.stderr)
+            return 2
     elif args.command == "ortho":
         if any(n < 2 for n in args.n_list) or args.samples < 100000:
             print("ortho requires n >= 2 and samples >= 100000", file=sys.stderr)
@@ -370,7 +387,11 @@ def main(argv=None) -> int:
     else:  # pragma: no cover - argparse enforces the choices
         return 2
 
-    write_report(meta, columns, rows, args.format, args.out)
+    try:
+        write_report(meta, columns, rows, args.format, args.out)
+    except OSError as exc:
+        print(f"cannot write the report: {exc}", file=sys.stderr)
+        return 2
     return 0 if ok else 1
 
 

@@ -13,24 +13,20 @@ in every API.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .angmom import coherent_coeffs, small_d_matrices
-from .geometry import (
-    EulerAngles,
-    UnitVector,
-    X_AXIS,
-    Y_AXIS,
-    axis_angle_matrix,
-    matrix_to_euler,
-    perpendicular_unit,
-    rotation_between,
-)
+from .geometry import UnitVector, X_AXIS, Y_AXIS, perpendicular_unit
 from .states import extreme_stark
+
+# Outcome dump: rows are rendered this many at a time, so the Python floats
+# of one block (not of the whole batch) are alive at once.
+_DUMP_BLOCK_ROWS = 65536
+_DUMP_HEADER = b"sample,chi1,chi2,cos_chi1,cos_chi2\r\n"
+_DUMP_ROW = b"%d,%.12g,%.12g,%.12g,%.12g\r\n"
 
 
 def philox_rng(seed: int) -> np.random.Generator:
@@ -63,27 +59,29 @@ def sample_error_cosines(n: int, count: int, rng: np.random.Generator) -> np.nda
 
 def sample_directions_about(n: int, center: UnitVector, count: int,
                             rng: np.random.Generator) -> np.ndarray:
-    """Unit vectors distributed about `center` with the per-axis error density."""
+    """Unit vectors distributed about `center` with the per-axis error density.
+
+    Row i is cos_chi c + sin_chi cos(az) e1 + sin_chi sin(az) e2, summed left to
+    right one column at a time into the (count, 3) result.
+    """
     cos_chi = sample_error_cosines(n, count, rng)
     sin_chi = np.sqrt(np.clip(1.0 - cos_chi**2, 0.0, None))
     azimuth = rng.uniform(0.0, 2.0 * math.pi, count)
+    c = center.as_array()
     e1 = perpendicular_unit(center).as_array()
-    e2 = np.cross(center.as_array(), e1)
-    return (
-        cos_chi[:, None] * center.as_array()[None, :]
-        + (sin_chi * np.cos(azimuth))[:, None] * e1[None, :]
-        + (sin_chi * np.sin(azimuth))[:, None] * e2[None, :]
-    )
-
-
-@dataclass(frozen=True)
-class So4Outcome:
-    """One measurement outcome: an Euler triple and estimated direction per factor."""
-
-    angles1: EulerAngles
-    angles2: EulerAngles
-    est1: UnitVector
-    est2: UnitVector
+    e2 = np.cross(c, e1)
+    along_e1 = np.cos(azimuth)
+    along_e1 *= sin_chi
+    along_e2 = np.sin(azimuth, out=azimuth)
+    along_e2 *= sin_chi
+    out = np.empty((count, 3))
+    term = np.empty(count)
+    for k in range(3):
+        column = out[:, k]
+        np.multiply(cos_chi, c[k], out=column)
+        column += np.multiply(along_e1, e1[k], out=term)
+        column += np.multiply(along_e2, e2[k], out=term)
+    return out
 
 
 @dataclass
@@ -113,39 +111,20 @@ class OutcomeBatch:
         return np.arccos(np.clip(self.cos_chi2, -1.0, 1.0))
 
     def write_csv(self, path):
-        """Columns (sample, chi1, chi2, cos_chi1, cos_chi2)."""
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["sample", "chi1", "chi2", "cos_chi1", "cos_chi2"])
-            for i, (x1, x2, c1, c2) in enumerate(
-                zip(self.chi1, self.chi2, self.cos_chi1, self.cos_chi2)
-            ):
-                writer.writerow([i, f"{x1:.12g}", f"{x2:.12g}", f"{c1:.12g}", f"{c2:.12g}"])
-
-
-def _euler_for_estimate(v: UnitVector, est: UnitVector, spin: float) -> EulerAngles:
-    """Euler angles of a rotation carrying v to est, with a uniform spin about v.
-
-    The spin angle carries no directional information for coherent fiducials;
-    it is sampled uniformly and recorded for completeness.
-    """
-    rot = rotation_between(v, est) @ axis_angle_matrix(v, spin)
-    return matrix_to_euler(rot)
-
-
-def sample_outcome(n: int, v1: UnitVector, v2: UnitVector, seed: int) -> So4Outcome:
-    """Draw one outcome for transmitting directions v1 and v2 (any unit vectors;
-    orthogonality is not required)."""
-    rng = philox_rng(seed)
-    est1 = UnitVector.from_array(sample_directions_about(n, v1, 1, rng)[0])
-    est2 = UnitVector.from_array(sample_directions_about(n, v2, 1, rng)[0])
-    spin1, spin2 = rng.uniform(0.0, 2.0 * math.pi, 2)
-    return So4Outcome(
-        angles1=_euler_for_estimate(v1, est1, spin1),
-        angles2=_euler_for_estimate(v2, est2, spin2),
-        est1=est1,
-        est2=est2,
-    )
+        """Columns (sample, chi1, chi2, cos_chi1, cos_chi2): CRLF rows with
+        `%.12g` cells, the bytes `csv.writer` gives for the same cells,
+        rendered and written in blocks of `_DUMP_BLOCK_ROWS` rows."""
+        columns = (self.chi1, self.chi2, self.cos_chi1, self.cos_chi2)
+        count = len(self.est1)
+        with open(path, "wb") as handle:
+            handle.write(_DUMP_HEADER)
+            for start in range(0, count, _DUMP_BLOCK_ROWS):
+                stop = min(start + _DUMP_BLOCK_ROWS, count)
+                cells = [None] * (5 * (stop - start))
+                cells[0::5] = range(start, stop)
+                for k, column in enumerate(columns, start=1):
+                    cells[k::5] = column[start:stop].tolist()
+                handle.write((_DUMP_ROW * (stop - start)) % tuple(cells))
 
 
 def sample_outcome_batch(n: int, v1: UnitVector, v2: UnitVector, count: int,

@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import rydberg_frames
 from rydberg_frames.cli import build_parser, load_tolerances, main
 
 
@@ -165,3 +170,43 @@ def test_state_elliptic_requires_e():
     assert code == 0
     payload = json.loads(text)
     assert payload["n"] == 5
+
+
+def run_cli_process(argv):
+    """Run the CLI in a fresh interpreter; returns (exit code, stderr text)."""
+    env = dict(os.environ)
+    src = str(Path(rydberg_frames.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "rydberg_frames", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stderr
+
+
+def assert_usage_error(argv):
+    code, err = run_cli_process(argv)
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_state_eccentricity_out_of_range_is_usage_error():
+    assert_usage_error(["state", "--kind", "elliptic", "--n", "5", "--e", "1.5"])
+
+
+def test_missing_tolerance_file_is_usage_error(tmp_path):
+    assert_usage_error(["table1", "--tolerance-file", str(tmp_path / "missing.json")])
+
+
+def test_malformed_tolerance_file_is_usage_error(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert_usage_error(["table2", "--tolerance-file", str(bad)])
+
+
+def test_unwritable_dump_path_is_usage_error(tmp_path):
+    assert_usage_error(["so4", "--samples", "1000",
+                        "--dump-samples", str(tmp_path / "no_dir" / "x.csv")])
+
+
+def test_unwritable_report_path_is_usage_error(tmp_path):
+    assert_usage_error(["table1", "--out", str(tmp_path / "no_dir" / "x.csv")])

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from rydberg_frames.geometry import UnitVector, X_AXIS, Y_AXIS
+from rydberg_frames.geometry import UnitVector, X_AXIS, Y_AXIS, Z_AXIS, perpendicular_unit
 from rydberg_frames.ortho import (
+    _orthogonalize_rows,
     gain_factor,
     orthogonalize,
     sample_error_arrays,
-    sample_error_pair,
 )
+from rydberg_frames.povm_so4 import philox_rng, sample_directions_about
 
 
 class TestOrthogonalize:
@@ -71,12 +72,31 @@ class TestOrthogonalize:
         assert r2 < r1 / 50.0  # quadratic, not linear, in the error size
 
 
-class TestSampler:
-    def test_single_sample_fields(self):
-        sample = sample_error_pair(10, seed=4)
-        assert sample.omega_x == pytest.approx(sample.r_x.angle_to(X_AXIS))
-        assert sample.omega_y == pytest.approx(sample.r_y.angle_to(Y_AXIS))
+def _orthogonalize_oracle(r_x, r_y):
+    """The orthogonalization as array expressions (reference for the in-place form)."""
+    total = r_x + r_y
+    diff = r_x - r_y
+    b = total / np.linalg.norm(total, axis=-1, keepdims=True)
+    q = diff / np.linalg.norm(diff, axis=-1, keepdims=True)
+    half = 1.0 / math.sqrt(2.0)
+    return half * (b + q), half * (b - q)
 
+
+@pytest.mark.parametrize(
+    "center", [X_AXIS, Y_AXIS, Z_AXIS, UnitVector.normalized(0.3, -0.5, 0.8)], ids="XYZO"
+)
+def test_orthogonalize_rows_bit_identical_to_expression(center):
+    rng = philox_rng(31)
+    r_x = sample_directions_about(10, center, 50000, rng)
+    r_y = sample_directions_about(10, perpendicular_unit(center), 50000, rng)
+    inputs = (r_x.copy(), r_y.copy())
+    got = _orthogonalize_rows(r_x, r_y)
+    expected = _orthogonalize_oracle(r_x, r_y)
+    assert np.array_equal(r_x, inputs[0]) and np.array_equal(r_y, inputs[1])
+    assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+
+class TestSampler:
     def test_moments_and_azimuthal_symmetry(self):
         n, count = 10, 200000
         r_x, r_y = sample_error_arrays(n, count, seed=5)

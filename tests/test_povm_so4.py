@@ -1,14 +1,19 @@
 import csv
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
-from rydberg_frames.geometry import UnitVector, X_AXIS, Y_AXIS, euler_matrix
+from rydberg_frames.geometry import UnitVector, X_AXIS, Y_AXIS, Z_AXIS, perpendicular_unit
 from rydberg_frames.povm_so4 import (
+    _DUMP_BLOCK_ROWS,
+    _DUMP_ROW,
     philox_rng,
+    sample_directions_about,
     sample_error_cosines,
-    sample_outcome,
     sample_outcome_batch,
     so4_cos_omega,
     so4_infidelity,
@@ -70,12 +75,6 @@ class TestSampling:
         assert abs(batch.cos_chi1.mean() - mean) < 3 * se
         assert abs(batch.cos_chi2.mean() - mean) < 3 * se
 
-    def test_outcome_angles_consistent_with_estimates(self):
-        out = sample_outcome(8, X_AXIS, Y_AXIS, seed=11)
-        for angles, v, est in ((out.angles1, X_AXIS, out.est1), (out.angles2, Y_AXIS, out.est2)):
-            rotated = euler_matrix(angles) @ v.as_array()
-            assert np.allclose(rotated, est.as_array(), atol=1e-12)
-
     def test_seed_reproducibility(self):
         a = sample_outcome_batch(6, X_AXIS, Y_AXIS, 100, seed=3)
         b = sample_outcome_batch(6, X_AXIS, Y_AXIS, 100, seed=3)
@@ -91,6 +90,72 @@ class TestSampling:
         assert rows[0] == ["sample", "chi1", "chi2", "cos_chi1", "cos_chi2"]
         assert len(rows) == 21
         assert float(rows[1][3]) == pytest.approx(math.cos(float(rows[1][1])), abs=1e-9)
+
+
+def _directions_oracle(n, center, count, rng):
+    """The sampler as one broadcast expression (reference for the in-place form)."""
+    cos_chi = sample_error_cosines(n, count, rng)
+    sin_chi = np.sqrt(np.clip(1.0 - cos_chi**2, 0.0, None))
+    azimuth = rng.uniform(0.0, 2.0 * math.pi, count)
+    e1 = perpendicular_unit(center).as_array()
+    e2 = np.cross(center.as_array(), e1)
+    return (
+        cos_chi[:, None] * center.as_array()[None, :]
+        + (sin_chi * np.cos(azimuth))[:, None] * e1[None, :]
+        + (sin_chi * np.sin(azimuth))[:, None] * e2[None, :]
+    )
+
+
+OBLIQUE = UnitVector.normalized(0.3, -0.5, 0.8)
+
+
+@pytest.mark.parametrize("center", [X_AXIS, Y_AXIS, Z_AXIS, OBLIQUE], ids="XYZO")
+def test_directions_bit_identical_to_expression(center):
+    got = sample_directions_about(7, center, 50000, philox_rng(21))
+    expected = _directions_oracle(7, center, 50000, philox_rng(21))
+    assert got.flags.c_contiguous and got.shape == (50000, 3)
+    assert np.array_equal(got, expected)
+
+
+def _csv_writer_line(index, cells):
+    """One dump line as `csv.writer` renders it (reference for the bytes format)."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerow([index] + [f"{c:.12g}" for c in cells])
+    return buf.getvalue()
+
+
+def _csv_writer_dump(batch, path):
+    """The dump written row by row through `csv.writer` (reference writer)."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["sample", "chi1", "chi2", "cos_chi1", "cos_chi2"])
+        for i, (x1, x2, c1, c2) in enumerate(
+            zip(batch.chi1, batch.chi2, batch.cos_chi1, batch.cos_chi2)
+        ):
+            writer.writerow([i, f"{x1:.12g}", f"{x2:.12g}", f"{c1:.12g}", f"{c2:.12g}"])
+
+
+@pytest.mark.parametrize("rows", [0, 1, _DUMP_BLOCK_ROWS - 1, _DUMP_BLOCK_ROWS,
+                                  _DUMP_BLOCK_ROWS + 1])
+def test_dump_bytes_match_csv_writer(tmp_path, rows):
+    batch = sample_outcome_batch(6, X_AXIS, OBLIQUE, rows, seed=17)
+    batch.write_csv(tmp_path / "blocks.csv")
+    _csv_writer_dump(batch, tmp_path / "oracle.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+_CELLS = hst.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.integers(0, 10**9), _CELLS, _CELLS, _CELLS, _CELLS)
+@example(0, -0.0, 5e-324, 2.2250738585072014e-308, 1.5e-5)
+@example(12, 1e12, 999999999999.5, -123456789012345.0, 1e-300)
+@example(3, math.nan, math.inf, -math.inf, 0.1)
+def test_dump_row_format_matches_csv_writer(index, x1, x2, c1, c2):
+    cells = (x1, x2, c1, c2)
+    line = (_DUMP_ROW % (index, *cells)).decode("ascii")
+    assert line == _csv_writer_line(index, [np.float64(c) for c in cells])
 
 
 class TestStarkSetOperator:
