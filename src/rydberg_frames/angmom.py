@@ -11,11 +11,11 @@ so no floating point equality on values like 9/2 is ever relied on. The
 Clebsch-Gordan coefficient is an exact oracle up to MAX_J: its square is
 formed as one exact rational before the square root is taken. Whole tables of
 coefficients are not built here but by an eigensolve of the coupled L^2
-(`states.coupling_tensor`). Whole d-matrices come from the eigendecomposition
-of J_y (`small_d_matrices`); the scalar term-by-term `wigner_small_d` sum
-cancels catastrophically as l grows and is accurate only for small l. The
-coherent-state and scalar d routines use a log-factorial table built once at
-import time. All functions here are pure and safe to call concurrently.
+(`states.coupling_tensor`). d-matrices come from one kernel, the
+eigendecomposition of J_y (`small_d_matrices`); the scalar `wigner_small_d`
+and `wigner_D` read their element from it. The coherent-state coefficients
+use a log-factorial table built once at import time. All functions here are
+pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .geometry import EulerAngles
 
 MAX_J = 50
 
-# log(k!) for k = 0 .. 4*MAX_J + 1, covering (j1 + j2 + l + 1)! at the j limit
+# log(k!) for k = 0 .. 4*MAX_J + 1, for the coherent-state binomials
 _LOG_FACT = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 4 * MAX_J + 2)))))
 
 
@@ -133,41 +133,15 @@ def clebsch_gordan(j1, j2, l, m1, m2, m) -> float:
 
 
 def wigner_small_d(l, mp, m, beta: float) -> float:
-    """Wigner small-d matrix element d^l_{mp,m}(beta) = <l mp| exp(-i beta J_y) |l m>."""
+    """Wigner small-d matrix element d^l_{mp,m}(beta) = <l mp| exp(-i beta J_y) |l m>.
+
+    Read from the J_y-eigendecomposition matrix of `small_d_matrices`, so it
+    is accurate at every l.
+    """
     tl, tmp, tm = _twice(l), _twice(mp), _twice(m)
     _check_projection(tl, tmp)
     _check_projection(tl, tm)
-
-    lf = _LOG_FACT
-    log_norm = 0.5 * (
-        lf[(tl + tmp) // 2]
-        + lf[(tl - tmp) // 2]
-        + lf[(tl + tm) // 2]
-        + lf[(tl - tm) // 2]
-    )
-    c = math.cos(beta / 2.0)
-    s = math.sin(beta / 2.0)
-    mp_minus_m = (tmp - tm) // 2
-
-    s_min = max(0, -mp_minus_m)
-    s_max = min((tl + tm) // 2, (tl - tmp) // 2)
-    terms = []
-    for k in range(s_min, s_max + 1):
-        log_den = (
-            lf[(tl + tm) // 2 - k]
-            + lf[k]
-            + lf[mp_minus_m + k]
-            + lf[(tl - tmp) // 2 - k]
-        )
-        exp_c = tl - mp_minus_m - 2 * k
-        exp_s = mp_minus_m + 2 * k
-        terms.append(
-            (-1.0) ** (mp_minus_m + k)
-            * math.exp(log_norm - log_den)
-            * c**exp_c
-            * s**exp_s
-        )
-    return math.fsum(terms)
+    return float(small_d_matrices(l, [beta])[0, (tl + tmp) // 2, (tl + tm) // 2])
 
 
 def wigner_D(l, mp, m, angles) -> complex:

@@ -35,6 +35,17 @@ def load_tolerances(path=None) -> dict:
     return json.loads(text)
 
 
+def check_tolerances(tol, command: str):
+    """Raise ValueError unless tol holds a number for every default key of command."""
+    section = tol.get(command) if isinstance(tol, dict) else None
+    if not isinstance(section, dict):
+        raise ValueError(f"no {command!r} section")
+    for key in load_tolerances()[command]:
+        value = section.get(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"section {command!r} has no number {key!r}")
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -135,12 +146,9 @@ def cmd_table3(n_list, ecc_grid, tol: dict):
     rows = []
     all_ok = True
     for n in n_list:
-        if ecc_grid:
-            rule = p3.QuadratureRule.for_shell(n)
-            for e in ecc_grid:
-                cx, cy = p3.cos_omega_xy(p3.alice_two_axis_state(n, e), rule)
-                eta = 0.25 * (1.0 - cx) + 0.25 * (1.0 - cy)
-                rows.append(["curve", n, e, eta, None, None, None, None, None, None])
+        for e in ecc_grid or ():
+            eta = p3.two_axis_eta(*p3.cos_omega_xy(p3.alice_two_axis_state(n, e)))
+            rows.append(["curve", n, e, eta, None, None, None, None, None, None])
         e_opt, eta_min = p3.optimize_eccentricity(n, "two_axes")
         reference = ref.TWO_AXIS.get(n)
         if reference is None:
@@ -356,7 +364,8 @@ def main(argv=None) -> int:
 
     try:
         tol = load_tolerances(args.tolerance_file)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or undecodable bytes
+        check_tolerances(tol, args.command)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bytes, a missing tolerance
         print(f"cannot load tolerances: {exc}", file=sys.stderr)
         return 2
     if args.command == "table1":
@@ -369,8 +378,8 @@ def main(argv=None) -> int:
             return 2
         meta, columns, rows, ok = cmd_table3(args.n_list, args.ecc_grid, tol)
     elif args.command == "so4":
-        if args.n < 2 or args.samples < 0:
-            print("so4 requires n >= 2 and samples >= 0", file=sys.stderr)
+        if args.n < 2 or args.samples < 0 or args.seed < 0:
+            print("so4 requires n >= 2, samples >= 0 and seed >= 0", file=sys.stderr)
             return 2
         try:
             meta, columns, rows, ok = cmd_so4(
@@ -380,8 +389,8 @@ def main(argv=None) -> int:
             print(f"cannot write the outcome dump: {exc}", file=sys.stderr)
             return 2
     elif args.command == "ortho":
-        if any(n < 2 for n in args.n_list) or args.samples < 100000:
-            print("ortho requires n >= 2 and samples >= 100000", file=sys.stderr)
+        if any(n < 2 for n in args.n_list) or args.samples < 100000 or args.seed < 0:
+            print("ortho requires n >= 2, samples >= 100000 and seed >= 0", file=sys.stderr)
             return 2
         meta, columns, rows, ok = cmd_ortho(args.n_list, args.samples, args.seed, tol)
     else:  # pragma: no cover - argparse enforces the choices

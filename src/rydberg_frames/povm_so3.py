@@ -1,4 +1,4 @@
-"""Covariant SO(3) measurement: fiducial vectors, Haar quadrature, fidelities.
+"""Covariant SO(3) measurement: fiducial vectors, closed-form Haar moments, fidelities.
 
 The measurement is the rotation-covariant POVM whose elements are rotated
 copies of a fiducial vector |B>, weighted by the Haar measure
@@ -7,12 +7,15 @@ mean cosine of the angle between the true and estimated axis, obtained by
 integrating |<A|U(alpha,beta,gamma)|B>|^2 against the axis weight over the
 error rotation.
 
-Quadrature is exact, not approximate: the integrands are trigonometric
-polynomials of degree <= 2(n-1) per Euler angle (plus degree 1 from the axis
-weight), so 2n Gauss-Legendre nodes in cos(beta) integrate the beta average
-exactly at double precision. The alpha and gamma averages are done in closed
-form by Fourier orthogonality, which is exactly equivalent to the 4n+4
-equispaced nodes in alpha and gamma that QuadratureRule declares.
+Every such integral is evaluated in closed form, without quadrature. The
+axis weights are entries of the rotation matrix, i.e. D^1 functions, so the
+Clebsch-Gordan series couples each l-block of |A> and |B> only to the blocks
+L = l-1, l, l+1, and Schur orthogonality leaves a sum over l and L of
+products of m-sums weighted by the j2 = 1 Clebsch-Gordan coefficients, which
+have closed algebraic forms. One evaluation costs O(n^2). The result equals
+the exact product grid that QuadratureRule declares (2n Gauss-Legendre nodes
+in cos(beta), 4n+4 equispaced nodes in alpha and gamma; exact for these
+trigonometric polynomials), which the tests integrate on as an oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angmom import small_d_matrices
 from .states import EllipticSpec, WaveFunction, build_elliptic
 from .geometry import UnitVector
 
@@ -62,14 +64,6 @@ def _leggauss(n: int):
     return x, w
 
 
-@lru_cache(maxsize=256)
-def _d_stack_for_rule(tl: int, n_beta: int) -> np.ndarray:
-    betas = np.arccos(_leggauss(n_beta)[0])
-    stack = small_d_matrices(tl / 2.0, betas)
-    stack.setflags(write=False)
-    return stack
-
-
 @dataclass
 class FiducialVector:
     """Per-l unit-norm blocks of Bob's fiducial vector.
@@ -90,6 +84,11 @@ class FiducialVector:
                 raise ValueError(f"fiducial block l={l} is not unit norm")
 
 
+def two_axis_eta(cos_x: float, cos_y: float) -> float:
+    """Mean square error per axis, 1/4 (1 - cos omega_x) + 1/4 (1 - cos omega_y)."""
+    return 0.25 * (1.0 - cos_x) + 0.25 * (1.0 - cos_y)
+
+
 @dataclass(frozen=True)
 class FidelityReport:
     """Transmission summary: mean error cosines per axis and the mean square error."""
@@ -106,8 +105,7 @@ class FidelityReport:
 
     @classmethod
     def two_axis(cls, protocol, n, ecc, cos_x, cos_y):
-        eta = 0.25 * (1.0 - cos_x) + 0.25 * (1.0 - cos_y)
-        return cls(protocol, n, ecc, {"x": cos_x, "y": cos_y}, eta)
+        return cls(protocol, n, ecc, {"x": cos_x, "y": cos_y}, two_axis_eta(cos_x, cos_y))
 
 
 def bob_fiducial(a: WaveFunction) -> FiducialVector:
@@ -129,62 +127,113 @@ def bob_fiducial(a: WaveFunction) -> FiducialVector:
     return FiducialVector(a.n, blocks)
 
 
-def _t_stack(a: WaveFunction, fid: FiducialVector, rule: QuadratureRule) -> np.ndarray:
-    """T[b, mp, m] = sum_l sqrt(2l+1) conj(a_{l,mp}) d^l_{mp,m}(beta_b) b_{l,m}."""
-    L = a.n - 1
-    dim = 2 * L + 1
-    t = np.zeros((rule.n_beta, dim, dim), dtype=complex)
-    for l in range(a.n):
-        stack = _d_stack_for_rule(2 * l, rule.n_beta)
-        weight = math.sqrt(2 * l + 1)
-        block = weight * np.conj(a.blocks[l])[:, None] * fid.blocks[l][None, :]
-        t[:, L - l : L + l + 1, L - l : L + l + 1] += stack * block[None, :, :]
-    return t
+# (L - l, q): signed square of <l m; 1 q | L m+q> in terms of l and M = m + q,
+# Condon-Shortley phases (the standard closed forms for j2 = 1)
+_CG_RANK_ONE = {
+    (1, 1): lambda l, M: (l + M) * (l + M + 1) / ((2 * l + 1) * (2 * l + 2)),
+    (1, 0): lambda l, M: (l - M + 1) * (l + M + 1) / ((2 * l + 1) * (l + 1)),
+    (1, -1): lambda l, M: (l - M) * (l - M + 1) / ((2 * l + 1) * (2 * l + 2)),
+    (0, 1): lambda l, M: -(l + M) * (l - M + 1) / (2 * l * (l + 1)),
+    (0, 0): lambda l, M: M * np.abs(M) / (l * (l + 1)),
+    (0, -1): lambda l, M: (l - M) * (l + M + 1) / (2 * l * (l + 1)),
+    (-1, 1): lambda l, M: (l - M) * (l - M + 1) / (2 * l * (2 * l + 1)),
+    (-1, 0): lambda l, M: -(l - M) * (l + M) / (l * (2 * l + 1)),
+    (-1, -1): lambda l, M: (l + M + 1) * (l + M) / (2 * l * (2 * l + 1)),
+}
 
 
-def _haar_moments(a: WaveFunction, fid: FiducialVector, rule: QuadratureRule):
-    """Haar averages of |<A|U|B>|^2 times {1, cos(beta), (1+cos(beta)) cos(alpha+gamma)}.
+@lru_cache(maxsize=None)
+def _cg_series(n: int):
+    """Coupling table and weights of the Clebsch-Gordan series for the shell n.
 
-    With <A|U(alpha, beta, gamma)|B> = sum T[b, mp, m] e^{-i alpha mp} e^{-i gamma m},
-    orthogonality of the Fourier modes gives the alpha and gamma averages in
-    closed form: |<A|U|B>|^2 averages to sum |T[b]|^2, and its product with
-    cos(alpha + gamma) to Re sum T[b, mp+1, m+1] conj(T[b, mp, m]). Both equal
-    the rule's equispaced alpha x gamma sums exactly, because those are exact
-    for every frequency present (at most 2n-1 against 4n+4 nodes).
+    cg[dL + 1, q + 1, l, m + n - 1] = <l m; 1 q | l+dL m+q> for 0 <= l < n,
+    zero outside the triangle and projection ranges; weights[dL + 1, l] =
+    sqrt((2l+1) / (2L+1)) with L = l + dL, zero where L leaves the shell.
     """
-    betas, wbeta = rule.beta_nodes()
-    cosbeta = np.cos(betas)
-    t = _t_stack(a, fid, rule)
-    s0 = (t.real**2 + t.imag**2).sum(axis=(1, 2))
-    sxy = (t[:, 1:, 1:] * np.conj(t[:, :-1, :-1])).real.sum(axis=(1, 2))
-    total = float(wbeta @ s0)
-    mom_z = float(wbeta @ (cosbeta * s0))
-    mom_xy = float(wbeta @ ((1.0 + cosbeta) * sxy))
-    return total, mom_z, mom_xy
+    l = np.arange(n, dtype=float)[:, None]
+    m = np.arange(2 * n - 1) - (n - 1.0)
+    cg = np.zeros((3, 3, n, 2 * n - 1))
+    for (dL, q), signed_square in _CG_RANK_ONE.items():
+        big_l = l + dL
+        valid = (np.abs(m) <= l) & (np.abs(m + q) <= big_l) & (big_l >= np.abs(l - 1))
+        rows, cols = np.nonzero(valid)
+        value = signed_square(l[rows, 0], m[cols] + q)
+        cg[dL + 1, q + 1, rows, cols] = np.sign(value) * np.sqrt(np.abs(value))
+    big_l = np.arange(n) + np.arange(-1, 2)[:, None]
+    inside = (big_l >= 0) & (big_l < n)
+    weights = inside * np.sqrt((2 * np.arange(n) + 1) / np.where(inside, 2 * big_l + 1, 1))
+    cg.setflags(write=False)
+    weights.setflags(write=False)
+    return cg, weights
 
 
-def cos_omega_z(a: WaveFunction, rule: QuadratureRule | None = None) -> float:
+def _padded(blocks) -> np.ndarray:
+    """u[l + 1, m + n] = blocks[l][l + m], with a zero border on every side."""
+    n = len(blocks)
+    u = np.zeros((n + 2, 2 * n + 1), dtype=complex)
+    for l, block in enumerate(blocks):
+        u[l + 1, n - l : n + l + 1] = block
+    return u
+
+
+def _x_sums(u: np.ndarray, cg: np.ndarray) -> np.ndarray:
+    """X[dL + 1, q + 1, l] = sum_m conj(u_{l,m}) u_{l+dL, m+q} <l m; 1 q | l+dL m+q>."""
+    n = u.shape[0] - 2
+    base = np.conj(u[1 : n + 1, 1 : 2 * n])
+    x = np.empty((3, 3, n), dtype=complex)
+    for dL in (-1, 0, 1):
+        for q in (-1, 0, 1):
+            shifted = u[1 + dL : n + 1 + dL, 1 + q : 2 * n + q]
+            x[dL + 1, q + 1] = (base * shifted * cg[dL + 1, q + 1]).sum(axis=1)
+    return x
+
+
+def _haar_moments(a: WaveFunction, fid: FiducialVector):
+    """Haar averages of |<A|U|B>|^2 times 1, cos(beta), R_xx + R_yy and R_xx - R_yy.
+
+    With |B> = sum_l sqrt(2l+1) b_l, the Clebsch-Gordan series
+    D^l D^1 = sum_L <..|L..><..|L..> D^L and Schur orthogonality
+    (Edmonds, eqs. 4.3.2 and 4.6.2) give, for f = D^1_{q q'},
+
+        <|<A|U|B>|^2 f> = sum_l sum_{L = l-1, l, l+1} sqrt((2l+1)/(2L+1))
+                          X^a_{lL}(q) conj(X^b_{lL}(q')),
+
+    exactly and without quadrature. The axis weights are cos(beta) = D^1_00,
+    R_xx + R_yy = (1 + cos beta) cos(alpha + gamma) = 2 Re D^1_11 and
+    R_xx - R_yy = -(1 - cos beta) cos(alpha - gamma) = -2 Re D^1_{1,-1};
+    the plain average is sum_l |a_l|^2 |b_l|^2.
+    """
+    cg, weights = _cg_series(a.n)
+    ua, ub = _padded(a.blocks), _padded(fid.blocks)
+    xa, xb = _x_sums(ua, cg), _x_sums(ub, cg)
+
+    def moment(q, qp):
+        return np.sum(weights * xa[:, q + 1] * np.conj(xb[:, qp + 1])).real
+
+    total = float((np.abs(ua) ** 2).sum(axis=1) @ (np.abs(ub) ** 2).sum(axis=1))
+    return total, float(moment(0, 0)), float(2.0 * moment(1, 1)), float(-2.0 * moment(1, -1))
+
+
+def cos_omega_z(a: WaveFunction) -> float:
     """Mean error cosine <cos omega_z> for transmitting the z axis with state a."""
-    rule = rule or QuadratureRule.for_shell(a.n)
-    _, mom_z, _ = _haar_moments(a, bob_fiducial(a), rule)
+    _, mom_z, _, _ = _haar_moments(a, bob_fiducial(a))
     return mom_z
 
 
-def cos_omega_xy(a: WaveFunction, rule: QuadratureRule | None = None):
-    """Per-axis mean error cosines for transmitting the x and y axes.
+def cos_omega_xy(a: WaveFunction):
+    """Per-axis mean error cosines (<cos omega_x>, <cos omega_y>).
 
-    Evaluates <cos omega_x + cos omega_y> = <(1 + cos beta) cos(alpha + gamma)>
-    over the error distribution and reports the symmetric per-axis pair.
+    They are the Haar averages of the rotation-matrix diagonal R_xx and R_yy
+    over the error distribution, formed from the moments of their sum and
+    their difference.
     """
-    rule = rule or QuadratureRule.for_shell(a.n)
-    _, _, mom_xy = _haar_moments(a, bob_fiducial(a), rule)
-    return mom_xy / 2.0, mom_xy / 2.0
+    _, _, sum_xy, diff_xy = _haar_moments(a, bob_fiducial(a))
+    return 0.5 * (sum_xy + diff_xy), 0.5 * (sum_xy - diff_xy)
 
 
-def povm_completeness_deviation(a: WaveFunction, rule: QuadratureRule | None = None) -> float:
+def povm_completeness_deviation(a: WaveFunction) -> float:
     """|integral of |<A|U|B>|^2 dU - 1|; zero when the POVM resolves the identity."""
-    rule = rule or QuadratureRule.for_shell(a.n)
-    total, _, _ = _haar_moments(a, bob_fiducial(a), rule)
+    total, _, _, _ = _haar_moments(a, bob_fiducial(a))
     return abs(total - 1.0)
 
 
@@ -262,8 +311,7 @@ def _golden_section_min(f, lo: float, hi: float, tol: float):
     return (x1, f1) if f1 < f2 else (x2, f2)
 
 
-def optimize_eccentricity(n: int, objective: str = "two_axes",
-                          rule: QuadratureRule | None = None):
+def optimize_eccentricity(n: int, objective: str = "two_axes"):
     """Minimize the mean square error over eccentricity.
 
     objective "two_axes" minimizes the per-axis error for transmitting x and y;
@@ -275,15 +323,13 @@ def optimize_eccentricity(n: int, objective: str = "two_axes",
     """
     if n < 3:
         raise ValueError("eccentricity optimization needs n >= 3")
-    rule = rule or QuadratureRule.for_shell(n)
 
     if objective == "two_axes":
         def eta(e):
-            cx, cy = cos_omega_xy(alice_two_axis_state(n, e), rule)
-            return 0.25 * (1.0 - cx) + 0.25 * (1.0 - cy)
+            return two_axis_eta(*cos_omega_xy(alice_two_axis_state(n, e)))
     elif objective == "single_w_axis":
         def eta(e):
-            return 0.5 * (1.0 - cos_omega_z(alice_two_axis_state(n, e), rule))
+            return 0.5 * (1.0 - cos_omega_z(alice_two_axis_state(n, e)))
     else:
         raise ValueError(f"unknown objective {objective!r}")
 

@@ -112,6 +112,20 @@ def _legendre(l, x):
     return p
 
 
+def _small_d_sum(l, mp, m, beta):
+    """Oracle for small l: the term-by-term Wigner sum with exact factorials."""
+    j_mp, j_m, diff = round(l + mp), round(l + m), round(mp - m)
+    f = math.factorial
+    norm = SQ(f(j_mp) * f(round(l - mp)) * f(j_m) * f(round(l - m)))
+    c, s = math.cos(beta / 2), math.sin(beta / 2)
+    terms = []
+    for k in range(max(0, -diff), min(j_m, round(l - mp)) + 1):
+        den = f(j_m - k) * f(k) * f(diff + k) * f(round(l - mp) - k)
+        terms.append((-1) ** (diff + k) * norm / den
+                     * c ** round(2 * l - diff - 2 * k) * s ** (diff + 2 * k))
+    return math.fsum(terms)
+
+
 class TestSmallD:
     def test_stretched_element(self):
         for j in (0.5, 1, 2.5, 7):
@@ -146,7 +160,8 @@ class TestSmallD:
 
     @pytest.mark.parametrize("l", [0.5, 2, 4.5, 9])
     def test_stack_matches_scalar_sum(self, l):
-        # eigendecomposition route against the independent term-by-term sum
+        # eigendecomposition route (stack and scalar element) against the
+        # independent term-by-term sum
         betas = np.array([0.0, 0.37, 1.29, 2.6, math.pi])
         stack = small_d_matrices(l, betas)
         tl = int(2 * l)
@@ -155,9 +170,21 @@ class TestSmallD:
                 for im in range(tl + 1):
                     mp = imp - l
                     m = im - l
-                    assert stack[bi, imp, im] == pytest.approx(
-                        wigner_small_d(l, mp, m, beta), abs=1e-12
-                    )
+                    expected = _small_d_sum(l, mp, m, beta)
+                    assert stack[bi, imp, im] == pytest.approx(expected, abs=1e-12)
+                    assert wigner_small_d(l, mp, m, beta) == pytest.approx(expected, abs=1e-12)
+
+    def test_scalar_element_bounded_at_l60(self):
+        # the old term-by-term sum returned -1.376 for d^60_00(1)
+        stack = small_d_matrices(60, [1.0])[0]
+        for mp in range(-60, 61, 10):
+            for m in range(-60, 61, 10):
+                value = wigner_small_d(60, mp, m, 1.0)
+                assert abs(value) <= 1.0
+                assert value == stack[mp + 60, m + 60]
+        assert wigner_small_d(60, 0, 0, 1.0) == pytest.approx(
+            _legendre(60, np.array([math.cos(1.0)]))[0], abs=1e-13
+        )
 
     def test_stack_owns_contiguous_real_data_at_l39(self):
         stack = small_d_matrices(39, np.linspace(0.1, 3.0, 7))

@@ -210,3 +210,25 @@ def test_unwritable_dump_path_is_usage_error(tmp_path):
 
 def test_unwritable_report_path_is_usage_error(tmp_path):
     assert_usage_error(["table1", "--out", str(tmp_path / "no_dir" / "x.csv")])
+
+
+@pytest.mark.parametrize("command", ["so4", "ortho"])
+def test_negative_seed_is_usage_error(command):
+    assert_usage_error([command, "--seed", "-1"])
+
+
+def test_tolerance_file_without_section_is_usage_error(tmp_path):
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    assert_usage_error(["table1", "--tolerance-file", str(empty)])
+
+
+def test_tolerance_file_without_key_is_usage_error(tmp_path):
+    tol = load_tolerances()
+    del tol["table2"]["overlap_abs"]
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps(tol))
+    assert_usage_error(["table2", "--tolerance-file", str(partial)])
+    tol["table2"]["overlap_abs"] = "1e-5"
+    partial.write_text(json.dumps(tol))
+    assert_usage_error(["table2", "--tolerance-file", str(partial)])

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from rydberg_frames.geometry import EulerAngles, UnitVector, Y_AXIS
+from rydberg_frames.angmom import clebsch_gordan, small_d_matrices
+from rydberg_frames.geometry import EulerAngles, UnitVector, Y_AXIS, euler_matrix
 from rydberg_frames.povm_so3 import (
     FidelityReport,
     QuadratureRule,
+    _cg_series,
     _haar_moments,
-    _t_stack,
     alice_two_axis_state,
     bob_fiducial,
     cos_omega_xy,
@@ -18,6 +19,7 @@ from rydberg_frames.povm_so3 import (
     optimal_m0_state,
     optimize_eccentricity,
     povm_completeness_deviation,
+    two_axis_eta,
 )
 from rydberg_frames.states import (
     EllipticSpec,
@@ -46,6 +48,25 @@ def random_m0_state(n, rng):
     return WaveFunction(n, blocks)
 
 
+def beta_nodes(rule: QuadratureRule):
+    """The rule's (beta, weight) nodes, polished to double precision.
+
+    numpy's leggauss weights are off by up to 1.8e-15 at 18 nodes, which the
+    closed-form moments (exact to rounding) would show; three Newton steps on
+    the Legendre recurrence, with w = 2 / ((1 - x^2) P_n'(x)^2), bring every
+    weight within 5e-16 of its 40-digit value up to 128 nodes.
+    """
+    n = rule.n_beta
+    x, _ = np.polynomial.legendre.leggauss(n)
+    for _ in range(3):
+        p_prev, p = np.ones_like(x), x.copy()
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        x = x - p / dp
+    return np.arccos(x), 1.0 / ((1.0 - x * x) * dp * dp)
+
+
 def haar_integrate(f, rule: QuadratureRule) -> float:
     """Brute-force oracle: f(alpha, beta, gamma) on the rule's full 3-D grid.
 
@@ -53,7 +74,7 @@ def haar_integrate(f, rule: QuadratureRule) -> float:
     (n_alpha, n_beta, n_gamma); the result is exact for trigonometric
     polynomials within the rule's degree.
     """
-    betas, wbeta = rule.beta_nodes()
+    betas, wbeta = beta_nodes(rule)
     alphas = rule.alpha_nodes()
     gammas = rule.gamma_nodes()
     vals = np.asarray(
@@ -62,6 +83,42 @@ def haar_integrate(f, rule: QuadratureRule) -> float:
     vals = np.broadcast_to(vals, (rule.n_alpha, rule.n_beta, rule.n_gamma))
     per_beta = vals.sum(axis=(0, 2)) / (rule.n_alpha * rule.n_gamma)
     return float(np.real_if_close(np.sum(per_beta * wbeta)))
+
+
+def _t_stack(a, fid, rule: QuadratureRule) -> np.ndarray:
+    """Oracle: T[b, mp, m] = sum_l sqrt(2l+1) conj(a_{l,mp}) d^l_{mp,m}(beta_b) b_{l,m}.
+
+    <A|U(alpha, beta_b, gamma)|B> = sum T[b, mp, m] e^{-i alpha mp} e^{-i gamma m}.
+    """
+    L = a.n - 1
+    betas, _ = beta_nodes(rule)
+    t = np.zeros((rule.n_beta, 2 * L + 1, 2 * L + 1), dtype=complex)
+    for l in range(a.n):
+        block = math.sqrt(2 * l + 1) * np.conj(a.blocks[l])[:, None] * fid.blocks[l][None, :]
+        t[:, L - l : L + l + 1, L - l : L + l + 1] += small_d_matrices(l, betas) * block
+    return t
+
+
+def beta_grid_moments(a, rule: QuadratureRule):
+    """Oracle for _haar_moments: Gauss-Legendre in beta over the T-stack.
+
+    The alpha and gamma averages are taken by Fourier orthogonality:
+    |<A|U|B>|^2 averages to sum |T[b]|^2, its product with e^{i(alpha + gamma)}
+    to sum T[b, mp+1, m+1] conj(T[b, mp, m]), and with e^{i(alpha - gamma)}
+    to sum T[b, mp+1, m] conj(T[b, mp, m+1]).
+    """
+    betas, wbeta = beta_nodes(rule)
+    cosbeta = np.cos(betas)
+    t = _t_stack(a, bob_fiducial(a), rule)
+    s0 = (t.real**2 + t.imag**2).sum(axis=(1, 2))
+    s_plus = (t[:, 1:, 1:] * np.conj(t[:, :-1, :-1])).real.sum(axis=(1, 2))
+    s_minus = (t[:, 1:, :-1] * np.conj(t[:, :-1, 1:])).real.sum(axis=(1, 2))
+    return (
+        float(wbeta @ s0),
+        float(wbeta @ (cosbeta * s0)),
+        float(wbeta @ ((1.0 + cosbeta) * s_plus)),
+        float(wbeta @ (-(1.0 - cosbeta) * s_minus)),
+    )
 
 
 class TestFiducial:
@@ -118,6 +175,7 @@ class TestClosedFormMoments:
     @staticmethod
     def grid_moments(a, rule):
         # |<A|U|B>|^2 on every (alpha, beta, gamma) node, then the 3-D sum
+        # against 1, cos(beta), R_xx + R_yy and R_xx - R_yy
         t = _t_stack(a, bob_fiducial(a), rule)
         m_vals = np.arange(-(a.n - 1), a.n)
         e_alpha = np.exp(-1j * np.outer(rule.alpha_nodes(), m_vals))
@@ -128,6 +186,9 @@ class TestClosedFormMoments:
             haar_integrate(lambda al, be, ga: prob * np.cos(be), rule),
             haar_integrate(
                 lambda al, be, ga: prob * (1 + np.cos(be)) * np.cos(al + ga), rule
+            ),
+            haar_integrate(
+                lambda al, be, ga: -prob * (1 - np.cos(be)) * np.cos(al - ga), rule
             ),
         )
 
@@ -142,10 +203,39 @@ class TestClosedFormMoments:
         ]
         rule = QuadratureRule.for_shell(n)
         for a in states:
-            closed = _haar_moments(a, bob_fiducial(a), rule)
+            closed = _haar_moments(a, bob_fiducial(a))
             grid = self.grid_moments(a, rule)
             assert np.abs(np.subtract(closed, grid)).max() <= 1e-14
 
+    def test_match_beta_grid_at_n40(self):
+        n = 40
+        rng = np.random.default_rng(40)
+        directions = [UnitVector.normalized(*rng.normal(size=3)) for _ in range(2)]
+        rule = QuadratureRule.for_shell(n)
+        for a in (alice_two_axis_state(n, 0.3), alice_two_axis_state(n, 0.7),
+                  build_elliptic(EllipticSpec(n, *directions))):
+            closed = _haar_moments(a, bob_fiducial(a))
+            assert np.abs(np.subtract(closed, beta_grid_moments(a, rule))).max() <= 1e-12
+
+
+class TestCouplingTable:
+    def test_entries_match_exact_clebsch_gordan(self):
+        n = 50
+        cg, _ = _cg_series(n)
+        worst = 0.0
+        for l in range(n):
+            for d_l in (-1, 0, 1):
+                big_l = l + d_l
+                for q in (-1, 0, 1):
+                    row = cg[d_l + 1, q + 1, l]
+                    for m in range(-(n - 1), n):
+                        allowed = abs(m) <= l and abs(m + q) <= big_l and big_l >= abs(l - 1)
+                        if not allowed:
+                            assert row[m + n - 1] == 0.0
+                            continue
+                        exact = clebsch_gordan(l, 1, big_l, m, q, m + q)
+                        worst = max(worst, abs(row[m + n - 1] - exact))
+        assert worst <= 1e-15
 
 class TestSingleAxis:
     def test_circular_closed_form(self):
@@ -248,7 +338,28 @@ class TestTwoAxis:
         n = 5
         cx, cy = cos_omega_xy(alice_two_axis_state(n, 1.0))
         stark_value = cos_omega_z_m0(extreme_stark(n).m0_amplitudes())
-        assert cx + cy == pytest.approx(stark_value, abs=1e-10)
+        assert cx == pytest.approx(stark_value, abs=1e-10)
+        assert abs(cy) < 1e-10
+
+    def test_per_axis_pair_matches_euler_grid(self):
+        # brute force: |<A|U|B>|^2 on the full Euler grid, weighted by the
+        # diagonal of the rotation matrix
+        n, e = 5, 0.3
+        a = alice_two_axis_state(n, e)
+        rule = QuadratureRule.for_shell(n)
+        t = _t_stack(a, bob_fiducial(a), rule)
+        m_vals = np.arange(-(n - 1), n)
+        alphas, gammas = rule.alpha_nodes(), rule.gamma_nodes()
+        betas, _ = beta_nodes(rule)
+        amp = np.einsum("ap,bpm,gm->abg", np.exp(-1j * np.outer(alphas, m_vals)), t,
+                        np.exp(-1j * np.outer(gammas, m_vals)))
+        rot = np.array([[[euler_matrix(EulerAngles(al, be, ga)).diagonal()[:2]
+                          for ga in gammas] for be in betas] for al in alphas])
+        prob = np.abs(amp) ** 2
+        expected = [haar_integrate(lambda al, be, ga: prob * rot[..., i], rule) for i in (0, 1)]
+        cx, cy = cos_omega_xy(a)
+        assert (cx, cy) == pytest.approx(expected, abs=1e-13)
+        assert (cx, cy) == pytest.approx((0.36016, 0.79004), abs=1e-5)
 
     def test_reference_optimum_n5(self):
         e_opt, eta_min = optimize_eccentricity(5, "two_axes")
@@ -268,13 +379,9 @@ class TestTwoAxis:
 
     def test_curve_flattens_at_n20(self):
         # the error curve stays within 10% of its peak while e sweeps [0.55, 0.8]
-        rule = QuadratureRule.for_shell(20)
         grid = np.linspace(0.55, 0.8, 6)
-        etas = []
-        for e in grid:
-            cx, cy = cos_omega_xy(alice_two_axis_state(20, float(e)), rule)
-            etas.append(0.25 * (1 - cx) + 0.25 * (1 - cy))
-        etas = np.array(etas)
+        etas = np.array([two_axis_eta(*cos_omega_xy(alice_two_axis_state(20, float(e))))
+                         for e in grid])
         assert (etas.max() - etas.min()) / etas.max() < 0.10
 
 
@@ -291,6 +398,14 @@ class TestCompleteness:
         assert povm_completeness_deviation(circular_state(6)) < 1e-12
         assert povm_completeness_deviation(extreme_stark(6)) < 1e-12
 
+    @pytest.mark.parametrize("n", [40, 64])
+    def test_large_shells(self, n):
+        rng = np.random.default_rng(n)
+        directions = [UnitVector.normalized(*rng.normal(size=3)) for _ in range(2)]
+        for wf in (alice_two_axis_state(n, 0.7), build_elliptic(EllipticSpec(n, *directions)),
+                   random_wavefunction(n, rng)):
+            assert povm_completeness_deviation(wf) <= 1e-12
+
 
 class TestFidelityReport:
     def test_single_axis(self):
@@ -301,6 +416,9 @@ class TestFidelityReport:
     def test_two_axis(self):
         rep = FidelityReport.two_axis("elliptic", 5, 0.7, 0.7, 0.7)
         assert rep.infidelity_per_axis == pytest.approx(0.15)
+        rep = FidelityReport.two_axis("elliptic", 5, 0.3, 0.36, 0.8)
+        assert rep.cos_omega == {"x": 0.36, "y": 0.8}
+        assert rep.infidelity_per_axis == two_axis_eta(0.36, 0.8) == pytest.approx(0.21)
 
 
 def test_quadrature_rule_orders():
