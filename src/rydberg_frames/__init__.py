@@ -19,8 +19,6 @@ from .angmom import (
 from .geometry import EulerAngles, UnitVector, X_AXIS, Y_AXIS, Z_AXIS
 from .ortho import GainReport, gain_factor, orthogonalize
 from .povm_so3 import (
-    FidelityReport,
-    FiducialVector,
     QuadratureRule,
     alice_two_axis_state,
     bob_fiducial,
@@ -33,14 +31,12 @@ from .povm_so3 import (
     povm_completeness_deviation,
 )
 from .povm_so4 import (
-    BlockOperator,
     OutcomeBatch,
     philox_rng,
     sample_outcome_batch,
     so4_cos_omega,
     so4_infidelity,
-    so4_povm_completeness_check,
-    stark_set_operator,
+    stark_block_constants,
 )
 from .states import (
     EllipticSpec,

@@ -30,9 +30,11 @@ import numpy as np
 from .geometry import EulerAngles
 
 MAX_J = 50
+# Largest supported shell: the two spins of the shell n are j = (n-1)/2 <= MAX_J.
+MAX_N = 2 * MAX_J + 1
 
-# log(k!) for k = 0 .. 4*MAX_J + 1, for the coherent-state binomials
-_LOG_FACT = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 4 * MAX_J + 2)))))
+# log(k!) for k = 0 .. 2*MAX_J, for the coherent-state binomials
+_LOG_FACT = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 2 * MAX_J + 1)))))
 
 
 @dataclass(frozen=True)
@@ -165,8 +167,8 @@ def coherent_coeffs(j, theta: float, phi: float) -> np.ndarray:
         D^j_m = binom(2j, j+m)^(1/2) cos(theta/2)^(j+m) sin(theta/2)^(j-m) e^(-i m phi)
     """
     tj = _twice(j)
-    if tj < 0:
-        raise ValueError(f"negative spin: {tj / 2}")
+    if not 0 <= tj <= 2 * MAX_J:
+        raise ValueError(f"spin {tj / 2} outside [0, MAX_J = {MAX_J}]")
     idx = np.arange(tj + 1)  # j + m
     log_binom = 0.5 * (_LOG_FACT[tj] - _LOG_FACT[idx] - _LOG_FACT[tj - idx])
     c = math.cos(theta / 2.0)

@@ -22,6 +22,7 @@ from . import povm_so3 as p3
 from . import povm_so4 as p4
 from . import reference_values as ref
 from . import states as st
+from .angmom import MAX_N
 from .geometry import UnitVector
 
 _QUADRATURE_NOTE = "n_beta=2n Gauss-Legendre in cos(beta); n_alpha=n_gamma=4n+4 equispaced"
@@ -346,8 +347,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "state":
-        if args.n < 2:
-            print("n must be >= 2", file=sys.stderr)
+        if not 2 <= args.n <= MAX_N:
+            print(f"state requires 2 <= n <= {MAX_N}", file=sys.stderr)
             return 2
         if args.kind == "elliptic" and args.e is None:
             print("state --kind elliptic requires --e", file=sys.stderr)
@@ -373,13 +374,14 @@ def main(argv=None) -> int:
     elif args.command == "table2":
         meta, columns, rows, ok = cmd_table2(tol)
     elif args.command == "table3":
-        if any(n < 3 for n in args.n_list):
-            print("table3 requires n >= 3", file=sys.stderr)
+        if any(not 3 <= n <= MAX_N for n in args.n_list):
+            print(f"table3 requires 3 <= n <= {MAX_N}", file=sys.stderr)
             return 2
         meta, columns, rows, ok = cmd_table3(args.n_list, args.ecc_grid, tol)
     elif args.command == "so4":
-        if args.n < 2 or args.samples < 0 or args.seed < 0:
-            print("so4 requires n >= 2, samples >= 0 and seed >= 0", file=sys.stderr)
+        # a standard error needs at least two samples; 0 gives the closed form only
+        if args.n < 2 or args.samples < 0 or args.samples == 1 or args.seed < 0:
+            print("so4 requires n >= 2, samples 0 or >= 2 and seed >= 0", file=sys.stderr)
             return 2
         try:
             meta, columns, rows, ok = cmd_so4(

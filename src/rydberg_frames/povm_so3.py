@@ -16,6 +16,9 @@ have closed algebraic forms. One evaluation costs O(n^2). The result equals
 the exact product grid that QuadratureRule declares (2n Gauss-Legendre nodes
 in cos(beta), 4n+4 equispaced nodes in alpha and gamma; exact for these
 trigonometric polynomials), which the tests integrate on as an oracle.
+QuadratureRule keeps only those node counts, although no code here evaluates
+a grid: the result files cite them in their metadata, and the benchmark's
+tracer reads `QuadratureRule.for_shell`.
 """
 
 from __future__ import annotations
@@ -44,87 +47,33 @@ class QuadratureRule:
     def for_shell(cls, n: int) -> "QuadratureRule":
         return cls(2 * n, 4 * n + 4, 4 * n + 4)
 
-    def beta_nodes(self):
-        """(beta, weight) with weights summing to 1 under sin(beta) dbeta / 2."""
-        x, w = _leggauss(self.n_beta)
-        return np.arccos(x), w / 2.0
-
-    def alpha_nodes(self) -> np.ndarray:
-        return np.arange(self.n_alpha) * 2.0 * math.pi / self.n_alpha
-
-    def gamma_nodes(self) -> np.ndarray:
-        return np.arange(self.n_gamma) * 2.0 * math.pi / self.n_gamma
-
-
-@lru_cache(maxsize=None)
-def _leggauss(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
-@dataclass
-class FiducialVector:
-    """Per-l unit-norm blocks of Bob's fiducial vector.
-
-    The sqrt(2l+1) Schur weights that make the POVM complete are applied when
-    amplitudes are assembled, not stored here.
-    """
-
-    n: int
-    blocks: list
-
-    def __post_init__(self):
-        self.blocks = [np.asarray(b, dtype=complex) for b in self.blocks]
-        for l, b in enumerate(self.blocks):
-            if b.shape != (2 * l + 1,):
-                raise ValueError(f"block l={l} has shape {b.shape}")
-            if abs(np.linalg.norm(b) - 1.0) > 1e-8:
-                raise ValueError(f"fiducial block l={l} is not unit norm")
-
 
 def two_axis_eta(cos_x: float, cos_y: float) -> float:
     """Mean square error per axis, 1/4 (1 - cos omega_x) + 1/4 (1 - cos omega_y)."""
     return 0.25 * (1.0 - cos_x) + 0.25 * (1.0 - cos_y)
 
 
-@dataclass(frozen=True)
-class FidelityReport:
-    """Transmission summary: mean error cosines per axis and the mean square error."""
-
-    protocol: str
-    n: int
-    eccentricity: float | None
-    cos_omega: dict
-    infidelity_per_axis: float
-
-    @classmethod
-    def single_axis(cls, protocol, n, ecc, axis, cos_omega):
-        return cls(protocol, n, ecc, {axis: cos_omega}, 0.5 * (1.0 - cos_omega))
-
-    @classmethod
-    def two_axis(cls, protocol, n, ecc, cos_x, cos_y):
-        return cls(protocol, n, ecc, {"x": cos_x, "y": cos_y}, two_axis_eta(cos_x, cos_y))
-
-
-def bob_fiducial(a: WaveFunction) -> FiducialVector:
-    """Optimal fiducial blocks b_l = a_l / ||a_l||.
+def bob_fiducial(a: WaveFunction) -> list:
+    """Optimal fiducial blocks b_l = a_l / ||a_l||, one unit vector per l.
 
     An l-block where a vanishes is completed with the m=0 basis vector; the
     completion keeps the POVM resolving the identity and contributes zero
-    overlap with |A>, so every fidelity is unchanged.
+    overlap with |A>, so every fidelity is unchanged. The sqrt(2l+1) Schur
+    weights that make the POVM complete are applied in the Haar moments, not
+    stored here.
     """
     blocks = []
-    for l in range(a.n):
-        norm = np.linalg.norm(a.blocks[l])
+    for l, block in enumerate(a.blocks):
+        # np.linalg.norm's own arithmetic, so every fidelity keeps its bits,
+        # without its per-call overhead (2n calls per optimizer step)
+        norm = np.sqrt(block.real @ block.real + block.imag @ block.imag)
         if norm < _ZERO_BLOCK:
             filler = np.zeros(2 * l + 1, dtype=complex)
             filler[l] = 1.0
             blocks.append(filler)
         else:
-            blocks.append(a.blocks[l] / norm)
-    return FiducialVector(a.n, blocks)
+            blocks.append(block / norm)
+    return blocks
 
 
 # (L - l, q): signed square of <l m; 1 q | L m+q> in terms of l and M = m + q,
@@ -188,12 +137,12 @@ def _x_sums(u: np.ndarray, cg: np.ndarray) -> np.ndarray:
     return x
 
 
-def _haar_moments(a: WaveFunction, fid: FiducialVector):
+def _haar_moments(a: WaveFunction, fid: list):
     """Haar averages of |<A|U|B>|^2 times 1, cos(beta), R_xx + R_yy and R_xx - R_yy.
 
-    With |B> = sum_l sqrt(2l+1) b_l, the Clebsch-Gordan series
-    D^l D^1 = sum_L <..|L..><..|L..> D^L and Schur orthogonality
-    (Edmonds, eqs. 4.3.2 and 4.6.2) give, for f = D^1_{q q'},
+    fid holds the unit blocks b_l of |B> = sum_l sqrt(2l+1) b_l. The
+    Clebsch-Gordan series D^l D^1 = sum_L <..|L..><..|L..> D^L and Schur
+    orthogonality (Edmonds, eqs. 4.3.2 and 4.6.2) give, for f = D^1_{q q'},
 
         <|<A|U|B>|^2 f> = sum_l sum_{L = l-1, l, l+1} sqrt((2l+1)/(2L+1))
                           X^a_{lL}(q) conj(X^b_{lL}(q')),
@@ -204,7 +153,7 @@ def _haar_moments(a: WaveFunction, fid: FiducialVector):
     the plain average is sum_l |a_l|^2 |b_l|^2.
     """
     cg, weights = _cg_series(a.n)
-    ua, ub = _padded(a.blocks), _padded(fid.blocks)
+    ua, ub = _padded(a.blocks), _padded(fid)
     xa, xb = _x_sums(ua, cg), _x_sums(ub, cg)
 
     def moment(q, qp):
@@ -240,15 +189,19 @@ def povm_completeness_deviation(a: WaveFunction) -> float:
 # ---------------------------------------------------------------------------
 # Closed form for m=0 states and the optimal one-axis signal.
 
+def _m0_coupling(n: int) -> np.ndarray:
+    """l / sqrt(4 l^2 - 1) for l = 1 .. n-1: the m=0 coupling of blocks l-1 and l."""
+    l = np.arange(1, n)
+    return l / np.sqrt(4.0 * l**2 - 1.0)
+
+
 def m0_overlap_matrix(n: int) -> np.ndarray:
     """Symmetric tridiagonal matrix with entries A_{l,l-1} = l / sqrt(4 l^2 - 1).
 
     For any m=0 signal, <cos omega_z> = sum_{lk} A_{lk} |a_{l0}| |a_{k0}|.
     """
-    mat = np.zeros((n, n))
-    for l in range(1, n):
-        mat[l, l - 1] = mat[l - 1, l] = l / math.sqrt(4.0 * l * l - 1.0)
-    return mat
+    coupling = _m0_coupling(n)
+    return np.diag(coupling, 1) + np.diag(coupling, -1)
 
 
 def cos_omega_z_m0(a0) -> float:
@@ -256,8 +209,7 @@ def cos_omega_z_m0(a0) -> float:
     x = np.abs(np.asarray(a0, dtype=complex))
     if abs(np.linalg.norm(x) - 1.0) > 1e-8:
         raise ValueError("m=0 amplitudes are not normalized")
-    sub = np.arange(1, len(x)) / np.sqrt(4.0 * np.arange(1, len(x)) ** 2 - 1.0)
-    return float(2.0 * np.sum(sub * x[1:] * x[:-1]))
+    return float(2.0 * np.sum(_m0_coupling(len(x)) * x[1:] * x[:-1]))
 
 
 def optimal_m0_state(n: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Product SO(4) measurement: closed forms, outcome sampling, diagnostics.
+"""Product SO(4) measurement: closed forms, outcome sampling, a diagnostic.
 
 The measurement factorizes into one covariant SO(3) POVM per spin-j factor
 (j = (n-1)/2), so each transmitted direction is estimated independently with
@@ -9,6 +9,11 @@ hence a per-direction mean square error of exactly 1/(n+1) for every n.
 All sampling is rejection-free through the inverse CDF on s = sin^2(chi/2)
 and uses numpy's counter-based 64-bit Philox generator with an explicit seed
 in every API.
+
+The diagnostic, that rotated maximal-K projectors alone do not resolve the
+identity, is a Haar integral of D-functions and is given in closed form
+(`stark_block_constants`). The tests integrate it, and the completeness of the
+product POVM, on explicit grids as oracles.
 """
 
 from __future__ import annotations
@@ -18,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angmom import coherent_coeffs, small_d_matrices
-from .geometry import UnitVector, X_AXIS, Y_AXIS, perpendicular_unit
+from .geometry import UnitVector, perpendicular_unit
 from .states import extreme_stark
 
 # Outcome dump: rows are rendered this many at a time, so the Python floats
@@ -136,95 +140,18 @@ def sample_outcome_batch(n: int, v1: UnitVector, v2: UnitVector, count: int,
 
 
 # ---------------------------------------------------------------------------
-# Diagnostics.
+# Diagnostic: the rotated maximal-K projectors do not resolve the identity.
 
-@dataclass
-class BlockOperator:
-    """Hermitian operator block-diagonal over l, plus the residual off-block weight."""
+def stark_block_constants(n: int) -> np.ndarray:
+    """Block constants of the direction average of rotated maximal-K projectors.
 
-    n: int
-    blocks: list
-    off_block_max: float
-
-    def block_constants(self) -> np.ndarray:
-        """trace(block_l) / (2l+1) for each l."""
-        return np.array(
-            [np.trace(b).real / (2 * l + 1) for l, b in enumerate(self.blocks)]
-        )
-
-    def relative_spread(self) -> float:
-        c = self.block_constants()
-        return float((c.max() - c.min()) / c.mean())
-
-
-def stark_set_operator(n: int) -> BlockOperator:
-    """Direction average of rotated maximal-K projectors, over solid angle.
-
-    B = integral over the sphere of |K,u><K,u| dOmega. Each l-block comes out
-    proportional to the identity but with a different constant
-    4 pi C_l^2 / (2l+1) per l, so B is not a multiple of the identity and the
-    rotated Stark family cannot resolve it by Schur weighting alone.
+    B = integral over the sphere of |K,u><K,u| dOmega. The l-block of |K,u> is
+    C_l D^l_{m0}(phi, theta, 0), with C_l the m=0 amplitude of the maximal-K
+    state, so Schur orthogonality (Edmonds, eq. 4.6.2) makes B block-diagonal
+    over l, exactly zero off the blocks, with block l equal to
+    4 pi C_l^2 / (2l+1) times the identity. The constants differ with l, so B
+    is not a multiple of the identity and the rotated Stark family cannot
+    resolve it by Schur weighting alone.
     """
-    stark = extreme_stark(n)
-    c_l = stark.m0_amplitudes().real
-
-    n_theta, n_phi = 2 * n, 4 * n + 4
-    x, w_theta = np.polynomial.legendre.leggauss(n_theta)
-    thetas = np.arccos(x)
-    phis = np.arange(n_phi) * 2.0 * math.pi / n_phi
-    dim = n * n
-
-    vectors = np.zeros((n_theta * n_phi, dim), dtype=complex)
-    offset = 0
-    for l in range(n):
-        m_vals = np.arange(-l, l + 1)
-        d_col = small_d_matrices(l, thetas)[:, :, l]  # d^l_{m,0}(theta)
-        phase = np.exp(-1j * np.outer(phis, m_vals))
-        amp = c_l[l] * np.einsum("tm,pm->tpm", d_col, phase).reshape(-1, 2 * l + 1)
-        vectors[:, offset : offset + 2 * l + 1] = amp
-        offset += 2 * l + 1
-
-    weights = np.repeat(w_theta, n_phi) * (2.0 * math.pi / n_phi)
-    full = (vectors.conj() * weights[:, None]).T @ vectors
-
-    blocks = []
-    residual = full.copy()
-    offset = 0
-    for l in range(n):
-        size = 2 * l + 1
-        blocks.append(full[offset : offset + size, offset : offset + size].copy())
-        residual[offset : offset + size, offset : offset + size] = 0.0
-        offset += size
-    return BlockOperator(n, blocks, float(np.abs(residual).max()))
-
-
-def so4_povm_completeness_check(n: int) -> float:
-    """Max |entry| deviation of the doubly integrated product POVM from identity.
-
-    Each SO(3) factor is integrated on its own Euler grid at the degree of the
-    spin-j representation; the product is their Kronecker product.
-    """
-    j = (n - 1) / 2.0
-    factors = []
-    for u in (X_AXIS, Y_AXIS):
-        theta_u, phi_u = u.spherical()
-        c = coherent_coeffs(j, theta_u, phi_u)
-        n_beta, n_ang = n, 2 * n + 2
-        x, w_beta = np.polynomial.legendre.leggauss(n_beta)
-        betas = np.arccos(x)
-        angles = np.arange(n_ang) * 2.0 * math.pi / n_ang
-        m_vals = np.arange(n) - j
-        phase_psi = np.exp(-1j * np.outer(angles, m_vals))  # rows psi, cols m'
-        phase_phi = np.exp(-1j * np.outer(m_vals, angles))  # rows m, cols phi
-        d_stack = small_d_matrices(j, betas)
-        factor = np.zeros((n, n), dtype=complex)
-        for b in range(n_beta):
-            rotated = d_stack[b] @ (c[:, None] * phase_phi)  # (m', phi)
-            v = phase_psi.T[:, :, None] * rotated[:, None, :]  # (m', psi, phi)
-            factor += (w_beta[b] / 2.0) * np.einsum("apq,bpq->ab", v, v.conj()) / (
-                n_ang * n_ang
-            )
-        factor *= n  # Schur weight 2j+1
-        factors.append(factor)
-    product = np.kron(factors[0], factors[1])
-    return float(np.abs(product - np.eye(n * n)).max())
+    c_l = extreme_stark(n).m0_amplitudes().real
+    return 4.0 * math.pi * c_l**2 / (2 * np.arange(n) + 1)

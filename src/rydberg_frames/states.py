@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angmom import HalfInt, clebsch_gordan, coherent_coeffs, small_d_matrices
+from .angmom import MAX_N, HalfInt, clebsch_gordan, coherent_coeffs, small_d_matrices
 from .geometry import EulerAngles, UnitVector, perpendicular_unit
 
 _NORM_TOL = 1e-8
@@ -29,8 +29,8 @@ class WaveFunction:
     blocks: list
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
+        if not 2 <= self.n <= MAX_N:
+            raise ValueError(f"n must lie in [2, MAX_N = {MAX_N}], got {self.n}")
         if len(self.blocks) != self.n:
             raise ValueError(f"expected {self.n} l-blocks, got {len(self.blocks)}")
         self.blocks = [np.asarray(b, dtype=complex) for b in self.blocks]

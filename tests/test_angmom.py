@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rydberg_frames.angmom import (
+    MAX_J,
     HalfInt,
     clebsch_gordan,
     coherent_coeffs,
@@ -241,6 +242,12 @@ class TestWignerD:
 
 
 class TestCoherentCoeffs:
+    def test_spin_range(self):
+        assert coherent_coeffs(MAX_J, 0.3, 0.1).shape == (2 * MAX_J + 1,)
+        for j in (MAX_J + 0.5, 124.5, -0.5):
+            with pytest.raises(ValueError):
+                coherent_coeffs(j, 0.3, 0.1)
+
     def test_fiducial_at_north_pole(self):
         c = coherent_coeffs(3, 0.0, 0.0)
         expected = np.zeros(7)

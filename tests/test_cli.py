@@ -39,17 +39,29 @@ def test_default_tolerances_load():
     assert tol["ortho"]["ratio_min_n"] == 40
 
 
-def test_table2_passes_and_is_deterministic(tmp_path):
+def rerun_bytes(argv, tmp_path):
+    """Run a passing command twice; assert the two output files are the same bytes."""
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["table2", "--out", str(out1)]) == 0
-    assert main(["table2", "--out", str(out2)]) == 0
+    assert main([*argv, "--out", str(out1)]) == 0
+    assert main([*argv, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    lines = out1.read_text().splitlines()
+    return out1
+
+
+def test_table2_passes_and_is_deterministic(tmp_path):
+    lines = rerun_bytes(["table2"], tmp_path).read_text().splitlines()
     assert lines[0].startswith("# command: table2")
     body = [line for line in lines if not line.startswith("#")]
     rows = list(csv.reader(body))
     assert rows[0] == ["row", "l", "value", "reference", "abs_dev", "ok"]
     assert all(row[-1] == "yes" for row in rows[1:])
+
+
+@pytest.mark.parametrize("argv", [["table1"], ["table3", "--n-list", "5"]],
+                         ids=["table1", "table3"])
+def test_rerun_is_byte_identical(argv, tmp_path):
+    # the two commands whose fidelities go through the covariant fiducial
+    rerun_bytes(argv, tmp_path)
 
 
 def test_table2_json_format():
@@ -187,6 +199,7 @@ def assert_usage_error(argv):
     assert code == 2
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+    return err
 
 
 def test_state_eccentricity_out_of_range_is_usage_error():
@@ -232,3 +245,19 @@ def test_tolerance_file_without_key_is_usage_error(tmp_path):
     tol["table2"]["overlap_abs"] = "1e-5"
     partial.write_text(json.dumps(tol))
     assert_usage_error(["table2", "--tolerance-file", str(partial)])
+
+
+def test_single_sample_is_usage_error():
+    # a standard error needs two samples
+    assert_usage_error(["so4", "--samples", "1"])
+    assert_usage_error(["so4", "--samples", "1", "--format", "json"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["state", "--kind", "elliptic", "--n", "250", "--e", "0.5"],
+    ["state", "--kind", "stark", "--n", "300"],
+    ["state", "--kind", "circular", "--n", "102"],
+    ["table3", "--n-list", "5,102"],
+], ids=["elliptic", "stark", "circular", "table3"])
+def test_shell_above_max_n_is_usage_error(argv):
+    assert "101" in assert_usage_error(argv)

@@ -6,7 +6,6 @@ import pytest
 from rydberg_frames.angmom import clebsch_gordan, small_d_matrices
 from rydberg_frames.geometry import EulerAngles, UnitVector, Y_AXIS, euler_matrix
 from rydberg_frames.povm_so3 import (
-    FidelityReport,
     QuadratureRule,
     _cg_series,
     _haar_moments,
@@ -67,6 +66,14 @@ def beta_nodes(rule: QuadratureRule):
     return np.arccos(x), 1.0 / ((1.0 - x * x) * dp * dp)
 
 
+def alpha_nodes(rule: QuadratureRule) -> np.ndarray:
+    return np.arange(rule.n_alpha) * 2.0 * math.pi / rule.n_alpha
+
+
+def gamma_nodes(rule: QuadratureRule) -> np.ndarray:
+    return np.arange(rule.n_gamma) * 2.0 * math.pi / rule.n_gamma
+
+
 def haar_integrate(f, rule: QuadratureRule) -> float:
     """Brute-force oracle: f(alpha, beta, gamma) on the rule's full 3-D grid.
 
@@ -75,8 +82,8 @@ def haar_integrate(f, rule: QuadratureRule) -> float:
     polynomials within the rule's degree.
     """
     betas, wbeta = beta_nodes(rule)
-    alphas = rule.alpha_nodes()
-    gammas = rule.gamma_nodes()
+    alphas = alpha_nodes(rule)
+    gammas = gamma_nodes(rule)
     vals = np.asarray(
         f(alphas[:, None, None], betas[None, :, None], gammas[None, None, :])
     )
@@ -94,7 +101,7 @@ def _t_stack(a, fid, rule: QuadratureRule) -> np.ndarray:
     betas, _ = beta_nodes(rule)
     t = np.zeros((rule.n_beta, 2 * L + 1, 2 * L + 1), dtype=complex)
     for l in range(a.n):
-        block = math.sqrt(2 * l + 1) * np.conj(a.blocks[l])[:, None] * fid.blocks[l][None, :]
+        block = math.sqrt(2 * l + 1) * np.conj(a.blocks[l])[:, None] * fid[l][None, :]
         t[:, L - l : L + l + 1, L - l : L + l + 1] += small_d_matrices(l, betas) * block
     return t
 
@@ -127,12 +134,12 @@ class TestFiducial:
         fid = bob_fiducial(circular_state(n))
         top = np.zeros(2 * n - 1)
         top[-1] = 1.0
-        assert np.allclose(fid.blocks[n - 1], top)
+        assert np.allclose(fid[n - 1], top)
         # vanishing blocks are completed with the m=0 unit vector
         for l in range(n - 1):
             filler = np.zeros(2 * l + 1)
             filler[l] = 1.0
-            assert np.allclose(fid.blocks[l], filler)
+            assert np.allclose(fid[l], filler)
 
     def test_maximal_k_blocks(self):
         wf = extreme_stark(4)
@@ -140,12 +147,13 @@ class TestFiducial:
         for l in range(4):
             expected = np.zeros(2 * l + 1, dtype=complex)
             expected[l] = wf.coeff(l, 0) / abs(wf.coeff(l, 0))
-            assert np.allclose(fid.blocks[l], expected, atol=1e-13)
+            assert np.allclose(fid[l], expected, atol=1e-13)
 
     def test_generic_normalization(self):
         rng = np.random.default_rng(0)
         fid = bob_fiducial(random_wavefunction(6, rng))
-        for b in fid.blocks:
+        for l, b in enumerate(fid):
+            assert b.shape == (2 * l + 1,)
             assert np.linalg.norm(b) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -178,8 +186,8 @@ class TestClosedFormMoments:
         # against 1, cos(beta), R_xx + R_yy and R_xx - R_yy
         t = _t_stack(a, bob_fiducial(a), rule)
         m_vals = np.arange(-(a.n - 1), a.n)
-        e_alpha = np.exp(-1j * np.outer(rule.alpha_nodes(), m_vals))
-        e_gamma = np.exp(-1j * np.outer(rule.gamma_nodes(), m_vals))
+        e_alpha = np.exp(-1j * np.outer(alpha_nodes(rule), m_vals))
+        e_gamma = np.exp(-1j * np.outer(gamma_nodes(rule), m_vals))
         prob = np.abs(np.einsum("ap,bpm,gm->abg", e_alpha, t, e_gamma)) ** 2
         return (
             haar_integrate(lambda al, be, ga: prob, rule),
@@ -299,6 +307,14 @@ class TestOptimalM0:
             value = float(stark @ optimal_m0_state(n)) ** 2
             assert value == pytest.approx(expected, abs=1e-5)
 
+    def test_matrix_matches_loop_form(self):
+        # the per-entry loop the vectorized coupling replaced, bit for bit
+        for n in (2, 3, 10, 40, 101):
+            loop = np.zeros((n, n))
+            for l in range(1, n):
+                loop[l, l - 1] = loop[l - 1, l] = l / math.sqrt(4.0 * l * l - 1.0)
+            assert np.array_equal(m0_overlap_matrix(n), loop)
+
     def test_matrix_entries(self):
         mat = m0_overlap_matrix(4)
         assert mat[1, 0] == pytest.approx(1 / math.sqrt(3))
@@ -349,7 +365,7 @@ class TestTwoAxis:
         rule = QuadratureRule.for_shell(n)
         t = _t_stack(a, bob_fiducial(a), rule)
         m_vals = np.arange(-(n - 1), n)
-        alphas, gammas = rule.alpha_nodes(), rule.gamma_nodes()
+        alphas, gammas = alpha_nodes(rule), gamma_nodes(rule)
         betas, _ = beta_nodes(rule)
         amp = np.einsum("ap,bpm,gm->abg", np.exp(-1j * np.outer(alphas, m_vals)), t,
                         np.exp(-1j * np.outer(gammas, m_vals)))
@@ -360,6 +376,10 @@ class TestTwoAxis:
         cx, cy = cos_omega_xy(a)
         assert (cx, cy) == pytest.approx(expected, abs=1e-13)
         assert (cx, cy) == pytest.approx((0.36016, 0.79004), abs=1e-5)
+
+    def test_two_axis_eta_values(self):
+        assert two_axis_eta(0.7, 0.7) == pytest.approx(0.15)
+        assert two_axis_eta(0.36, 0.8) == pytest.approx(0.21)
 
     def test_reference_optimum_n5(self):
         e_opt, eta_min = optimize_eccentricity(5, "two_axes")
@@ -407,23 +427,9 @@ class TestCompleteness:
             assert povm_completeness_deviation(wf) <= 1e-12
 
 
-class TestFidelityReport:
-    def test_single_axis(self):
-        rep = FidelityReport.single_axis("circular", 5, 0.0, "z", 0.8)
-        assert rep.infidelity_per_axis == pytest.approx(0.1)
-        assert rep.cos_omega == {"z": 0.8}
-
-    def test_two_axis(self):
-        rep = FidelityReport.two_axis("elliptic", 5, 0.7, 0.7, 0.7)
-        assert rep.infidelity_per_axis == pytest.approx(0.15)
-        rep = FidelityReport.two_axis("elliptic", 5, 0.3, 0.36, 0.8)
-        assert rep.cos_omega == {"x": 0.36, "y": 0.8}
-        assert rep.infidelity_per_axis == two_axis_eta(0.36, 0.8) == pytest.approx(0.21)
-
-
 def test_quadrature_rule_orders():
     rule = QuadratureRule.for_shell(10)
     assert (rule.n_beta, rule.n_alpha, rule.n_gamma) == (20, 44, 44)
-    betas, weights = rule.beta_nodes()
+    betas, weights = beta_nodes(rule)
     assert weights.sum() == pytest.approx(1.0, abs=1e-14)
     assert betas.min() > 0 and betas.max() < math.pi

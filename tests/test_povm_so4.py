@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from rydberg_frames.angmom import MAX_N, coherent_coeffs, small_d_matrices
 from rydberg_frames.geometry import UnitVector, X_AXIS, Y_AXIS, Z_AXIS, perpendicular_unit
 from rydberg_frames.povm_so4 import (
     _DUMP_BLOCK_ROWS,
@@ -17,8 +18,7 @@ from rydberg_frames.povm_so4 import (
     sample_outcome_batch,
     so4_cos_omega,
     so4_infidelity,
-    so4_povm_completeness_check,
-    stark_set_operator,
+    stark_block_constants,
 )
 from rydberg_frames.states import extreme_stark
 
@@ -158,38 +158,117 @@ def test_dump_row_format_matches_csv_writer(index, x1, x2, c1, c2):
     assert line == _csv_writer_line(index, [np.float64(c) for c in cells])
 
 
+def stark_set_grid(n):
+    """Oracle: B = integral over the sphere of |K,u><K,u| dOmega on a product grid.
+
+    2n Gauss-Legendre nodes in cos(theta) and 4n+4 equispaced azimuths
+    integrate the degree-2(n-1) integrand exactly. Returns the full
+    (n^2, n^2) matrix over the |l m> basis, blocks in ascending l.
+    """
+    c_l = extreme_stark(n).m0_amplitudes().real
+    n_theta, n_phi = 2 * n, 4 * n + 4
+    x, w_theta = np.polynomial.legendre.leggauss(n_theta)
+    thetas = np.arccos(x)
+    phis = np.arange(n_phi) * 2.0 * math.pi / n_phi
+    vectors = np.zeros((n_theta * n_phi, n * n), dtype=complex)
+    for l in range(n):
+        m_vals = np.arange(-l, l + 1)
+        d_col = small_d_matrices(l, thetas)[:, :, l]  # d^l_{m,0}(theta)
+        phase = np.exp(-1j * np.outer(phis, m_vals))
+        amp = c_l[l] * np.einsum("tm,pm->tpm", d_col, phase).reshape(-1, 2 * l + 1)
+        vectors[:, l * l : (l + 1) ** 2] = amp
+    weights = np.repeat(w_theta, n_phi) * (2.0 * math.pi / n_phi)
+    return (vectors.conj() * weights[:, None]).T @ vectors
+
+
+def grid_blocks(full, n):
+    """The l-blocks of a matrix over the |l m> basis, and its largest off-block entry."""
+    blocks = [full[l * l : (l + 1) ** 2, l * l : (l + 1) ** 2] for l in range(n)]
+    residual = full.copy()
+    for l in range(n):
+        residual[l * l : (l + 1) ** 2, l * l : (l + 1) ** 2] = 0.0
+    return blocks, float(np.abs(residual).max())
+
+
+def grid_block_constants(n):
+    blocks, _ = grid_blocks(stark_set_grid(n), n)
+    return np.array([np.trace(b).real / (2 * l + 1) for l, b in enumerate(blocks)])
+
+
+def relative_spread(consts):
+    return float((consts.max() - consts.min()) / consts.mean())
+
+
+def so4_povm_completeness_grid(n):
+    """Oracle: max |entry| deviation of the doubly integrated product POVM from identity.
+
+    Each SO(3) factor is integrated on its own Euler grid at the degree of the
+    spin-j representation; the product is their Kronecker product.
+    """
+    j = (n - 1) / 2.0
+    factors = []
+    for u in (X_AXIS, Y_AXIS):
+        theta_u, phi_u = u.spherical()
+        c = coherent_coeffs(j, theta_u, phi_u)
+        n_beta, n_ang = n, 2 * n + 2
+        x, w_beta = np.polynomial.legendre.leggauss(n_beta)
+        betas = np.arccos(x)
+        angles = np.arange(n_ang) * 2.0 * math.pi / n_ang
+        m_vals = np.arange(n) - j
+        phase_psi = np.exp(-1j * np.outer(angles, m_vals))  # rows psi, cols m'
+        phase_phi = np.exp(-1j * np.outer(m_vals, angles))  # rows m, cols phi
+        d_stack = small_d_matrices(j, betas)
+        factor = np.zeros((n, n), dtype=complex)
+        for b in range(n_beta):
+            rotated = d_stack[b] @ (c[:, None] * phase_phi)  # (m', phi)
+            v = phase_psi.T[:, :, None] * rotated[:, None, :]  # (m', psi, phi)
+            factor += (w_beta[b] / 2.0) * np.einsum("apq,bpq->ab", v, v.conj()) / (
+                n_ang * n_ang
+            )
+        factor *= n  # Schur weight 2j+1
+        factors.append(factor)
+    product = np.kron(factors[0], factors[1])
+    return float(np.abs(product - np.eye(n * n)).max())
+
+
 class TestStarkSetOperator:
     def test_blocks_proportional_to_identity(self):
-        for n in (2, 4, 6):
-            op = stark_set_operator(n)
-            consts = op.block_constants()
-            for l, block in enumerate(op.blocks):
-                assert np.abs(block - consts[l] * np.eye(2 * l + 1)).max() < 1e-12
-            assert op.off_block_max < 1e-12
+        for n in range(2, 9):
+            blocks, off_block_max = grid_blocks(stark_set_grid(n), n)
+            consts = stark_block_constants(n)
+            for l, block in enumerate(blocks):
+                assert np.abs(block - consts[l] * np.eye(2 * l + 1)).max() <= 1e-12
+            assert off_block_max <= 1e-12
 
     def test_constants_match_closed_form(self):
-        for n in (2, 3, 5, 8):
-            op = stark_set_operator(n)
-            c_l = extreme_stark(n).m0_amplitudes().real
-            closed = 4.0 * math.pi * c_l**2 / (2 * np.arange(n) + 1)
-            assert np.allclose(op.block_constants(), closed, atol=1e-12)
+        for n in range(2, 9):
+            grid = grid_block_constants(n)
+            assert np.abs(grid - stark_block_constants(n)).max() <= 1e-12
 
     def test_trace_is_total_solid_angle(self):
         for n in (2, 5):
-            op = stark_set_operator(n)
-            trace = sum(float(np.trace(b).real) for b in op.blocks)
+            trace = float(np.trace(stark_set_grid(n)).real)
             assert trace == pytest.approx(4.0 * math.pi, abs=1e-10)
 
-    def test_n2_block_ratio(self):
-        consts = stark_set_operator(2).block_constants()
-        assert consts[0] / consts[1] == pytest.approx(3.0, abs=1e-12)
+    @pytest.mark.parametrize("n", [2, 3, 10, 40, MAX_N])
+    def test_closed_form_positive_and_sums_to_solid_angle(self, n):
+        consts = stark_block_constants(n)
+        assert consts.min() > 0.0
+        assert abs(float((2 * np.arange(n) + 1) @ consts) - 4.0 * math.pi) <= 1e-12
 
-    @pytest.mark.parametrize("n", [3, 4, 6, 8])
+    def test_n2_block_ratio(self):
+        consts = stark_block_constants(2)
+        assert consts[0] / consts[1] == pytest.approx(3.0, abs=1e-12)
+        grid = grid_block_constants(2)
+        assert grid[0] / grid[1] == pytest.approx(3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
     def test_spread_confirms_non_identity(self, n):
-        assert stark_set_operator(n).relative_spread() >= 0.10
+        assert relative_spread(grid_block_constants(n)) >= 0.10
+        assert relative_spread(stark_block_constants(n)) >= 0.10
 
 
 class TestCompleteness:
     @pytest.mark.parametrize("n", [2, 6])
     def test_product_resolves_identity(self, n):
-        assert so4_povm_completeness_check(n) < 1e-10
+        assert so4_povm_completeness_grid(n) < 1e-10

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
-from rydberg_frames.angmom import HalfInt, clebsch_gordan
+from rydberg_frames.angmom import MAX_N, HalfInt, clebsch_gordan
 from rydberg_frames.geometry import EulerAngles, UnitVector, X_AXIS, Y_AXIS, Z_AXIS, euler_matrix, matrix_to_euler
+from rydberg_frames.povm_so3 import povm_completeness_deviation
 from rydberg_frames.states import (
     EllipticSpec,
     WaveFunction,
@@ -90,6 +93,15 @@ class TestConstruction:
             WaveFunction(2, [np.array([1.0]), np.array([1.0, 0.0, 0.0])])  # norm 2
         with pytest.raises(ValueError):
             WaveFunction(2, [np.array([1.0, 0.0]), np.array([0.0, 0.0, 0.0])])  # bad shape
+
+    def test_shell_range(self):
+        for n in (1, MAX_N + 1):
+            blocks = [np.zeros(2 * l + 1) for l in range(n)]
+            blocks[0][0] = 1.0
+            with pytest.raises(ValueError, match="MAX_N"):
+                WaveFunction(n, blocks)
+        with pytest.raises(ValueError):
+            build_elliptic(EllipticSpec(MAX_N + 1, X_AXIS, Y_AXIS))
 
 
 def racah_column(n, tm1, tm2):
@@ -308,3 +320,19 @@ class TestSerialization:
 
         back = from_product_amplitudes(6, psi)
         assert abs(overlap(wf, back)) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+_DIRECTION = hst.tuples(*[hst.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: math.fsum(c * c for c in v) > 1e-2
+)
+
+
+# coupling_tensor caches every shell it builds (up to 8 MB at n = MAX_N), so
+# the number of distinct shells drawn is kept small
+@settings(max_examples=12, deadline=None)
+@given(hst.integers(2, MAX_N), _DIRECTION, _DIRECTION)
+@example(MAX_N, (0.3, -0.5, 0.8), (-0.2, 0.9, 0.1))
+def test_coherent_states_up_to_max_n(n, v1, v2):
+    wf = build_elliptic(EllipticSpec(n, UnitVector.normalized(*v1), UnitVector.normalized(*v2)))
+    assert povm_completeness_deviation(wf) <= 1e-12
+    assert abs(dispersion_sum(wf) - 2.0 * (n - 1)) <= 1e-12 * n * n
