@@ -13,11 +13,9 @@ from .angmom import (
     clebsch_gordan,
     coherent_coeffs,
     small_d_matrices,
-    wigner_D,
-    wigner_small_d,
 )
 from .geometry import EulerAngles, UnitVector, X_AXIS, Y_AXIS, Z_AXIS
-from .ortho import GainReport, gain_factor, orthogonalize
+from .ortho import GainReport, gain_factor
 from .povm_so3 import (
     QuadratureRule,
     alice_two_axis_state,
@@ -34,22 +32,18 @@ from .povm_so4 import (
     OutcomeBatch,
     philox_rng,
     sample_outcome_batch,
-    so4_cos_omega,
     so4_infidelity,
     stark_block_constants,
 )
 from .states import (
     EllipticSpec,
-    ProductState,
     WaveFunction,
     build_elliptic,
     circular_state,
     dispersion_sum,
-    eccentricity,
-    expectation_LK,
     extreme_stark,
     lk_moments,
     overlap,
-    product_state,
+    product_amplitudes,
     rotate,
 )

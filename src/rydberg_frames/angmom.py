@@ -1,8 +1,8 @@
 """Angular momentum special functions.
 
 Clebsch-Gordan coefficients (Condon-Shortley phases) via the Racah finite sum
-in exact rational arithmetic, Wigner small-d and full D matrices in the active
-z-y-z convention
+in exact rational arithmetic, stacks of Wigner small-d matrices
+d(beta) = exp(-i J_y beta) of the active z-y-z convention
 U(psi, theta, phi) = exp(-i J_z psi) exp(-i J_y theta) exp(-i J_z phi),
 and spin coherent state coefficients.
 
@@ -12,8 +12,7 @@ Clebsch-Gordan coefficient is an exact oracle up to MAX_J: its square is
 formed as one exact rational before the square root is taken. Whole tables of
 coefficients are not built here but by an eigensolve of the coupled L^2
 (`states.coupling_tensor`). d-matrices come from one kernel, the
-eigendecomposition of J_y (`small_d_matrices`); the scalar `wigner_small_d`
-and `wigner_D` read their element from it. The coherent-state coefficients
+eigendecomposition of J_y (`small_d_matrices`). The coherent-state coefficients
 use a log-factorial table built once at import time. All functions here are
 pure and safe to call concurrently.
 """
@@ -26,8 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-
-from .geometry import EulerAngles
 
 MAX_J = 50
 # Largest supported shell: the two spins of the shell n are j = (n-1)/2 <= MAX_J.
@@ -51,10 +48,6 @@ class HalfInt:
         if abs(2 * float(value) - doubled) > 1e-9:
             raise ValueError(f"not a half-integer: {value!r}")
         return cls(int(doubled))
-
-    @property
-    def value(self) -> float:
-        return self.twice / 2.0
 
     def __float__(self) -> float:
         return self.twice / 2.0
@@ -132,29 +125,6 @@ def clebsch_gordan(j1, j2, l, m1, m2, m) -> float:
         return 0.0
     magnitude = math.sqrt(float(total * total * pre2))
     return -magnitude if total < 0 else magnitude
-
-
-def wigner_small_d(l, mp, m, beta: float) -> float:
-    """Wigner small-d matrix element d^l_{mp,m}(beta) = <l mp| exp(-i beta J_y) |l m>.
-
-    Read from the J_y-eigendecomposition matrix of `small_d_matrices`, so it
-    is accurate at every l.
-    """
-    tl, tmp, tm = _twice(l), _twice(mp), _twice(m)
-    _check_projection(tl, tmp)
-    _check_projection(tl, tm)
-    return float(small_d_matrices(l, [beta])[0, (tl + tmp) // 2, (tl + tm) // 2])
-
-
-def wigner_D(l, mp, m, angles) -> complex:
-    """Full rotation matrix element D^l_{mp,m}(psi, theta, phi).
-
-    `angles` may be an EulerAngles or any (psi, theta, phi) triple.
-    """
-    psi, theta, phi = angles.as_tuple() if isinstance(angles, EulerAngles) else angles
-    d = wigner_small_d(l, mp, m, theta)
-    mp_val, m_val = HalfInt.of(mp).value, HalfInt.of(m).value
-    return np.exp(-1j * mp_val * psi) * d * np.exp(-1j * m_val * phi)
 
 
 def coherent_coeffs(j, theta: float, phi: float) -> np.ndarray:

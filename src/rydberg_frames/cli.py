@@ -380,8 +380,9 @@ def main(argv=None) -> int:
         meta, columns, rows, ok = cmd_table3(args.n_list, args.ecc_grid, tol)
     elif args.command == "so4":
         # a standard error needs at least two samples; 0 gives the closed form only
-        if args.n < 2 or args.samples < 0 or args.samples == 1 or args.seed < 0:
-            print("so4 requires n >= 2, samples 0 or >= 2 and seed >= 0", file=sys.stderr)
+        if not 2 <= args.n <= MAX_N or args.samples < 0 or args.samples == 1 or args.seed < 0:
+            print(f"so4 requires 2 <= n <= {MAX_N}, samples 0 or >= 2 and seed >= 0",
+                  file=sys.stderr)
             return 2
         try:
             meta, columns, rows, ok = cmd_so4(
@@ -391,8 +392,9 @@ def main(argv=None) -> int:
             print(f"cannot write the outcome dump: {exc}", file=sys.stderr)
             return 2
     elif args.command == "ortho":
-        if any(n < 2 for n in args.n_list) or args.samples < 100000 or args.seed < 0:
-            print("ortho requires n >= 2, samples >= 100000 and seed >= 0", file=sys.stderr)
+        if any(not 2 <= n <= MAX_N for n in args.n_list) or args.samples < 100000 or args.seed < 0:
+            print(f"ortho requires 2 <= n <= {MAX_N}, samples >= 100000 and seed >= 0",
+                  file=sys.stderr)
             return 2
         meta, columns, rows, ok = cmd_ortho(args.n_list, args.samples, args.seed, tol)
     else:  # pragma: no cover - argparse enforces the choices

@@ -1,8 +1,7 @@
-"""Unit vectors, Euler angles, and classical rotation matrices.
+"""Unit vectors and Euler angles.
 
-All rotations are active z-y-z: R(psi, theta, phi) = R_z(psi) R_y(theta) R_z(phi),
-matching the quantum convention U = exp(-i J_z psi) exp(-i J_y theta) exp(-i J_z phi)
-used everywhere else in this package.
+All rotations are active z-y-z, U = exp(-i J_z psi) exp(-i J_y theta) exp(-i J_z phi),
+the convention used everywhere else in this package.
 """
 
 from __future__ import annotations
@@ -30,9 +29,6 @@ class EulerAngles:
         object.__setattr__(self, "psi", float(self.psi) % TWO_PI)
         object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
 
-    def as_tuple(self):
-        return (self.psi, self.theta, self.phi)
-
 
 @dataclass(frozen=True)
 class UnitVector:
@@ -44,7 +40,7 @@ class UnitVector:
 
     def __post_init__(self):
         norm2 = self.x * self.x + self.y * self.y + self.z * self.z
-        if abs(norm2 - 1.0) > 1e-9:
+        if not abs(norm2 - 1.0) <= 1e-9:  # also refuses NaN
             raise ValueError(f"not a unit vector: |v|^2 = {norm2!r}")
 
     @classmethod
@@ -89,60 +85,6 @@ class UnitVector:
 X_AXIS = UnitVector(1.0, 0.0, 0.0)
 Y_AXIS = UnitVector(0.0, 1.0, 0.0)
 Z_AXIS = UnitVector(0.0, 0.0, 1.0)
-
-
-def rotation_z(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def rotation_y(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def euler_matrix(angles: EulerAngles) -> np.ndarray:
-    """Classical rotation matrix for active z-y-z Euler angles."""
-    return rotation_z(angles.psi) @ rotation_y(angles.theta) @ rotation_z(angles.phi)
-
-
-def matrix_to_euler(rot: np.ndarray) -> EulerAngles:
-    """Euler angles of a proper rotation matrix; gimbal cases fold into psi."""
-    r = np.asarray(rot)
-    ctheta = min(max(float(r[2, 2]), -1.0), 1.0)
-    theta = math.acos(ctheta)
-    if math.sin(theta) > 1e-9:
-        psi = math.atan2(r[1, 2], r[0, 2])
-        phi = math.atan2(r[2, 1], -r[2, 0])
-    elif ctheta > 0.0:
-        # R = R_z(psi + phi)
-        psi = math.atan2(r[1, 0], r[0, 0])
-        phi = 0.0
-    else:
-        # R = R_z(psi - phi) R_y(pi) = [[-cos, -sin, 0], [-sin, cos, 0], [0, 0, -1]]
-        psi = math.atan2(-r[1, 0], -r[0, 0])
-        phi = 0.0
-    return EulerAngles(psi, theta, phi)
-
-
-def axis_angle_matrix(axis: UnitVector, angle: float) -> np.ndarray:
-    """Rodrigues rotation about a unit axis."""
-    k = axis.as_array()
-    kx = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
-    return np.eye(3) + math.sin(angle) * kx + (1.0 - math.cos(angle)) * (kx @ kx)
-
-
-def rotation_between(a: UnitVector, b: UnitVector) -> np.ndarray:
-    """Minimal rotation carrying direction a onto direction b."""
-    cross = np.cross(a.as_array(), b.as_array())
-    s = float(np.linalg.norm(cross))
-    d = a.dot(b)
-    if s < 1e-12:
-        if d > 0.0:
-            return np.eye(3)
-        return axis_angle_matrix(perpendicular_unit(a), math.pi)
-    axis = UnitVector.from_array(cross / s)
-    return axis_angle_matrix(axis, math.atan2(s, d))
 
 
 def perpendicular_unit(v: UnitVector) -> UnitVector:

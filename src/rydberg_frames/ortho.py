@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import UnitVector, X_AXIS, Y_AXIS
+from .geometry import X_AXIS, Y_AXIS
 from .povm_so4 import philox_rng, sample_directions_about
 
 
@@ -67,14 +67,6 @@ def _orthogonalize_rows(r_x: np.ndarray, r_y: np.ndarray):
     new_x = np.add(b, q, out=b)
     new_x *= half
     return new_x, new_y
-
-
-def orthogonalize(r_x: UnitVector, r_y: UnitVector):
-    """Rotate two estimates in their plane so they become exactly orthogonal."""
-    new_x, new_y = _orthogonalize_rows(
-        r_x.as_array()[None, :], r_y.as_array()[None, :]
-    )
-    return UnitVector.from_array(new_x[0]), UnitVector.from_array(new_y[0])
 
 
 def gain_factor(n: int, samples: int, seed: int) -> GainReport:

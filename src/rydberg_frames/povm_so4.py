@@ -39,15 +39,10 @@ def philox_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def so4_cos_omega(n: int) -> float:
-    """Closed-form per-axis <cos omega> of the product measurement."""
+def so4_infidelity(n: int) -> float:
+    """Per-axis mean square error 1/(n+1), i.e. <cos omega> = (n-1)/(n+1)."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    return (n - 1.0) / (n + 1.0)
-
-
-def so4_infidelity(n: int) -> float:
-    """Per-axis mean square error 1/(n+1)."""
     return 1.0 / (n + 1.0)
 
 

@@ -3,8 +3,12 @@
 A shell state is stored as dense coefficient blocks a[l][l+m] over the |l m>
 basis, 0 <= l <= n-1, |m| <= l. The two commuting spins j = (n-1)/2 that
 generate the shell give the angular momentum L = J1 + J2 and the scaled
-Runge-Lenz vector K = J2 - J1; every K matrix element here is evaluated in
-that product representation, never through position-space integrals.
+Runge-Lenz vector K = J2 - J1. In the two-spin picture a state is one
+amplitude table psi[j+m1, j+m2]; the first spin acts on its rows and the
+second on its columns, so L_i psi = J_i psi + psi J_i^T and
+K_i psi = psi J_i^T - J_i psi with the three spin-j matrices J_i. Every K
+matrix element is evaluated that way, never through position-space
+integrals.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .angmom import MAX_N, HalfInt, clebsch_gordan, coherent_coeffs, small_d_matrices
-from .geometry import EulerAngles, UnitVector, perpendicular_unit
+from .geometry import EulerAngles, UnitVector
 
 _NORM_TOL = 1e-8
 
@@ -43,12 +47,6 @@ class WaveFunction:
     def norm(self) -> float:
         return math.sqrt(sum(float(np.vdot(b, b).real) for b in self.blocks))
 
-    def coeff(self, l: int, m: int) -> complex:
-        return complex(self.blocks[l][l + m])
-
-    def block_norms(self) -> np.ndarray:
-        return np.array([np.linalg.norm(b) for b in self.blocks])
-
     def m0_amplitudes(self) -> np.ndarray:
         """The a_{l0} column, one complex amplitude per l."""
         return np.array([self.blocks[l][l] for l in range(self.n)])
@@ -61,33 +59,6 @@ class WaveFunction:
                 entries.append({"l": l, "m": m, "re": float(c.real), "im": float(c.imag)})
         return {"n": self.n, "entries": entries}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "WaveFunction":
-        n = int(data["n"])
-        blocks = [np.zeros(2 * l + 1, dtype=complex) for l in range(n)]
-        for entry in data["entries"]:
-            l, m = int(entry["l"]), int(entry["m"])
-            blocks[l][l + m] = float(entry["re"]) + 1j * float(entry["im"])
-        return cls(n, blocks)
-
-
-@dataclass
-class ProductState:
-    """Two-spin product state c1 (x) c2 of the shell, factors unit norm."""
-
-    n: int
-    c1: np.ndarray
-    c2: np.ndarray
-
-    def __post_init__(self):
-        self.c1 = np.asarray(self.c1, dtype=complex)
-        self.c2 = np.asarray(self.c2, dtype=complex)
-        for c in (self.c1, self.c2):
-            if c.shape != (self.n,):
-                raise ValueError(f"factor shape {c.shape}, expected ({self.n},)")
-            if abs(np.linalg.norm(c) - 1.0) > _NORM_TOL:
-                raise ValueError("product factor is not normalized")
-
 
 @dataclass(frozen=True)
 class EllipticSpec:
@@ -96,36 +67,6 @@ class EllipticSpec:
     n: int
     u1: UnitVector
     u2: UnitVector
-
-    def zeta(self) -> float:
-        """Half the angle between u1 and u2."""
-        return 0.5 * self.u1.angle_to(self.u2)
-
-    def frame(self):
-        """Orthonormal (k, ell, w) with k along u2-u1, ell along u1+u2, w = ell x k.
-
-        For the degenerate alignments u1 = u2 or u1 = -u2 the missing axis is
-        chosen deterministically orthogonal to the defined one; downstream
-        fidelities do not depend on that choice.
-        """
-        u1, u2 = self.u1.as_array(), self.u2.as_array()
-        total, diff = u1 + u2, u2 - u1
-        if np.linalg.norm(diff) < 1e-9:
-            ell = UnitVector.from_array(total / np.linalg.norm(total))
-            k = perpendicular_unit(ell)
-        elif np.linalg.norm(total) < 1e-9:
-            k = UnitVector.from_array(diff / np.linalg.norm(diff))
-            ell = perpendicular_unit(k)
-        else:
-            ell = UnitVector.from_array(total / np.linalg.norm(total))
-            k = UnitVector.from_array(diff / np.linalg.norm(diff))
-        w = UnitVector.from_array(np.cross(ell.as_array(), k.as_array()))
-        return k, ell, w
-
-
-def eccentricity(spec: EllipticSpec) -> float:
-    """e = sin(zeta) in [0, 1]; 0 for aligned directions, 1 for opposite ones."""
-    return math.sin(spec.zeta())
 
 
 @lru_cache(maxsize=None)
@@ -189,28 +130,26 @@ def from_product_amplitudes(n: int, psi: np.ndarray) -> WaveFunction:
     return WaveFunction(n, [sums[l, n - 1 - l : n + l] for l in range(n)])
 
 
-def to_product_amplitudes(state) -> np.ndarray:
-    """Amplitude table psi[j+m1, j+m2] of a shell state in the two-spin basis."""
-    if isinstance(state, ProductState):
-        return np.outer(state.c1, state.c2)
+def to_product_amplitudes(state: WaveFunction) -> np.ndarray:
+    """Amplitude table psi[j+m1, j+m2] of a shell state in the two-spin basis.
+
+    The inverse of the shear in `from_product_amplitudes`: the blocks padded
+    into one table[l, m + n-1] are read at column i1 + i2.
+    """
     n = state.n
-    cg = coupling_tensor(n)
-    psi = np.zeros((n, n), dtype=complex)
-    for l in range(n):
-        pad = np.zeros(2 * n - 1, dtype=complex)
-        pad[(n - 1) - l : (n - 1) + l + 1] = state.blocks[l]
-        i1, i2 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        psi += cg[l] * pad[i1 + i2]
-    return psi
+    table = np.zeros((n, 2 * n - 1), dtype=complex)
+    for l, block in enumerate(state.blocks):
+        table[l, n - 1 - l : n + l] = block
+    total = np.add.outer(np.arange(n), np.arange(n))
+    return (coupling_tensor(n) * table[:, total]).sum(axis=0)
 
 
-def product_state(spec: EllipticSpec) -> ProductState:
-    theta1, phi1 = spec.u1.spherical()
-    theta2, phi2 = spec.u2.spherical()
+def product_amplitudes(spec: EllipticSpec) -> np.ndarray:
+    """Two-spin amplitude table c1 (x) c2 of the coherent state for (u1, u2)."""
     j = HalfInt(spec.n - 1)
-    return ProductState(
-        spec.n, coherent_coeffs(j, theta1, phi1), coherent_coeffs(j, theta2, phi2)
-    )
+    c1 = coherent_coeffs(j, *spec.u1.spherical())
+    c2 = coherent_coeffs(j, *spec.u2.spherical())
+    return np.outer(c1, c2)
 
 
 def build_elliptic(spec: EllipticSpec) -> WaveFunction:
@@ -219,8 +158,7 @@ def build_elliptic(spec: EllipticSpec) -> WaveFunction:
     Coefficients are a_{lm} = sum over m1+m2=m of
     D^j_{m1}(theta1, phi1) D^j_{m2}(theta2, phi2) C^{jj l}_{m1 m2 m}.
     """
-    prod = product_state(spec)
-    return from_product_amplitudes(spec.n, np.outer(prod.c1, prod.c2))
+    return from_product_amplitudes(spec.n, product_amplitudes(spec))
 
 
 def circular_state(n: int) -> WaveFunction:
@@ -269,72 +207,32 @@ def _ladder_factors(n: int) -> np.ndarray:
     return np.sqrt((j - m) * (j + m + 1.0))
 
 
-def _apply_spin(psi: np.ndarray, axis: int, comp: str) -> np.ndarray:
-    """Apply J_comp of the first (axis=0) or second (axis=1) spin to psi."""
-    n = psi.shape[0]
-    out = np.zeros_like(psi)
-    if comp == "z":
-        m = np.arange(n) - (n - 1) / 2.0
-        return psi * (m[:, None] if axis == 0 else m[None, :])
-    f = _ladder_factors(n)
-    if comp == "+":
-        if axis == 0:
-            out[1:, :] = f[:, None] * psi[:-1, :]
-        else:
-            out[:, 1:] = f[None, :] * psi[:, :-1]
-    elif comp == "-":
-        if axis == 0:
-            out[:-1, :] = f[:, None] * psi[1:, :]
-        else:
-            out[:, :-1] = f[None, :] * psi[:, 1:]
-    else:
-        raise ValueError(f"unknown component {comp!r}")
-    return out
-
-
-def _apply_cartesian(psi: np.ndarray, axis: int, comp: str) -> np.ndarray:
-    if comp == "z":
-        return _apply_spin(psi, axis, "z")
-    plus = _apply_spin(psi, axis, "+")
-    minus = _apply_spin(psi, axis, "-")
-    if comp == "x":
-        return (plus + minus) / 2.0
-    return (plus - minus) / 2j
-
-
-def _apply_L(psi: np.ndarray, comp: str) -> np.ndarray:
-    return _apply_cartesian(psi, 0, comp) + _apply_cartesian(psi, 1, comp)
-
-
-def _apply_K(psi: np.ndarray, comp: str) -> np.ndarray:
-    return _apply_cartesian(psi, 1, comp) - _apply_cartesian(psi, 0, comp)
+def _spin_matrices(n: int):
+    """Jx, Jy, Jz of spin j = (n-1)/2 over |j m>, m ascending."""
+    jplus = np.diag(_ladder_factors(n), -1)
+    jz = np.diag(np.arange(n) - (n - 1) / 2.0)
+    return (jplus + jplus.T) / 2.0, (jplus - jplus.T) / 2j, jz
 
 
 def lk_moments(state):
     """First and second moments of L and K for a shell state.
 
     Returns (Lvec, Kvec, L2, K2, LK_sym) where LK_sym = <L.K + K.L>.
-    Accepts a WaveFunction or a ProductState.
+    Accepts a WaveFunction or a two-spin amplitude table psi[j+m1, j+m2].
     """
-    psi = to_product_amplitudes(state)
+    psi = state if isinstance(state, np.ndarray) else to_product_amplitudes(state)
     lvec = np.zeros(3)
     kvec = np.zeros(3)
     l2 = k2 = lk = 0.0
-    for i, comp in enumerate("xyz"):
-        lpsi = _apply_L(psi, comp)
-        kpsi = _apply_K(psi, comp)
+    for i, spin in enumerate(_spin_matrices(psi.shape[0])):
+        first, second = spin @ psi, psi @ spin.T
+        lpsi, kpsi = first + second, second - first
         lvec[i] = np.vdot(psi, lpsi).real
         kvec[i] = np.vdot(psi, kpsi).real
         l2 += np.vdot(lpsi, lpsi).real
         k2 += np.vdot(kpsi, kpsi).real
         lk += 2.0 * np.vdot(lpsi, kpsi).real
     return lvec, kvec, l2, k2, lk
-
-
-def expectation_LK(state):
-    """Expectation vectors (<L>, <K>) for a WaveFunction or ProductState."""
-    lvec, kvec, _, _, _ = lk_moments(state)
-    return lvec, kvec
 
 
 def dispersion_sum(state) -> float:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from rydberg_frames.angmom import (
     MAX_J,
@@ -9,8 +11,6 @@ from rydberg_frames.angmom import (
     clebsch_gordan,
     coherent_coeffs,
     small_d_matrices,
-    wigner_D,
-    wigner_small_d,
 )
 
 SQ = math.sqrt
@@ -131,7 +131,7 @@ class TestSmallD:
     def test_stretched_element(self):
         for j in (0.5, 1, 2.5, 7):
             for beta in (0.0, 0.4, 1.7, 3.0):
-                assert wigner_small_d(j, j, j, beta) == pytest.approx(
+                assert small_d_matrices(j, [beta])[0, -1, -1] == pytest.approx(
                     math.cos(beta / 2) ** int(4 * j / 2), abs=1e-13
                 )
 
@@ -139,15 +139,12 @@ class TestSmallD:
         betas = np.linspace(0.05, 3.1, 11)
         for l in (0, 1, 2, 5, 9):
             expected = _legendre(l, np.cos(betas))
-            got = np.array([wigner_small_d(l, 0, 0, b) for b in betas])
+            got = small_d_matrices(l, betas)[:, l, l]
             assert np.abs(got - expected).max() < 1e-12
 
     def test_identity_rotation(self):
         for l in (1, 3.5):
-            tl = int(2 * l)
-            for tm in range(-tl, tl + 1, 2):
-                m = tm / 2
-                assert wigner_small_d(l, m, m, 0.0) == pytest.approx(1.0)
+            assert np.diag(small_d_matrices(l, [0.0])[0]) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("l", [1, 3.5, 8, 15])
     def test_unitarity_and_composition(self, l):
@@ -161,8 +158,7 @@ class TestSmallD:
 
     @pytest.mark.parametrize("l", [0.5, 2, 4.5, 9])
     def test_stack_matches_scalar_sum(self, l):
-        # eigendecomposition route (stack and scalar element) against the
-        # independent term-by-term sum
+        # eigendecomposition route against the independent term-by-term sum
         betas = np.array([0.0, 0.37, 1.29, 2.6, math.pi])
         stack = small_d_matrices(l, betas)
         tl = int(2 * l)
@@ -173,17 +169,12 @@ class TestSmallD:
                     m = im - l
                     expected = _small_d_sum(l, mp, m, beta)
                     assert stack[bi, imp, im] == pytest.approx(expected, abs=1e-12)
-                    assert wigner_small_d(l, mp, m, beta) == pytest.approx(expected, abs=1e-12)
 
     def test_scalar_element_bounded_at_l60(self):
         # the old term-by-term sum returned -1.376 for d^60_00(1)
-        stack = small_d_matrices(60, [1.0])[0]
-        for mp in range(-60, 61, 10):
-            for m in range(-60, 61, 10):
-                value = wigner_small_d(60, mp, m, 1.0)
-                assert abs(value) <= 1.0
-                assert value == stack[mp + 60, m + 60]
-        assert wigner_small_d(60, 0, 0, 1.0) == pytest.approx(
+        d = small_d_matrices(60, [1.0])[0]
+        assert np.abs(d).max() <= 1.0
+        assert d[60, 60] == pytest.approx(
             _legendre(60, np.array([math.cos(1.0)]))[0], abs=1e-13
         )
 
@@ -194,32 +185,32 @@ class TestSmallD:
         eye = np.eye(79)
         assert max(np.abs(d @ d.T - eye).max() for d in stack) <= 1e-13
 
-    def test_projection_out_of_range(self):
-        with pytest.raises(ValueError):
-            wigner_small_d(1, 2, 0, 0.3)
+
+# d(beta) is one eigendecomposition per l, cached, so examples are cheap
+@settings(max_examples=40, deadline=None)
+@given(hst.integers(0, 2 * MAX_J), hst.floats(0.0, math.pi), hst.floats(0.0, math.pi))
+@example(2 * MAX_J, 1.0, 2.5)
+def test_small_d_up_to_max_j(twice_l, b1, b2):
+    d1, d2, d12 = small_d_matrices(twice_l / 2, [b1, b2, b1 + b2])
+    assert np.abs(d1 @ d1.T - np.eye(twice_l + 1)).max() <= 1e-12
+    assert np.abs(d1).max() <= 1.0 + 1e-12
+    assert np.abs(d1 @ d2 - d12).max() <= 1e-12
 
 
 class TestWignerD:
     def test_identity_is_delta(self):
         for l in (1, 2.5):
-            tl = int(2 * l)
-            for imp in range(tl + 1):
-                for im in range(tl + 1):
-                    expected = 1.0 if imp == im else 0.0
-                    value = wigner_D(l, imp - l, im - l, (0.0, 0.0, 0.0))
-                    assert value == pytest.approx(expected, abs=1e-14)
+            d = small_d_matrices(l, [0.0])[0]
+            assert np.abs(d - np.eye(len(d))).max() <= 1e-14
 
     def test_row_sum_unitarity(self):
         rng = np.random.default_rng(7)
         for l in (1, 3, 6.5):
-            angles = rng.uniform(0.1, 3.0, 3)
-            tl = int(2 * l)
-            for imp in range(tl + 1):
-                total = sum(
-                    abs(wigner_D(l, imp - l, im - l, tuple(angles))) ** 2
-                    for im in range(tl + 1)
-                )
-                assert total == pytest.approx(1.0, abs=1e-12)
+            psi, theta, phi = rng.uniform(0.1, 3.0, 3)
+            m = np.arange(int(2 * l) + 1) - l
+            big_d = (np.exp(-1j * m * psi)[:, None] * small_d_matrices(l, [theta])[0]
+                     * np.exp(-1j * m * phi)[None, :])
+            assert (np.abs(big_d) ** 2).sum(axis=1) == pytest.approx(1.0, abs=1e-12)
 
     def test_binomial_formula_for_top_column(self):
         # D^j_m(theta, phi) = D^(j)(phi, theta, 0)_{m j}
@@ -228,6 +219,8 @@ class TestWignerD:
         for j in (0.5, 2, 4.5):
             theta, phi = rng.uniform(0.1, 3.0), rng.uniform(0, 2 * math.pi)
             tj = int(2 * j)
+            m_vals = np.arange(tj + 1) - j
+            column = np.exp(-1j * m_vals * phi) * small_d_matrices(j, [theta])[0][:, -1]
             for im in range(tj + 1):
                 m = im - j
                 binom = math.comb(tj, im)
@@ -237,8 +230,7 @@ class TestWignerD:
                     * math.sin(theta / 2) ** (tj - im)
                     * np.exp(-1j * m * phi)
                 )
-                got = wigner_D(j, m, j, (phi, theta, 0.0))
-                assert got == pytest.approx(expected, abs=1e-13)
+                assert column[im] == pytest.approx(expected, abs=1e-13)
 
 
 class TestCoherentCoeffs:

@@ -28,9 +28,10 @@ def test_help_lists_subcommands():
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(["so4", "--v1", "1,1,0"])
-    assert exc.value.code == 2
+    for v1 in ("1,1,0", "nan,0,0"):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["so4", "--v1", v1])
+        assert exc.value.code == 2
 
 
 def test_default_tolerances_load():
@@ -258,6 +259,10 @@ def test_single_sample_is_usage_error():
     ["state", "--kind", "stark", "--n", "300"],
     ["state", "--kind", "circular", "--n", "102"],
     ["table3", "--n-list", "5,102"],
-], ids=["elliptic", "stark", "circular", "table3"])
+    ["so4", "--n", str(10**400), "--samples", "0"],
+    ["so4", "--n", str(10**16)],
+    ["ortho", "--n-list", str(10**400)],
+    ["ortho", "--n-list", str(10**17), "--samples", "100000"],
+], ids=["elliptic", "stark", "circular", "table3", "so4", "so4_1e16", "ortho", "ortho_1e17"])
 def test_shell_above_max_n_is_usage_error(argv):
     assert "101" in assert_usage_error(argv)

@@ -3,23 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from rydberg_frames.geometry import (
-    EulerAngles,
-    UnitVector,
-    X_AXIS,
-    Y_AXIS,
-    Z_AXIS,
-    axis_angle_matrix,
-    euler_matrix,
-    matrix_to_euler,
-    perpendicular_unit,
-    rotation_between,
-)
+from rydberg_frames.geometry import EulerAngles, UnitVector, X_AXIS, Y_AXIS, Z_AXIS, perpendicular_unit
 
 
 def test_unit_vector_validation():
-    with pytest.raises(ValueError):
-        UnitVector(1.0, 1.0, 0.0)
+    for bad in ((1.0, 1.0, 0.0), (math.nan, 0.0, 0.0)):
+        with pytest.raises(ValueError):
+            UnitVector(*bad)
     v = UnitVector.normalized(3.0, 4.0, 0.0)
     assert v.x == pytest.approx(0.6)
     with pytest.raises(ValueError):
@@ -41,45 +31,6 @@ def test_euler_angles_canonicalization():
     assert 0.0 <= a.phi < 2 * math.pi
     with pytest.raises(ValueError):
         EulerAngles(0.0, -1.0, 0.0)
-
-
-def test_euler_matrix_round_trip():
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        angles = EulerAngles(
-            rng.uniform(0, 2 * math.pi),
-            rng.uniform(0.01, math.pi - 0.01),
-            rng.uniform(0, 2 * math.pi),
-        )
-        rot = euler_matrix(angles)
-        assert np.allclose(rot @ rot.T, np.eye(3), atol=1e-14)
-        back = matrix_to_euler(rot)
-        assert np.allclose(euler_matrix(back), rot, atol=1e-12)
-
-
-def test_matrix_to_euler_gimbal():
-    for theta in (0.0, math.pi):
-        rot = euler_matrix(EulerAngles(0.8, theta, 0.0))
-        back = matrix_to_euler(rot)
-        assert np.allclose(euler_matrix(back), rot, atol=1e-12)
-
-
-def test_axis_angle_matches_euler_for_z():
-    assert np.allclose(
-        axis_angle_matrix(Z_AXIS, 0.7), euler_matrix(EulerAngles(0.7, 0.0, 0.0)), atol=1e-14
-    )
-
-
-def test_rotation_between():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        a = UnitVector.normalized(*rng.normal(size=3))
-        b = UnitVector.normalized(*rng.normal(size=3))
-        rot = rotation_between(a, b)
-        assert np.allclose(rot @ a.as_array(), b.as_array(), atol=1e-12)
-    assert np.allclose(rotation_between(X_AXIS, X_AXIS), np.eye(3))
-    flip = rotation_between(Z_AXIS, -Z_AXIS)
-    assert np.allclose(flip @ Z_AXIS.as_array(), -Z_AXIS.as_array(), atol=1e-12)
 
 
 def test_perpendicular_unit():

@@ -7,10 +7,15 @@ from rydberg_frames.geometry import UnitVector, X_AXIS, Y_AXIS, Z_AXIS, perpendi
 from rydberg_frames.ortho import (
     _orthogonalize_rows,
     gain_factor,
-    orthogonalize,
     sample_error_arrays,
 )
 from rydberg_frames.povm_so4 import philox_rng, sample_directions_about
+
+
+def orthogonalize(r_x, r_y):
+    """One estimate pair through `_orthogonalize_rows`, as (1, 3) rows."""
+    new_x, new_y = _orthogonalize_rows(r_x.as_array()[None, :], r_y.as_array()[None, :])
+    return UnitVector.from_array(new_x[0]), UnitVector.from_array(new_y[0])
 
 
 class TestOrthogonalize:

@@ -16,7 +16,6 @@ from rydberg_frames.povm_so4 import (
     sample_directions_about,
     sample_error_cosines,
     sample_outcome_batch,
-    so4_cos_omega,
     so4_infidelity,
     stark_block_constants,
 )
@@ -34,14 +33,13 @@ def _cos_chi_moments(n):
 
 class TestClosedForm:
     def test_values(self):
-        assert so4_cos_omega(2) == pytest.approx(1.0 / 3.0)
-        assert so4_cos_omega(9) == pytest.approx(0.8)
-        for n in range(2, 12):
-            assert so4_infidelity(n) == pytest.approx(0.5 * (1 - so4_cos_omega(n)))
+        # mean error cosine (n-1)/(n+1) = 1/3 at n = 2 and 0.8 at n = 9
+        assert so4_infidelity(2) == pytest.approx(0.5 * (1 - 1.0 / 3.0))
+        assert so4_infidelity(9) == pytest.approx(0.5 * (1 - 0.8))
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            so4_cos_omega(1)
+            so4_infidelity(1)
 
 
 class TestSampling:

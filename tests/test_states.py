@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from rydberg_frames.angmom import MAX_N, HalfInt, clebsch_gordan
-from rydberg_frames.geometry import EulerAngles, UnitVector, X_AXIS, Y_AXIS, Z_AXIS, euler_matrix, matrix_to_euler
+from rydberg_frames.geometry import EulerAngles, UnitVector, X_AXIS, Y_AXIS, Z_AXIS
 from rydberg_frames.povm_so3 import povm_completeness_deviation
 from rydberg_frames.states import (
     EllipticSpec,
@@ -16,15 +16,15 @@ from rydberg_frames.states import (
     circular_state,
     coupling_tensor,
     dispersion_sum,
-    eccentricity,
-    expectation_LK,
     extreme_stark,
+    from_product_amplitudes,
     lk_moments,
     overlap,
-    product_state,
+    product_amplitudes,
     rotate,
     to_product_amplitudes,
 )
+from rotation_oracle import euler_matrix, matrix_to_euler
 
 
 def random_wavefunction(n, rng):
@@ -41,7 +41,7 @@ class TestConstruction:
     def test_aligned_directions_give_circular(self):
         for n in (2, 5, 9):
             wf = build_elliptic(EllipticSpec(n, Z_AXIS, Z_AXIS))
-            assert abs(wf.coeff(n - 1, n - 1)) == pytest.approx(1.0, abs=1e-12)
+            assert abs(wf.blocks[n - 1][-1]) == pytest.approx(1.0, abs=1e-12)
             assert abs(overlap(wf, circular_state(n))) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_opposite_directions_give_maximal_k(self):
@@ -51,21 +51,21 @@ class TestConstruction:
             assert abs(overlap(wf, stark)) ** 2 == pytest.approx(1.0, abs=1e-12)
             j = (n - 1) / 2
             for l in range(n):
-                assert wf.coeff(l, 0).real == pytest.approx(
+                assert wf.blocks[l][l].real == pytest.approx(
                     clebsch_gordan(j, j, l, -j, j, 0), abs=1e-12
                 )
 
     def test_circular_state_n2(self):
         wf = circular_state(2)
-        assert wf.coeff(1, 1) == 1.0
+        assert wf.blocks[1][2] == 1.0
         assert wf.norm() == pytest.approx(1.0)
 
     def test_stark_n3_coefficients(self):
         wf = extreme_stark(3)
         expected = [1 / math.sqrt(3), 1 / math.sqrt(2), 1 / math.sqrt(6)]
         for l, mag in enumerate(expected):
-            assert abs(wf.coeff(l, 0)) == pytest.approx(mag, abs=1e-14)
-        lvec, _ = expectation_LK(wf)
+            assert abs(wf.blocks[l][l]) == pytest.approx(mag, abs=1e-14)
+        lvec = lk_moments(wf)[0]
         assert abs(lvec[2]) < 1e-12  # <L_z> = 0
 
     def test_stark_n10_printed_row(self):
@@ -73,7 +73,7 @@ class TestConstruction:
                    0.2148, 0.1167, 0.0526, 0.0186, 0.0045]
         wf = extreme_stark(10)
         for l, ref in enumerate(printed):
-            value = abs(wf.coeff(l, 0))
+            value = abs(wf.blocks[l][l])
             assert math.floor(value * 1e4) / 1e4 == pytest.approx(ref, abs=1e-12)
 
     def test_build_output_normalized(self):
@@ -83,10 +83,10 @@ class TestConstruction:
             assert build_elliptic(spec).norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_product_state_factors(self):
-        spec = EllipticSpec(5, X_AXIS, Y_AXIS)
-        ps = product_state(spec)
-        assert np.linalg.norm(ps.c1) == pytest.approx(1.0, abs=1e-13)
-        assert np.linalg.norm(ps.c2) == pytest.approx(1.0, abs=1e-13)
+        # a unit-norm table of rank one: the outer product of two unit spinors
+        singular = np.linalg.svd(product_amplitudes(EllipticSpec(5, X_AXIS, Y_AXIS)))[1]
+        assert singular[0] == pytest.approx(1.0, abs=1e-13)
+        assert np.abs(singular[1:]).max() < 1e-13
 
     def test_wavefunction_validation(self):
         with pytest.raises(ValueError):
@@ -144,6 +144,22 @@ class TestCouplingTensor:
             assert np.abs(gram - np.diag(present.astype(float))).max() <= 1e-12
 
 
+# coupling_tensor caches every shell it builds, so few shells are drawn
+@settings(max_examples=6, deadline=None)
+@given(hst.integers(2, MAX_N))
+@example(MAX_N)
+def test_coupling_tensor_orthogonal_up_to_max_n(n):
+    # per M the rows l >= |M| and the columns m1 + m2 = M form a square
+    # orthogonal matrix: orthonormal rows and orthonormal columns
+    tensor = coupling_tensor(n)
+    total = np.add.outer(np.arange(n), np.arange(n))
+    for s in range(2 * n - 1):
+        block = tensor[abs(s - (n - 1)):, total == s]
+        eye = np.eye(block.shape[0])
+        assert np.abs(block @ block.T - eye).max() <= 1e-12
+        assert np.abs(block.T @ block - eye).max() <= 1e-12
+
+
 class TestExpectations:
     def test_elliptic_frame_components(self):
         rng = np.random.default_rng(11)
@@ -151,34 +167,35 @@ class TestExpectations:
             for _ in range(3):
                 spec = EllipticSpec(n, random_direction(rng), random_direction(rng))
                 wf = build_elliptic(spec)
-                lvec, kvec = expectation_LK(wf)
-                k, ell, w = spec.frame()
-                zeta = spec.zeta()
-                assert kvec @ k.as_array() == pytest.approx((n - 1) * math.sin(zeta), abs=1e-10)
-                assert lvec @ ell.as_array() == pytest.approx((n - 1) * math.cos(zeta), abs=1e-10)
+                lvec, kvec = lk_moments(wf)[:2]
+                u1, u2 = spec.u1.as_array(), spec.u2.as_array()
+                k, ell = u2 - u1, u1 + u2  # lengths 2 sin(zeta), 2 cos(zeta)
+                w = np.cross(ell, k)
+                assert kvec @ k == pytest.approx((n - 1) * (k @ k) / 2, abs=1e-10)
+                assert lvec @ ell == pytest.approx((n - 1) * (ell @ ell) / 2, abs=1e-10)
                 for vec, axis in ((kvec, ell), (kvec, w), (lvec, k), (lvec, w)):
-                    assert abs(vec @ axis.as_array()) < 1e-10
+                    assert abs(vec @ axis) < 1e-10
 
     def test_mean_vectors_parallel_to_frame(self):
         rng = np.random.default_rng(12)
         spec = EllipticSpec(7, random_direction(rng), random_direction(rng))
         wf = build_elliptic(spec)
-        lvec, kvec = expectation_LK(wf)
-        k, ell, _ = spec.frame()
-        assert np.linalg.norm(np.cross(kvec, k.as_array())) < 1e-10
-        assert np.linalg.norm(np.cross(lvec, ell.as_array())) < 1e-10
+        lvec, kvec = lk_moments(wf)[:2]
+        u1, u2 = spec.u1.as_array(), spec.u2.as_array()
+        assert np.linalg.norm(np.cross(kvec, u2 - u1)) < 1e-10
+        assert np.linalg.norm(np.cross(lvec, u1 + u2)) < 1e-10
 
     def test_circular_expectations(self):
         for n in (2, 6):
-            lvec, kvec = expectation_LK(circular_state(n))
+            lvec, kvec = lk_moments(circular_state(n))[:2]
             assert np.linalg.norm(kvec) < 1e-12
             assert lvec[2] == pytest.approx(n - 1.0, abs=1e-12)
 
     def test_product_state_route_agrees_with_coupled(self):
         rng = np.random.default_rng(24)
         spec = EllipticSpec(7, random_direction(rng), random_direction(rng))
-        l_prod, k_prod = expectation_LK(product_state(spec))
-        l_wf, k_wf = expectation_LK(build_elliptic(spec))
+        l_prod, k_prod = lk_moments(product_amplitudes(spec))[:2]
+        l_wf, k_wf = lk_moments(build_elliptic(spec))[:2]
         assert np.allclose(l_prod, l_wf, atol=1e-10)
         assert np.allclose(k_prod, k_wf, atol=1e-10)
 
@@ -187,7 +204,7 @@ class TestExpectations:
         for n in (2, 5, 11, 64):
             spec = EllipticSpec(n, random_direction(rng), random_direction(rng))
             assert dispersion_sum(build_elliptic(spec)) == pytest.approx(2.0 * (n - 1), abs=1e-9)
-            assert dispersion_sum(product_state(spec)) == pytest.approx(2.0 * (n - 1), abs=1e-9)
+            assert dispersion_sum(product_amplitudes(spec)) == pytest.approx(2.0 * (n - 1), abs=1e-9)
 
     def test_dispersion_n2_circular(self):
         assert dispersion_sum(circular_state(2)) == pytest.approx(2.0, abs=1e-12)
@@ -245,7 +262,8 @@ class TestOverlapAndRotation:
         rng = np.random.default_rng(19)
         wf = random_wavefunction(7, rng)
         rotated = rotate(wf, EulerAngles(1.3, 0.9, 5.1))
-        assert np.allclose(rotated.block_norms(), wf.block_norms(), atol=1e-12)
+        for before, after in zip(wf.blocks, rotated.blocks):
+            assert np.linalg.norm(after) == pytest.approx(np.linalg.norm(before), abs=1e-12)
 
     def test_rotated_maximal_k_equals_built(self):
         # U(phi, theta, 0) |K, z> = |-u> (x) |u> for u along (theta, phi)
@@ -270,40 +288,13 @@ class TestOverlapAndRotation:
         assert diff < 1e-11
 
 
-class TestEccentricityAndFrame:
-    def test_trivial_values(self):
-        assert eccentricity(EllipticSpec(5, Z_AXIS, Z_AXIS)) == pytest.approx(0.0, abs=1e-12)
-        assert eccentricity(EllipticSpec(5, -Z_AXIS, Z_AXIS)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_right_angle(self):
-        assert eccentricity(EllipticSpec(5, X_AXIS, Y_AXIS)) == pytest.approx(
-            1 / math.sqrt(2), abs=1e-12
-        )
-
-    def test_frame_orthonormal(self):
-        rng = np.random.default_rng(21)
-        for _ in range(5):
-            spec = EllipticSpec(4, random_direction(rng), random_direction(rng))
-            k, ell, w = spec.frame()
-            basis = np.stack([k.as_array(), ell.as_array(), w.as_array()])
-            assert np.allclose(basis @ basis.T, np.eye(3), atol=1e-12)
-
-    def test_degenerate_frames_deterministic(self):
-        k, ell, w = EllipticSpec(4, -Z_AXIS, Z_AXIS).frame()
-        assert np.allclose(k.as_array(), [0, 0, 1], atol=1e-12)
-        assert abs(k.dot(ell)) < 1e-12
-        k2, ell2, _ = EllipticSpec(4, X_AXIS, X_AXIS).frame()
-        assert np.allclose(ell2.as_array(), [1, 0, 0], atol=1e-12)
-        assert abs(k2.dot(ell2)) < 1e-12
-
-
 class TestSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(22)
         wf = random_wavefunction(5, rng)
         data = json.loads(json.dumps(wf.to_json_dict()))
-        back = WaveFunction.from_json_dict(data)
-        assert abs(overlap(wf, back)) ** 2 == pytest.approx(1.0, abs=1e-12)
+        for e in data["entries"]:
+            assert complex(e["re"], e["im"]) == wf.blocks[e["l"]][e["l"] + e["m"]]
 
     def test_entries_sorted_and_complete(self):
         wf = extreme_stark(3)
@@ -315,11 +306,20 @@ class TestSerialization:
     def test_product_amplitude_round_trip(self):
         rng = np.random.default_rng(23)
         wf = random_wavefunction(6, rng)
-        psi = to_product_amplitudes(wf)
-        from rydberg_frames.states import from_product_amplitudes
-
-        back = from_product_amplitudes(6, psi)
+        back = from_product_amplitudes(6, to_product_amplitudes(wf))
         assert abs(overlap(wf, back)) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 7, 40, MAX_N])
+    def test_product_amplitudes_bit_identical_to_loop(self, n):
+        # reference: one meshgrid per l, summed over l in ascending order
+        wf = random_wavefunction(n, np.random.default_rng(n))
+        i1, i2 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        loop = np.zeros((n, n), dtype=complex)
+        for l in range(n):
+            pad = np.zeros(2 * n - 1, dtype=complex)
+            pad[n - 1 - l : n + l] = wf.blocks[l]
+            loop += coupling_tensor(n)[l] * pad[i1 + i2]
+        assert np.array_equal(to_product_amplitudes(wf), loop)
 
 
 _DIRECTION = hst.tuples(*[hst.floats(-1.0, 1.0)] * 3).filter(
