@@ -8,12 +8,7 @@ orthogonalization error gain.
 
 __version__ = "0.1.0"
 
-from .angmom import (
-    HalfInt,
-    clebsch_gordan,
-    coherent_coeffs,
-    small_d_matrices,
-)
+from .angmom import coherent_coeffs, small_d_matrices
 from .geometry import EulerAngles, UnitVector, X_AXIS, Y_AXIS, Z_AXIS
 from .ortho import GainReport, gain_factor
 from .povm_so3 import (

@@ -37,7 +37,7 @@ def load_tolerances(path=None) -> dict:
 
 
 def check_tolerances(tol, command: str):
-    """Raise ValueError unless tol holds a number for every default key of command."""
+    """Raise ValueError unless tol has a finite number >= 0 for each default key of command."""
     section = tol.get(command) if isinstance(tol, dict) else None
     if not isinstance(section, dict):
         raise ValueError(f"no {command!r} section")
@@ -45,6 +45,8 @@ def check_tolerances(tol, command: str):
         value = section.get(key)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"section {command!r} has no number {key!r}")
+        if not 0 <= value < math.inf:  # json.load accepts NaN and Infinity
+            raise ValueError(f"section {command!r}: {key!r} = {value} is not a finite number >= 0")
 
 
 def _fmt(value) -> str:
@@ -55,6 +57,15 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.10g}"
     return str(value)
+
+
+def _write_text(text: str, out_path):
+    """Write text to out_path, or to stdout when no path is given."""
+    if out_path:
+        with open(out_path, "w") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def write_report(meta: dict, columns, rows, fmt: str, out_path):
@@ -70,11 +81,7 @@ def write_report(meta: dict, columns, rows, fmt: str, out_path):
     else:
         payload = {"meta": meta, "columns": list(columns), "rows": [list(r) for r in rows]}
         text = json.dumps(payload, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(text, out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +255,7 @@ def cmd_state(kind, n, e, out_path):
         wf = st.extreme_stark(n)
     else:
         wf = p3.alice_two_axis_state(n, e)
-    text = json.dumps(wf.to_json_dict(), indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(json.dumps(wf.to_json_dict(), indent=2) + "\n", out_path)
     return True
 
 

@@ -91,7 +91,7 @@ _CG_RANK_ONE = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)  # commands walk their shells one at a time
 def _cg_series(n: int):
     """Coupling table and weights of the Clebsch-Gordan series for the shell n.
 

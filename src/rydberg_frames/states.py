@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angmom import MAX_N, HalfInt, clebsch_gordan, coherent_coeffs, small_d_matrices
+from .angmom import MAX_N, coherent_coeffs, ladder_factors, small_d_matrices, spin_matrices
 from .geometry import EulerAngles, UnitVector
 
 _NORM_TOL = 1e-8
@@ -69,7 +69,8 @@ class EllipticSpec:
     u2: UnitVector
 
 
-@lru_cache(maxsize=None)
+# n^3 doubles per shell, 8 MB at n = MAX_N; commands walk their shells one at a time
+@lru_cache(maxsize=4)
 def coupling_tensor(n: int) -> np.ndarray:
     """C^{jj l}_{m1 m2, m1+m2} for j = (n-1)/2, indexed [l, j+m1, j+m2].
 
@@ -84,11 +85,11 @@ def coupling_tensor(n: int) -> np.ndarray:
     its overlap with L- |l M+1> positive, an overlap of magnitude
     sqrt((l+M+1)(l-M)) >= 1. Negative M follows from
     C(-m1, -m2) = (-1)^(2j-l) C(m1, m2). The exact Racah sum
-    (`angmom.clebsch_gordan`) is the test oracle, not part of the build.
+    (`tests/cg_oracle.py`) is the test oracle, not part of the build.
     """
     j = (n - 1) / 2.0
     m = np.arange(n) - j
-    ladder = np.append(_ladder_factors(n), 0.0)  # <m+1| J+ |m> at index j+m
+    ladder = np.append(ladder_factors(n), 0.0)  # <m+1| J+ |m> at index j+m
     out = np.zeros((n, n, n))
     above = np.zeros((n, n + 1))  # [l, j+m1] amplitudes of |l M+1>
     for big_m in range(n - 1, -1, -1):
@@ -146,7 +147,7 @@ def to_product_amplitudes(state: WaveFunction) -> np.ndarray:
 
 def product_amplitudes(spec: EllipticSpec) -> np.ndarray:
     """Two-spin amplitude table c1 (x) c2 of the coherent state for (u1, u2)."""
-    j = HalfInt(spec.n - 1)
+    j = (spec.n - 1) / 2
     c1 = coherent_coeffs(j, *spec.u1.spherical())
     c2 = coherent_coeffs(j, *spec.u2.spherical())
     return np.outer(c1, c2)
@@ -169,11 +170,20 @@ def circular_state(n: int) -> WaveFunction:
 
 
 def extreme_stark(n: int) -> WaveFunction:
-    """Eigenstate of K_z with eigenvalue n-1: coefficients C^{jj l}_{-j j 0} at m=0."""
-    j = HalfInt(n - 1)
+    """Eigenstate of K_z with eigenvalue n-1: coefficients C^{jj l}_{-j j 0} at m=0.
+
+    The column has the closed form, with 2j = n-1 (Edmonds, Angular Momentum
+    in Quantum Mechanics),
+    <j -j; j j | l 0> = (-1)^(n-1-l) sqrt((2l+1) (n-1)!^2 / ((n-1-l)! (n+l)!)).
+    The ratio under the root is one division of Python ints, which rounds
+    correctly, so every amplitude is within an ulp of the exact value.
+    """
+    fact = math.factorial
+    top = fact(n - 1) ** 2
     blocks = [np.zeros(2 * l + 1, dtype=complex) for l in range(n)]
     for l in range(n):
-        blocks[l][l] = clebsch_gordan(j, j, l, HalfInt(-(n - 1)), j, 0)
+        square = (2 * l + 1) * top / (fact(n - 1 - l) * fact(n + l))
+        blocks[l][l] = (-1) ** (n - 1 - l) * math.sqrt(square)
     return WaveFunction(n, blocks)
 
 
@@ -201,19 +211,6 @@ def rotate(state: WaveFunction, angles: EulerAngles) -> WaveFunction:
 # ---------------------------------------------------------------------------
 # L and K observables through the two-spin representation.
 
-def _ladder_factors(n: int) -> np.ndarray:
-    j = (n - 1) / 2.0
-    m = np.arange(n - 1) - j
-    return np.sqrt((j - m) * (j + m + 1.0))
-
-
-def _spin_matrices(n: int):
-    """Jx, Jy, Jz of spin j = (n-1)/2 over |j m>, m ascending."""
-    jplus = np.diag(_ladder_factors(n), -1)
-    jz = np.diag(np.arange(n) - (n - 1) / 2.0)
-    return (jplus + jplus.T) / 2.0, (jplus - jplus.T) / 2j, jz
-
-
 def lk_moments(state):
     """First and second moments of L and K for a shell state.
 
@@ -224,7 +221,7 @@ def lk_moments(state):
     lvec = np.zeros(3)
     kvec = np.zeros(3)
     l2 = k2 = lk = 0.0
-    for i, spin in enumerate(_spin_matrices(psi.shape[0])):
+    for i, spin in enumerate(spin_matrices(psi.shape[0])):
         first, second = spin @ psi, psi @ spin.T
         lpsi, kpsi = first + second, second - first
         lvec[i] = np.vdot(psi, lpsi).real

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from rydberg_frames.angmom import clebsch_gordan, small_d_matrices
+from rydberg_frames.angmom import small_d_matrices
 from rydberg_frames.geometry import EulerAngles, UnitVector
 from rydberg_frames.ortho import gain_factor
 from rydberg_frames.povm_so3 import (
@@ -33,6 +33,7 @@ from rydberg_frames.states import (
     WaveFunction,
     build_elliptic,
     circular_state,
+    coupling_tensor,
     dispersion_sum,
     extreme_stark,
     lk_moments,
@@ -192,22 +193,15 @@ def test_criterion_7_property_suites():
     ok = True
     notes = []
 
-    # Clebsch-Gordan orthogonality, all j <= 15, tolerance 1e-12
+    # Clebsch-Gordan orthogonality, all j <= 15, tolerance 1e-12: the coupling
+    # tensor the states are built with, as the matrix from (m1, m2) to (l, m)
     worst = 0.0
     for twice_j in range(1, 31):
         dim = twice_j + 1
-        j = twice_j / 2.0
-        mat = np.zeros((dim * dim, dim * dim))
-        col = 0
-        for l in range(dim):
-            for m in range(-l, l + 1):
-                for i1 in range(dim):
-                    m1 = i1 - j
-                    m2 = m - m1
-                    if abs(m2) > j:
-                        continue
-                    mat[i1 * dim + int(m2 + j), col] = clebsch_gordan(j, j, l, m1, m2, m)
-                col += 1
+        tensor = coupling_tensor(dim)
+        total_m = np.add.outer(np.arange(dim), np.arange(dim)).ravel() - twice_j
+        mat = np.array([np.where(total_m == m, tensor[l].ravel(), 0.0)
+                        for l in range(dim) for m in range(-l, l + 1)]).T
         gram_dev = np.abs(mat.T @ mat - np.eye(dim * dim)).max()
         worst = max(worst, gram_dev)
     ok &= worst < 1e-12

@@ -5,13 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from rydberg_frames.angmom import (
-    MAX_J,
-    HalfInt,
-    clebsch_gordan,
-    coherent_coeffs,
-    small_d_matrices,
-)
+from rydberg_frames.angmom import MAX_J, coherent_coeffs, small_d_matrices, spin_matrices
+
+from cg_oracle import HalfInt, clebsch_gordan
 
 SQ = math.sqrt
 
@@ -142,6 +138,10 @@ class TestSmallD:
             got = small_d_matrices(l, betas)[:, l, l]
             assert np.abs(got - expected).max() < 1e-12
 
+    def test_refuses_l_that_is_not_a_half_integer(self):
+        with pytest.raises(ValueError, match="half-integer"):
+            small_d_matrices(0.3, [0.4])
+
     def test_identity_rotation(self):
         for l in (1, 3.5):
             assert np.diag(small_d_matrices(l, [0.0])[0]) == pytest.approx(1.0)
@@ -233,10 +233,18 @@ class TestWignerD:
                 assert column[im] == pytest.approx(expected, abs=1e-13)
 
 
+@pytest.mark.parametrize("n", [2, 5, 2 * MAX_J + 1])
+def test_spin_matrices_algebra(n):
+    jx, jy, jz = spin_matrices(n)
+    j = (n - 1) / 2
+    assert np.abs(jx @ jy - jy @ jx - 1j * jz).max() < 1e-12 * n
+    assert np.abs(jx @ jx + jy @ jy + jz @ jz - j * (j + 1) * np.eye(n)).max() < 1e-9
+
+
 class TestCoherentCoeffs:
     def test_spin_range(self):
         assert coherent_coeffs(MAX_J, 0.3, 0.1).shape == (2 * MAX_J + 1,)
-        for j in (MAX_J + 0.5, 124.5, -0.5):
+        for j in (MAX_J + 0.5, 124.5, -0.5, 0.3):
             with pytest.raises(ValueError):
                 coherent_coeffs(j, 0.3, 0.1)
 

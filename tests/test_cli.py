@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -243,9 +244,10 @@ def test_tolerance_file_without_key_is_usage_error(tmp_path):
     partial = tmp_path / "partial.json"
     partial.write_text(json.dumps(tol))
     assert_usage_error(["table2", "--tolerance-file", str(partial)])
-    tol["table2"]["overlap_abs"] = "1e-5"
-    partial.write_text(json.dumps(tol))
-    assert_usage_error(["table2", "--tolerance-file", str(partial)])
+    for bad in ("1e-5", math.nan, math.inf, -1):
+        tol["table2"]["overlap_abs"] = bad
+        partial.write_text(json.dumps(tol))
+        assert_usage_error(["table2", "--tolerance-file", str(partial)])
 
 
 def test_single_sample_is_usage_error():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rydberg_frames.angmom import clebsch_gordan, small_d_matrices
+from rydberg_frames.angmom import small_d_matrices
 from rydberg_frames.geometry import EulerAngles, UnitVector, Y_AXIS
 from rydberg_frames.povm_so3 import (
     QuadratureRule,
@@ -30,6 +30,7 @@ from rydberg_frames.states import (
     overlap,
     rotate,
 )
+from cg_oracle import clebsch_gordan
 from rotation_oracle import euler_matrix
 
 

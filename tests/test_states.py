@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from rydberg_frames.angmom import MAX_N, HalfInt, clebsch_gordan
+from rydberg_frames.angmom import MAX_N
 from rydberg_frames.geometry import EulerAngles, UnitVector, X_AXIS, Y_AXIS, Z_AXIS
 from rydberg_frames.povm_so3 import povm_completeness_deviation
 from rydberg_frames.states import (
@@ -24,6 +24,7 @@ from rydberg_frames.states import (
     rotate,
     to_product_amplitudes,
 )
+from cg_oracle import HalfInt, clebsch_gordan
 from rotation_oracle import euler_matrix, matrix_to_euler
 
 
@@ -67,6 +68,13 @@ class TestConstruction:
             assert abs(wf.blocks[l][l]) == pytest.approx(mag, abs=1e-14)
         lvec = lk_moments(wf)[0]
         assert abs(lvec[2]) < 1e-12  # <L_z> = 0
+
+    def test_stark_column_is_the_racah_column_bit_for_bit(self):
+        # the closed form and the exact Racah sum both round one rational once
+        for n in range(2, MAX_N + 1):
+            j = (n - 1) / 2
+            exact = [clebsch_gordan(j, j, l, -j, j, 0) for l in range(n)]
+            assert np.array_equal(extreme_stark(n).m0_amplitudes(), exact)
 
     def test_stark_n10_printed_row(self):
         printed = [0.3162, 0.4954, 0.5222, 0.4534, 0.3365,
@@ -144,7 +152,18 @@ class TestCouplingTensor:
             assert np.abs(gram - np.diag(present.astype(float))).max() <= 1e-12
 
 
-# coupling_tensor caches every shell it builds, so few shells are drawn
+def test_shell_caches_are_bounded():
+    # every shell built stays resident only while it is among the last few
+    from rydberg_frames.povm_so3 import _cg_series
+
+    for kernel in (coupling_tensor, _cg_series):
+        bound = kernel.cache_info().maxsize
+        assert bound is not None
+        for n in range(2, bound + 5):
+            kernel(n)
+            assert kernel.cache_info().currsize <= bound
+
+
 @settings(max_examples=6, deadline=None)
 @given(hst.integers(2, MAX_N))
 @example(MAX_N)
