@@ -17,28 +17,22 @@ from .povm_so3 import (
     bob_fiducial,
     cos_omega_xy,
     cos_omega_z,
-    cos_omega_z_m0,
     m0_overlap_matrix,
     optimal_m0_state,
     optimize_eccentricity,
-    povm_completeness_deviation,
 )
 from .povm_so4 import (
     OutcomeBatch,
     philox_rng,
     sample_outcome_batch,
     so4_infidelity,
-    stark_block_constants,
 )
 from .states import (
     EllipticSpec,
     WaveFunction,
     build_elliptic,
     circular_state,
-    dispersion_sum,
     extreme_stark,
     lk_moments,
-    overlap,
     product_amplitudes,
-    rotate,
 )

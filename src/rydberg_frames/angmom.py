@@ -29,6 +29,10 @@ import numpy as np
 MAX_J = 50
 MAX_N = 2 * MAX_J + 1
 
+# Largest Monte Carlo sample count per shell: `so4` keeps 16 B per sample and
+# `ortho` about 32 B, so this caps a run at a few gigabytes.
+MAX_SAMPLES = 10**8
+
 # log(k!) for k = 0 .. 2*MAX_J, for the coherent-state binomials
 _LOG_FACT = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 2 * MAX_J + 1)))))
 

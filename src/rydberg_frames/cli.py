@@ -22,7 +22,7 @@ from . import povm_so3 as p3
 from . import povm_so4 as p4
 from . import reference_values as ref
 from . import states as st
-from .angmom import MAX_N
+from .angmom import MAX_N, MAX_SAMPLES
 from .geometry import UnitVector
 
 _QUADRATURE_NOTE = "n_beta=2n Gauss-Legendre in cos(beta); n_alpha=n_gamma=4n+4 equispaced"
@@ -382,9 +382,10 @@ def main(argv=None) -> int:
         meta, columns, rows, ok = cmd_table3(args.n_list, args.ecc_grid, tol)
     elif args.command == "so4":
         # a standard error needs at least two samples; 0 gives the closed form only
-        if not 2 <= args.n <= MAX_N or args.samples < 0 or args.samples == 1 or args.seed < 0:
-            print(f"so4 requires 2 <= n <= {MAX_N}, samples 0 or >= 2 and seed >= 0",
-                  file=sys.stderr)
+        if (not 2 <= args.n <= MAX_N or not (args.samples == 0 or 2 <= args.samples <= MAX_SAMPLES)
+                or args.seed < 0):
+            print(f"so4 requires 2 <= n <= {MAX_N}, samples 0 or 2 .. {MAX_SAMPLES} "
+                  "and seed >= 0", file=sys.stderr)
             return 2
         try:
             meta, columns, rows, ok = cmd_so4(
@@ -394,9 +395,10 @@ def main(argv=None) -> int:
             print(f"cannot write the outcome dump: {exc}", file=sys.stderr)
             return 2
     elif args.command == "ortho":
-        if any(not 2 <= n <= MAX_N for n in args.n_list) or args.samples < 100000 or args.seed < 0:
-            print(f"ortho requires 2 <= n <= {MAX_N}, samples >= 100000 and seed >= 0",
-                  file=sys.stderr)
+        if (any(not 2 <= n <= MAX_N for n in args.n_list)
+                or not 100000 <= args.samples <= MAX_SAMPLES or args.seed < 0):
+            print(f"ortho requires 2 <= n <= {MAX_N}, samples 100000 .. {MAX_SAMPLES} "
+                  "and seed >= 0", file=sys.stderr)
             return 2
         meta, columns, rows, ok = cmd_ortho(args.n_list, args.samples, args.seed, tol)
     else:  # pragma: no cover - argparse enforces the choices

@@ -44,13 +44,6 @@ class UnitVector:
             raise ValueError(f"not a unit vector: |v|^2 = {norm2!r}")
 
     @classmethod
-    def normalized(cls, x, y, z):
-        r = math.sqrt(x * x + y * y + z * z)
-        if r < 1e-12:
-            raise ValueError("cannot normalize a null vector")
-        return cls(x / r, y / r, z / r)
-
-    @classmethod
     def from_array(cls, arr) -> "UnitVector":
         x, y, z = (float(c) for c in arr)
         return cls(x, y, z)
@@ -63,13 +56,6 @@ class UnitVector:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
 
-    def dot(self, other) -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def angle_to(self, other) -> float:
-        cross = np.cross(self.as_array(), other.as_array())
-        return math.atan2(float(np.linalg.norm(cross)), self.dot(other))
-
     def spherical(self):
         """Polar and azimuthal angles (theta, phi), phi in [0, 2pi); phi = 0 at the poles."""
         theta = math.acos(min(max(self.z, -1.0), 1.0))
@@ -77,9 +63,6 @@ class UnitVector:
             return theta, 0.0
         phi = math.atan2(self.y, self.x) % TWO_PI
         return theta, phi
-
-    def __neg__(self):
-        return UnitVector(-self.x, -self.y, -self.z)
 
 
 X_AXIS = UnitVector(1.0, 0.0, 0.0)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import X_AXIS, Y_AXIS
-from .povm_so4 import philox_rng, sample_directions_about
+from .povm_so4 import direction_blocks
 
 
 @dataclass(frozen=True)
@@ -32,14 +32,6 @@ class GainReport:
     g_new: float
     ratio: float
     ratio_stderr: float
-
-
-def sample_error_arrays(n: int, count: int, seed: int):
-    """Vectorized estimate pairs: arrays of shape (count, 3) for x and y."""
-    rng = philox_rng(seed)
-    r_x = sample_directions_about(n, X_AXIS, count, rng)
-    r_y = sample_directions_about(n, Y_AXIS, count, rng)
-    return r_x, r_y
 
 
 def _orthogonalize_rows(r_x: np.ndarray, r_y: np.ndarray):
@@ -79,17 +71,20 @@ def gain_factor(n: int, samples: int, seed: int) -> GainReport:
     """
     if samples < 100000:
         raise ValueError("gain estimation requires at least 1e5 samples")
-    r_x, r_y = sample_error_arrays(n, samples, seed)
-    new_x, new_y = _orthogonalize_rows(r_x, r_y)
-
-    before = 0.25 * (1.0 - r_x[:, 0]) + 0.25 * (1.0 - r_y[:, 1])
-    del r_x, r_y  # frees 2 x 24 bytes per sample before np.cov's copies
-    after = 0.25 * (1.0 - new_x[:, 0]) + 0.25 * (1.0 - new_y[:, 1])
+    # after and before are kept whole: their means and covariance are pairwise
+    # sums over all samples, and would change bits if split per block
+    pair = np.empty((2, samples))
+    after, before = pair
+    for start, r_x, r_y in direction_blocks(n, X_AXIS, Y_AXIS, samples, seed):
+        stop = start + len(r_x)
+        before[start:stop] = 0.25 * (1.0 - r_x[:, 0]) + 0.25 * (1.0 - r_y[:, 1])
+        new_x, new_y = _orthogonalize_rows(r_x, r_y)
+        after[start:stop] = 0.25 * (1.0 - new_x[:, 0]) + 0.25 * (1.0 - new_y[:, 1])
 
     g = float(before.mean())
     g_new = float(after.mean())
     ratio = g_new / g
-    cov = np.cov(np.stack([after, before]))
+    cov = np.cov(pair)
     var_ratio = (
         cov[0, 0] - 2.0 * ratio * cov[0, 1] + ratio * ratio * cov[1, 1]
     ) / (g * g * samples)

@@ -8,7 +8,10 @@ hence a per-direction mean square error of exactly 1/(n+1) for every n.
 
 All sampling is rejection-free through the inverse CDF on s = sin^2(chi/2)
 and uses numpy's counter-based 64-bit Philox generator with an explicit seed
-in every API.
+in every API. `direction_blocks` streams the estimates in blocks of
+`_DUMP_BLOCK_ROWS` rows, the same rows as one pass over the seed's stream, by
+Philox skip-ahead (Salmon et al., SC11, 2011); callers keep only 1-D
+per-sample values, e.g. the two error cosines of `so4` (16 B per sample).
 
 The diagnostic, that rotated maximal-K projectors alone do not resolve the
 identity, is a Haar integral of D-functions and is given in closed form
@@ -26,17 +29,30 @@ import numpy as np
 from .geometry import UnitVector, perpendicular_unit
 from .states import extreme_stark
 
-# Outcome dump: rows are rendered this many at a time, so the Python floats
-# of one block (not of the whole batch) are alive at once.
+# The Monte Carlo path draws, reduces and renders this many rows at a time, so
+# no (count, 3) array and no Python floats of the whole batch exist at once.
 _DUMP_BLOCK_ROWS = 65536
 _DUMP_HEADER = b"sample,chi1,chi2,cos_chi1,cos_chi2\r\n"
 _DUMP_ROW = b"%d,%.12g,%.12g,%.12g,%.12g\r\n"
 
 
 def philox_rng(seed: int) -> np.random.Generator:
-    """Counter-based 64-bit generator; disjoint per-worker streams come from
-    seeding with distinct keys."""
+    """Counter-based 64-bit generator. A command draws all its samples from the
+    one stream of its seed; `_stream_at` positions a generator anywhere in that
+    stream by `advance`, so blocks are drawn without the doubles before them."""
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _stream_at(seed: int, offset: int) -> np.random.Generator:
+    """`philox_rng(seed)` after `offset` doubles have been drawn from it.
+
+    Each Philox counter step yields four doubles, so advance by the whole steps
+    and discard the remainder.
+    """
+    rng = philox_rng(seed)
+    rng.bit_generator.advance(offset // 4)
+    rng.random(offset % 4)
+    return rng
 
 
 def so4_infidelity(n: int) -> float:
@@ -57,15 +73,18 @@ def sample_error_cosines(n: int, count: int, rng: np.random.Generator) -> np.nda
 
 
 def sample_directions_about(n: int, center: UnitVector, count: int,
-                            rng: np.random.Generator) -> np.ndarray:
+                            cos_rng: np.random.Generator,
+                            azimuth_rng: np.random.Generator) -> np.ndarray:
     """Unit vectors distributed about `center` with the per-axis error density.
 
-    Row i is cos_chi c + sin_chi cos(az) e1 + sin_chi sin(az) e2, summed left to
-    right one column at a time into the (count, 3) result.
+    The error cosines come from `cos_rng` and the azimuths from `azimuth_rng`
+    (one generator passed twice draws the cosines first). Row i is
+    cos_chi c + sin_chi cos(az) e1 + sin_chi sin(az) e2, summed left to right
+    one column at a time into the (count, 3) result.
     """
-    cos_chi = sample_error_cosines(n, count, rng)
+    cos_chi = sample_error_cosines(n, count, cos_rng)
     sin_chi = np.sqrt(np.clip(1.0 - cos_chi**2, 0.0, None))
-    azimuth = rng.uniform(0.0, 2.0 * math.pi, count)
+    azimuth = azimuth_rng.uniform(0.0, 2.0 * math.pi, count)
     c = center.as_array()
     e1 = perpendicular_unit(center).as_array()
     e2 = np.cross(c, e1)
@@ -83,55 +102,59 @@ def sample_directions_about(n: int, center: UnitVector, count: int,
     return out
 
 
+def direction_blocks(n: int, v1: UnitVector, v2: UnitVector, count: int, seed: int):
+    """Yield (start, est1, est2): estimates of v1 and v2 for rows start .. start
+    + len(est1) - 1, in blocks of `_DUMP_BLOCK_ROWS` rows.
+
+    The rows are those of one pass over `philox_rng(seed)`, which draws four
+    segments of `count` doubles: the cosines for v1, its azimuths, then the same
+    two for v2. Each segment has its own generator positioned at its start.
+    """
+    cos1, azimuth1, cos2, azimuth2 = (_stream_at(seed, k * count) for k in range(4))
+    for start in range(0, count, _DUMP_BLOCK_ROWS):
+        rows = min(_DUMP_BLOCK_ROWS, count - start)
+        yield (start,
+               sample_directions_about(n, v1, rows, cos1, azimuth1),
+               sample_directions_about(n, v2, rows, cos2, azimuth2))
+
+
 @dataclass
 class OutcomeBatch:
-    """Vectorized outcome stream for the two transmitted directions."""
+    """Error cosines of the two transmitted directions, one pair per sample."""
 
     n: int
     v1: UnitVector
     v2: UnitVector
-    est1: np.ndarray
-    est2: np.ndarray
-
-    @property
-    def cos_chi1(self) -> np.ndarray:
-        return self.est1 @ self.v1.as_array()
-
-    @property
-    def cos_chi2(self) -> np.ndarray:
-        return self.est2 @ self.v2.as_array()
-
-    @property
-    def chi1(self) -> np.ndarray:
-        return np.arccos(np.clip(self.cos_chi1, -1.0, 1.0))
-
-    @property
-    def chi2(self) -> np.ndarray:
-        return np.arccos(np.clip(self.cos_chi2, -1.0, 1.0))
+    cos_chi1: np.ndarray
+    cos_chi2: np.ndarray
 
     def write_csv(self, path):
         """Columns (sample, chi1, chi2, cos_chi1, cos_chi2): CRLF rows with
         `%.12g` cells, the bytes `csv.writer` gives for the same cells,
         rendered and written in blocks of `_DUMP_BLOCK_ROWS` rows."""
-        columns = (self.chi1, self.chi2, self.cos_chi1, self.cos_chi2)
-        count = len(self.est1)
+        count = len(self.cos_chi1)
         with open(path, "wb") as handle:
             handle.write(_DUMP_HEADER)
             for start in range(0, count, _DUMP_BLOCK_ROWS):
                 stop = min(start + _DUMP_BLOCK_ROWS, count)
+                cos_pair = (self.cos_chi1[start:stop], self.cos_chi2[start:stop])
+                columns = [np.arccos(np.clip(c, -1.0, 1.0)) for c in cos_pair] + list(cos_pair)
                 cells = [None] * (5 * (stop - start))
                 cells[0::5] = range(start, stop)
                 for k, column in enumerate(columns, start=1):
-                    cells[k::5] = column[start:stop].tolist()
+                    cells[k::5] = column.tolist()
                 handle.write((_DUMP_ROW * (stop - start)) % tuple(cells))
 
 
 def sample_outcome_batch(n: int, v1: UnitVector, v2: UnitVector, count: int,
                          seed: int) -> OutcomeBatch:
-    rng = philox_rng(seed)
-    est1 = sample_directions_about(n, v1, count, rng)
-    est2 = sample_directions_about(n, v2, count, rng)
-    return OutcomeBatch(n, v1, v2, est1, est2)
+    """Sample `count` outcome pairs and keep only their error cosines."""
+    cos_chi1, cos_chi2 = np.empty(count), np.empty(count)
+    for start, est1, est2 in direction_blocks(n, v1, v2, count, seed):
+        stop = start + len(est1)
+        np.matmul(est1, v1.as_array(), out=cos_chi1[start:stop])
+        np.matmul(est2, v2.as_array(), out=cos_chi2[start:stop])
+    return OutcomeBatch(n, v1, v2, cos_chi1, cos_chi2)
 
 
 # ---------------------------------------------------------------------------

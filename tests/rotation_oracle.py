@@ -1,10 +1,29 @@
-"""Classical z-y-z rotation matrices: the oracle for the quantum rotations."""
+"""Classical z-y-z rotation matrices, the oracle for the quantum rotations,
+and the vector helpers the tests build directions with."""
 
 import math
 
 import numpy as np
 
-from rydberg_frames.geometry import EulerAngles
+from rydberg_frames.geometry import EulerAngles, UnitVector
+
+
+def unit(x, y, z) -> UnitVector:
+    """The direction of (x, y, z)."""
+    r = math.sqrt(x * x + y * y + z * z)
+    if r < 1e-12:
+        raise ValueError("cannot normalize a null vector")
+    return UnitVector(x / r, y / r, z / r)
+
+
+def neg(v: UnitVector) -> UnitVector:
+    return UnitVector(-v.x, -v.y, -v.z)
+
+
+def angle_between(a: UnitVector, b: UnitVector) -> float:
+    """The angle from a to b in [0, pi], by atan2 of |a x b| and a . b."""
+    cross = np.cross(a.as_array(), b.as_array())
+    return math.atan2(float(np.linalg.norm(cross)), a.x * b.x + a.y * b.y + a.z * b.z)
 
 
 def _rotation_z(angle):

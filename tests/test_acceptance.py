@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from rydberg_frames.angmom import small_d_matrices
-from rydberg_frames.geometry import EulerAngles, UnitVector
+from rydberg_frames.geometry import EulerAngles
 from rydberg_frames.ortho import gain_factor
 from rydberg_frames.povm_so3 import (
     cos_omega_z,
@@ -40,6 +40,8 @@ from rydberg_frames.states import (
     overlap,
     rotate,
 )
+
+from rotation_oracle import angle_between, neg, unit
 
 STARK_PRINTED_N10 = [0.3162, 0.4954, 0.5222, 0.4534, 0.3365,
                      0.2148, 0.1167, 0.0526, 0.0186, 0.0045]
@@ -233,14 +235,14 @@ def test_criterion_7_property_suites():
         _, _, l2, k2, _ = lk_moments(wf)
         worst_lk = max(worst_lk, abs(l2 + k2 - (n * n - 1.0)))
 
-        u1 = UnitVector.normalized(*rng.normal(size=3))
-        u2 = UnitVector.normalized(*rng.normal(size=3))
+        u1 = unit(*rng.normal(size=3))
+        u2 = unit(*rng.normal(size=3))
         coherent = build_elliptic(EllipticSpec(n, u1, u2))
         worst_disp = max(worst_disp, abs(dispersion_sum(coherent) - 2.0 * (n - 1)))
 
-        s1 = build_elliptic(EllipticSpec(n, -u1, u1))
-        s2 = build_elliptic(EllipticSpec(n, -u2, u2))
-        law = math.cos(u1.angle_to(u2) / 2.0) ** (4 * (n - 1))
+        s1 = build_elliptic(EllipticSpec(n, neg(u1), u1))
+        s2 = build_elliptic(EllipticSpec(n, neg(u2), u2))
+        law = math.cos(angle_between(u1, u2) / 2.0) ** (4 * (n - 1))
         worst_overlap = max(worst_overlap, abs(abs(overlap(s1, s2)) ** 2 - law))
 
         worst_povm = max(worst_povm, povm_completeness_deviation(wf))

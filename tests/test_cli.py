@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import rydberg_frames
+from rydberg_frames.angmom import MAX_SAMPLES
 from rydberg_frames.cli import build_parser, load_tolerances, main
 
 
@@ -268,3 +269,10 @@ def test_single_sample_is_usage_error():
 ], ids=["elliptic", "stark", "circular", "table3", "so4", "so4_1e16", "ortho", "ortho_1e17"])
 def test_shell_above_max_n_is_usage_error(argv):
     assert "101" in assert_usage_error(argv)
+
+
+@pytest.mark.parametrize("command", ["so4", "ortho"])
+def test_samples_above_max_samples_is_usage_error(command):
+    # refused before anything is drawn: the count would need gigabytes
+    err = assert_usage_error([command, "--samples", str(MAX_SAMPLES + 1)])
+    assert str(MAX_SAMPLES) in err

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from rydberg_frames.geometry import UnitVector, X_AXIS, Y_AXIS, Z_AXIS, perpendicular_unit
-from rydberg_frames.ortho import (
-    _orthogonalize_rows,
-    gain_factor,
-    sample_error_arrays,
-)
-from rydberg_frames.povm_so4 import philox_rng, sample_directions_about
+from rydberg_frames.ortho import _orthogonalize_rows, gain_factor
+from rydberg_frames.povm_so4 import _DUMP_BLOCK_ROWS, philox_rng, sample_directions_about
+
+import stream_oracle
+from rotation_oracle import angle_between, neg, unit
+from stream_oracle import sample_error_arrays
 
 
 def orthogonalize(r_x, r_y):
@@ -23,22 +23,22 @@ class TestOrthogonalize:
         a = UnitVector.from_spherical(math.pi / 2, 0.0)
         b = UnitVector.from_spherical(math.pi / 2, math.radians(80.0))
         na, nb = orthogonalize(a, b)
-        assert na.angle_to(nb) == pytest.approx(math.pi / 2, abs=1e-12)
-        assert na.angle_to(a) == pytest.approx(math.radians(5.0), abs=1e-12)
-        assert nb.angle_to(b) == pytest.approx(math.radians(5.0), abs=1e-12)
+        assert angle_between(na, nb) == pytest.approx(math.pi / 2, abs=1e-12)
+        assert angle_between(na, a) == pytest.approx(math.radians(5.0), abs=1e-12)
+        assert angle_between(nb, b) == pytest.approx(math.radians(5.0), abs=1e-12)
 
     def test_orthogonal_pair_unchanged(self):
         na, nb = orthogonalize(X_AXIS, Y_AXIS)
-        assert na.angle_to(X_AXIS) < 1e-12
-        assert nb.angle_to(Y_AXIS) < 1e-12
+        assert angle_between(na, X_AXIS) < 1e-12
+        assert angle_between(nb, Y_AXIS) < 1e-12
 
     def test_exact_orthogonality_and_plane(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            a = UnitVector.normalized(*rng.normal(size=3))
-            b = UnitVector.normalized(*rng.normal(size=3))
+            a = unit(*rng.normal(size=3))
+            b = unit(*rng.normal(size=3))
             na, nb = orthogonalize(a, b)
-            assert abs(na.dot(nb)) < 1e-12
+            assert abs(na.as_array() @ nb.as_array()) < 1e-12
             normal = np.cross(a.as_array(), b.as_array())
             normal /= np.linalg.norm(normal)
             assert abs(na.as_array() @ normal) < 1e-12
@@ -47,18 +47,18 @@ class TestOrthogonalize:
     def test_moves_exactly_half_the_defect(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            a = UnitVector.normalized(*rng.normal(size=3))
-            b = UnitVector.normalized(*rng.normal(size=3))
+            a = unit(*rng.normal(size=3))
+            b = unit(*rng.normal(size=3))
             na, nb = orthogonalize(a, b)
-            defect = abs(math.pi / 2 - a.angle_to(b))
-            assert na.angle_to(a) <= defect / 2 + 1e-12
-            assert nb.angle_to(b) <= defect / 2 + 1e-12
+            defect = abs(math.pi / 2 - angle_between(a, b))
+            assert angle_between(na, a) <= defect / 2 + 1e-12
+            assert angle_between(nb, b) <= defect / 2 + 1e-12
 
     def test_degenerate_inputs_raise(self):
         with pytest.raises(ValueError):
             orthogonalize(X_AXIS, X_AXIS)
         with pytest.raises(ValueError):
-            orthogonalize(X_AXIS, -X_AXIS)
+            orthogonalize(X_AXIS, neg(X_AXIS))
 
     def test_first_order_azimuth_rule(self):
         # for small errors the new azimuths approach the mean of the old ones,
@@ -88,12 +88,12 @@ def _orthogonalize_oracle(r_x, r_y):
 
 
 @pytest.mark.parametrize(
-    "center", [X_AXIS, Y_AXIS, Z_AXIS, UnitVector.normalized(0.3, -0.5, 0.8)], ids="XYZO"
+    "center", [X_AXIS, Y_AXIS, Z_AXIS, unit(0.3, -0.5, 0.8)], ids="XYZO"
 )
 def test_orthogonalize_rows_bit_identical_to_expression(center):
     rng = philox_rng(31)
-    r_x = sample_directions_about(10, center, 50000, rng)
-    r_y = sample_directions_about(10, perpendicular_unit(center), 50000, rng)
+    r_x = sample_directions_about(10, center, 50000, rng, rng)
+    r_y = sample_directions_about(10, perpendicular_unit(center), 50000, rng, rng)
     inputs = (r_x.copy(), r_y.copy())
     got = _orthogonalize_rows(r_x, r_y)
     expected = _orthogonalize_oracle(r_x, r_y)
@@ -162,3 +162,13 @@ class TestGainFactor:
     def test_sample_requirement(self):
         with pytest.raises(ValueError):
             gain_factor(5, 50000, seed=0)
+
+
+B = _DUMP_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [2, 5, 40, 101])
+@pytest.mark.parametrize("samples", [100003, 2 * B - 1, 2 * B, 2 * B + 1, 2 * B + 3, 131075])
+def test_gain_factor_bit_identical_to_one_shot(n, samples):
+    # gain_factor needs 1e5 samples, so the block edges are tested at 2B +- 1
+    assert gain_factor(n, samples, seed=n) == stream_oracle.gain_factor(n, samples, seed=n)

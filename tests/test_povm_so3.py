@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rydberg_frames.angmom import small_d_matrices
-from rydberg_frames.geometry import EulerAngles, UnitVector, Y_AXIS
+from rydberg_frames.geometry import EulerAngles, Y_AXIS
 from rydberg_frames.povm_so3 import (
     QuadratureRule,
     _cg_series,
@@ -31,7 +31,7 @@ from rydberg_frames.states import (
     rotate,
 )
 from cg_oracle import clebsch_gordan
-from rotation_oracle import euler_matrix
+from rotation_oracle import euler_matrix, unit
 
 
 def random_wavefunction(n, rng):
@@ -205,7 +205,7 @@ class TestClosedFormMoments:
     @pytest.mark.parametrize("n", range(3, 13))
     def test_match_full_grid(self, n):
         rng = np.random.default_rng(100 + n)
-        directions = [UnitVector.normalized(*rng.normal(size=3)) for _ in range(2)]
+        directions = [unit(*rng.normal(size=3)) for _ in range(2)]
         states = [
             alice_two_axis_state(n, 0.7),
             build_elliptic(EllipticSpec(n, *directions)),
@@ -220,7 +220,7 @@ class TestClosedFormMoments:
     def test_match_beta_grid_at_n40(self):
         n = 40
         rng = np.random.default_rng(40)
-        directions = [UnitVector.normalized(*rng.normal(size=3)) for _ in range(2)]
+        directions = [unit(*rng.normal(size=3)) for _ in range(2)]
         rule = QuadratureRule.for_shell(n)
         for a in (alice_two_axis_state(n, 0.3), alice_two_axis_state(n, 0.7),
                   build_elliptic(EllipticSpec(n, *directions))):
@@ -423,7 +423,7 @@ class TestCompleteness:
     @pytest.mark.parametrize("n", [40, 64])
     def test_large_shells(self, n):
         rng = np.random.default_rng(n)
-        directions = [UnitVector.normalized(*rng.normal(size=3)) for _ in range(2)]
+        directions = [unit(*rng.normal(size=3)) for _ in range(2)]
         for wf in (alice_two_axis_state(n, 0.7), build_elliptic(EllipticSpec(n, *directions)),
                    random_wavefunction(n, rng)):
             assert povm_completeness_deviation(wf) <= 1e-12

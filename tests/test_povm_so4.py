@@ -8,10 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from rydberg_frames.angmom import MAX_N, coherent_coeffs, small_d_matrices
-from rydberg_frames.geometry import UnitVector, X_AXIS, Y_AXIS, Z_AXIS, perpendicular_unit
+from rydberg_frames.geometry import X_AXIS, Y_AXIS, Z_AXIS, perpendicular_unit
 from rydberg_frames.povm_so4 import (
     _DUMP_BLOCK_ROWS,
     _DUMP_ROW,
+    direction_blocks,
     philox_rng,
     sample_directions_about,
     sample_error_cosines,
@@ -20,6 +21,9 @@ from rydberg_frames.povm_so4 import (
     stark_block_constants,
 )
 from rydberg_frames.states import extreme_stark
+
+import stream_oracle
+from rotation_oracle import unit
 
 
 def _cos_chi_moments(n):
@@ -66,7 +70,7 @@ class TestSampling:
         assert abs(corr) < 3.0 / math.sqrt(batch.cos_chi1.size)
 
     def test_non_orthogonal_marginals(self):
-        v2 = UnitVector.normalized(1.0, 1.0, 0.0)
+        v2 = unit(1.0, 1.0, 0.0)
         batch = sample_outcome_batch(10, X_AXIS, v2, 200000, seed=6)
         mean, var = _cos_chi_moments(10)
         se = math.sqrt(var / batch.cos_chi2.size)
@@ -76,8 +80,8 @@ class TestSampling:
     def test_seed_reproducibility(self):
         a = sample_outcome_batch(6, X_AXIS, Y_AXIS, 100, seed=3)
         b = sample_outcome_batch(6, X_AXIS, Y_AXIS, 100, seed=3)
-        assert np.array_equal(a.est1, b.est1)
-        assert np.array_equal(a.est2, b.est2)
+        assert np.array_equal(a.cos_chi1, b.cos_chi1)
+        assert np.array_equal(a.cos_chi2, b.cos_chi2)
 
     def test_csv_export(self, tmp_path):
         batch = sample_outcome_batch(5, X_AXIS, Y_AXIS, 20, seed=1)
@@ -104,12 +108,13 @@ def _directions_oracle(n, center, count, rng):
     )
 
 
-OBLIQUE = UnitVector.normalized(0.3, -0.5, 0.8)
+OBLIQUE = unit(0.3, -0.5, 0.8)
 
 
 @pytest.mark.parametrize("center", [X_AXIS, Y_AXIS, Z_AXIS, OBLIQUE], ids="XYZO")
 def test_directions_bit_identical_to_expression(center):
-    got = sample_directions_about(7, center, 50000, philox_rng(21))
+    rng = philox_rng(21)
+    got = sample_directions_about(7, center, 50000, rng, rng)
     expected = _directions_oracle(7, center, 50000, philox_rng(21))
     assert got.flags.c_contiguous and got.shape == (50000, 3)
     assert np.array_equal(got, expected)
@@ -123,23 +128,49 @@ def _csv_writer_line(index, cells):
 
 
 def _csv_writer_dump(batch, path):
-    """The dump written row by row through `csv.writer` (reference writer)."""
+    """The dump written row by row through `csv.writer` (reference writer),
+    with chi taken of the whole cosine arrays."""
+    chi1, chi2 = (np.arccos(np.clip(c, -1.0, 1.0)) for c in (batch.cos_chi1, batch.cos_chi2))
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["sample", "chi1", "chi2", "cos_chi1", "cos_chi2"])
         for i, (x1, x2, c1, c2) in enumerate(
-            zip(batch.chi1, batch.chi2, batch.cos_chi1, batch.cos_chi2)
+            zip(chi1, chi2, batch.cos_chi1, batch.cos_chi2)
         ):
             writer.writerow([i, f"{x1:.12g}", f"{x2:.12g}", f"{c1:.12g}", f"{c2:.12g}"])
 
 
 @pytest.mark.parametrize("rows", [0, 1, _DUMP_BLOCK_ROWS - 1, _DUMP_BLOCK_ROWS,
-                                  _DUMP_BLOCK_ROWS + 1])
+                                  _DUMP_BLOCK_ROWS + 1, 2 * _DUMP_BLOCK_ROWS + 3])
 def test_dump_bytes_match_csv_writer(tmp_path, rows):
     batch = sample_outcome_batch(6, X_AXIS, OBLIQUE, rows, seed=17)
     batch.write_csv(tmp_path / "blocks.csv")
     _csv_writer_dump(batch, tmp_path / "oracle.csv")
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+B = _DUMP_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [2, 5, 40, MAX_N])
+@pytest.mark.parametrize("count", [0, 2, 7, B - 1, B, B + 1, 2 * B + 3, 131075])
+@pytest.mark.parametrize("v2", [Y_AXIS, OBLIQUE], ids=["Y", "O"])
+def test_outcome_cosines_bit_identical_to_one_shot(n, count, v2):
+    batch = sample_outcome_batch(n, X_AXIS, v2, count, seed=n)
+    cos_chi1, cos_chi2 = stream_oracle.outcome_cosines(n, X_AXIS, v2, count, seed=n)
+    assert np.array_equal(batch.cos_chi1, cos_chi1)
+    assert np.array_equal(batch.cos_chi2, cos_chi2)
+
+
+def test_direction_blocks_cover_the_rows_in_order():
+    count = 2 * B + 3
+    est1, est2 = stream_oracle.sample_error_arrays(7, count, 4, X_AXIS, OBLIQUE)
+    stops = []
+    for start, block1, block2 in direction_blocks(7, X_AXIS, OBLIQUE, count, 4):
+        stops.append(start + len(block1))
+        assert np.array_equal(block1, est1[start:stops[-1]])
+        assert np.array_equal(block2, est2[start:stops[-1]])
+    assert stops == [B, 2 * B, count]
 
 
 _CELLS = hst.floats(allow_nan=True, allow_infinity=True)

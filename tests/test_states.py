@@ -25,7 +25,7 @@ from rydberg_frames.states import (
     to_product_amplitudes,
 )
 from cg_oracle import HalfInt, clebsch_gordan
-from rotation_oracle import euler_matrix, matrix_to_euler
+from rotation_oracle import angle_between, euler_matrix, matrix_to_euler, neg, unit
 
 
 def random_wavefunction(n, rng):
@@ -35,7 +35,7 @@ def random_wavefunction(n, rng):
 
 
 def random_direction(rng):
-    return UnitVector.normalized(*rng.normal(size=3))
+    return unit(*rng.normal(size=3))
 
 
 class TestConstruction:
@@ -47,7 +47,7 @@ class TestConstruction:
 
     def test_opposite_directions_give_maximal_k(self):
         for n in (2, 3, 7):
-            wf = build_elliptic(EllipticSpec(n, -Z_AXIS, Z_AXIS))
+            wf = build_elliptic(EllipticSpec(n, neg(Z_AXIS), Z_AXIS))
             stark = extreme_stark(n)
             assert abs(overlap(wf, stark)) ** 2 == pytest.approx(1.0, abs=1e-12)
             j = (n - 1) / 2
@@ -261,9 +261,9 @@ class TestOverlapAndRotation:
         n = 6
         for _ in range(5):
             u1, u2 = random_direction(rng), random_direction(rng)
-            s1 = build_elliptic(EllipticSpec(n, -u1, u1))
-            s2 = build_elliptic(EllipticSpec(n, -u2, u2))
-            chi = u1.angle_to(u2)
+            s1 = build_elliptic(EllipticSpec(n, neg(u1), u1))
+            s2 = build_elliptic(EllipticSpec(n, neg(u2), u2))
+            chi = angle_between(u1, u2)
             law = math.cos(chi / 2) ** (4 * (n - 1))
             assert abs(overlap(s1, s2)) ** 2 == pytest.approx(law, abs=1e-11)
 
@@ -290,7 +290,7 @@ class TestOverlapAndRotation:
         theta, phi = 0.8, 2.2
         rotated = rotate(extreme_stark(n), EulerAngles(phi, theta, 0.0))
         u = UnitVector.from_spherical(theta, phi)
-        built = build_elliptic(EllipticSpec(n, -u, u))
+        built = build_elliptic(EllipticSpec(n, neg(u), u))
         assert abs(overlap(rotated, built)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_rotation_composition_matches_classical(self):
@@ -352,6 +352,6 @@ _DIRECTION = hst.tuples(*[hst.floats(-1.0, 1.0)] * 3).filter(
 @given(hst.integers(2, MAX_N), _DIRECTION, _DIRECTION)
 @example(MAX_N, (0.3, -0.5, 0.8), (-0.2, 0.9, 0.1))
 def test_coherent_states_up_to_max_n(n, v1, v2):
-    wf = build_elliptic(EllipticSpec(n, UnitVector.normalized(*v1), UnitVector.normalized(*v2)))
+    wf = build_elliptic(EllipticSpec(n, unit(*v1), unit(*v2)))
     assert povm_completeness_deviation(wf) <= 1e-12
     assert abs(dispersion_sum(wf) - 2.0 * (n - 1)) <= 1e-12 * n * n
