@@ -219,7 +219,7 @@ def cmd_ortho(n_list, samples, seed, tol: dict):
     all_ok = True
     for i, n in enumerate(n_list):
         report = ortho_mod.gain_factor(n, samples, seed + i)
-        g_expected = 1.0 / (n + 1.0)
+        g_expected = p4.so4_infidelity(n)
         g_se = _mean_stderr_of_g(n, samples, seed + i)
         g_pull = abs(report.g - g_expected) / g_se
         g_ok = bool(g_pull <= t["sigma"])
@@ -352,8 +352,8 @@ def main(argv=None) -> int:
         if not 2 <= args.n <= MAX_N:
             print(f"state requires 2 <= n <= {MAX_N}", file=sys.stderr)
             return 2
-        if args.kind == "elliptic" and args.e is None:
-            print("state --kind elliptic requires --e", file=sys.stderr)
+        if (args.kind == "elliptic") != (args.e is not None):
+            print("state needs --e with --kind elliptic and refuses it otherwise", file=sys.stderr)
             return 2
         if args.kind == "elliptic" and not 0.0 <= args.e <= 1.0:
             print(f"state --e must lie in [0, 1], got {args.e}", file=sys.stderr)

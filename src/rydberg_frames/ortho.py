@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import X_AXIS, Y_AXIS
+from .povm_so3 import two_axis_eta
 from .povm_so4 import direction_blocks
 
 
@@ -77,9 +78,9 @@ def gain_factor(n: int, samples: int, seed: int) -> GainReport:
     after, before = pair
     for start, r_x, r_y in direction_blocks(n, X_AXIS, Y_AXIS, samples, seed):
         stop = start + len(r_x)
-        before[start:stop] = 0.25 * (1.0 - r_x[:, 0]) + 0.25 * (1.0 - r_y[:, 1])
+        before[start:stop] = two_axis_eta(r_x[:, 0], r_y[:, 1])
         new_x, new_y = _orthogonalize_rows(r_x, r_y)
-        after[start:stop] = 0.25 * (1.0 - new_x[:, 0]) + 0.25 * (1.0 - new_y[:, 1])
+        after[start:stop] = two_axis_eta(new_x[:, 0], new_y[:, 1])
 
     g = float(before.mean())
     g_new = float(after.mean())

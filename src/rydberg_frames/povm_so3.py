@@ -48,32 +48,32 @@ class QuadratureRule:
         return cls(2 * n, 4 * n + 4, 4 * n + 4)
 
 
-def two_axis_eta(cos_x: float, cos_y: float) -> float:
+def two_axis_eta(cos_x, cos_y):
     """Mean square error per axis, 1/4 (1 - cos omega_x) + 1/4 (1 - cos omega_y)."""
     return 0.25 * (1.0 - cos_x) + 0.25 * (1.0 - cos_y)
 
 
-def bob_fiducial(a: WaveFunction) -> list:
-    """Optimal fiducial blocks b_l = a_l / ||a_l||, one unit vector per l.
+def bob_fiducial(a: WaveFunction) -> np.ndarray:
+    """Optimal fiducial table: row l is b_l = a_l / ||a_l||, a unit vector per l.
 
-    An l-block where a vanishes is completed with the m=0 basis vector; the
+    An l-row where a vanishes is completed with the m=0 basis vector; the
     completion keeps the POVM resolving the identity and contributes zero
     overlap with |A>, so every fidelity is unchanged. The sqrt(2l+1) Schur
     weights that make the POVM complete are applied in the Haar moments, not
     stored here.
     """
-    blocks = []
-    for l, block in enumerate(a.blocks):
+    n = a.n
+    fid = np.zeros_like(a.table)
+    for l in range(n):
+        row = a.table[l, n - 1 - l : n + l]
         # np.linalg.norm's own arithmetic, so every fidelity keeps its bits,
         # without its per-call overhead (2n calls per optimizer step)
-        norm = np.sqrt(block.real @ block.real + block.imag @ block.imag)
+        norm = np.sqrt(row.real @ row.real + row.imag @ row.imag)
         if norm < _ZERO_BLOCK:
-            filler = np.zeros(2 * l + 1, dtype=complex)
-            filler[l] = 1.0
-            blocks.append(filler)
+            fid[l, n - 1] = 1.0
         else:
-            blocks.append(block / norm)
-    return blocks
+            fid[l, n - 1 - l : n + l] = row / norm
+    return fid
 
 
 # (L - l, q): signed square of <l m; 1 q | L m+q> in terms of l and M = m + q,
@@ -116,15 +116,6 @@ def _cg_series(n: int):
     return cg, weights
 
 
-def _padded(blocks) -> np.ndarray:
-    """u[l + 1, m + n] = blocks[l][l + m], with a zero border on every side."""
-    n = len(blocks)
-    u = np.zeros((n + 2, 2 * n + 1), dtype=complex)
-    for l, block in enumerate(blocks):
-        u[l + 1, n - l : n + l + 1] = block
-    return u
-
-
 def _x_sums(u: np.ndarray, cg: np.ndarray) -> np.ndarray:
     """X[dL + 1, q + 1, l] = sum_m conj(u_{l,m}) u_{l+dL, m+q} <l m; 1 q | l+dL m+q>."""
     n = u.shape[0] - 2
@@ -137,10 +128,10 @@ def _x_sums(u: np.ndarray, cg: np.ndarray) -> np.ndarray:
     return x
 
 
-def _haar_moments(a: WaveFunction, fid: list):
+def _haar_moments(a: WaveFunction, fid: np.ndarray):
     """Haar averages of |<A|U|B>|^2 times 1, cos(beta), R_xx + R_yy and R_xx - R_yy.
 
-    fid holds the unit blocks b_l of |B> = sum_l sqrt(2l+1) b_l. The
+    fid is the table of unit rows b_l of |B> = sum_l sqrt(2l+1) b_l. The
     Clebsch-Gordan series D^l D^1 = sum_L <..|L..><..|L..> D^L and Schur
     orthogonality (Edmonds, eqs. 4.3.2 and 4.6.2) give, for f = D^1_{q q'},
 
@@ -152,8 +143,13 @@ def _haar_moments(a: WaveFunction, fid: list):
     R_xx - R_yy = -(1 - cos beta) cos(alpha - gamma) = -2 Re D^1_{1,-1};
     the plain average is sum_l |a_l|^2 |b_l|^2.
     """
-    cg, weights = _cg_series(a.n)
-    ua, ub = _padded(a.blocks), _padded(fid)
+    n = a.n
+    cg, weights = _cg_series(n)
+    # u[0, l + 1, m + n] = a_{lm} and u[1] the same for fid, bordered by zeros
+    u = np.zeros((2, n + 2, 2 * n + 1), dtype=complex)
+    u[0, 1:-1, 1:-1] = a.table
+    u[1, 1:-1, 1:-1] = fid
+    ua, ub = u
     xa, xb = _x_sums(ua, cg), _x_sums(ub, cg)
 
     def moment(q, qp):

@@ -122,9 +122,6 @@ def direction_blocks(n: int, v1: UnitVector, v2: UnitVector, count: int, seed: i
 class OutcomeBatch:
     """Error cosines of the two transmitted directions, one pair per sample."""
 
-    n: int
-    v1: UnitVector
-    v2: UnitVector
     cos_chi1: np.ndarray
     cos_chi2: np.ndarray
 
@@ -154,7 +151,7 @@ def sample_outcome_batch(n: int, v1: UnitVector, v2: UnitVector, count: int,
         stop = start + len(est1)
         np.matmul(est1, v1.as_array(), out=cos_chi1[start:stop])
         np.matmul(est2, v2.as_array(), out=cos_chi2[start:stop])
-    return OutcomeBatch(n, v1, v2, cos_chi1, cos_chi2)
+    return OutcomeBatch(cos_chi1, cos_chi2)
 
 
 # ---------------------------------------------------------------------------

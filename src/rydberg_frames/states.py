@@ -1,10 +1,10 @@
 """Coherent states of the fixed-n shell and their angular observables.
 
-A shell state is stored as dense coefficient blocks a[l][l+m] over the |l m>
-basis, 0 <= l <= n-1, |m| <= l. The two commuting spins j = (n-1)/2 that
-generate the shell give the angular momentum L = J1 + J2 and the scaled
-Runge-Lenz vector K = J2 - J1. In the two-spin picture a state is one
-amplitude table psi[j+m1, j+m2]; the first spin acts on its rows and the
+A shell state is stored as one complex table a[l, n-1+m] over the |l m>
+basis, 0 <= l <= n-1, zero where |m| > l. The two commuting spins
+j = (n-1)/2 that generate the shell give the angular momentum L = J1 + J2 and
+the scaled Runge-Lenz vector K = J2 - J1. In the two-spin picture a state is
+one amplitude table psi[j+m1, j+m2]; the first spin acts on its rows and the
 second on its columns, so L_i psi = J_i psi + psi J_i^T and
 K_i psi = psi J_i^T - J_i psi with the three spin-j matrices J_i. Every K
 matrix element is evaluated that way, never through position-space
@@ -25,37 +25,44 @@ from .geometry import EulerAngles, UnitVector
 _NORM_TOL = 1e-8
 
 
+@lru_cache(maxsize=4)
+def _outside(n: int) -> np.ndarray:
+    """Mask of the entries |m| > l of the table[l, n-1+m] of an n-shell state."""
+    mask = np.abs(np.arange(2 * n - 1) - (n - 1)) > np.arange(n)[:, None]
+    mask.setflags(write=False)
+    return mask
+
+
 @dataclass
 class WaveFunction:
-    """Normalized n-shell state; blocks[l] holds a_{lm} for m = -l .. l."""
+    """Normalized n-shell state; table[l, n-1+m] holds a_{lm}, zero where |m| > l."""
 
     n: int
-    blocks: list
+    table: np.ndarray
 
     def __post_init__(self):
         if not 2 <= self.n <= MAX_N:
             raise ValueError(f"n must lie in [2, MAX_N = {MAX_N}], got {self.n}")
-        if len(self.blocks) != self.n:
-            raise ValueError(f"expected {self.n} l-blocks, got {len(self.blocks)}")
-        self.blocks = [np.asarray(b, dtype=complex) for b in self.blocks]
-        for l, b in enumerate(self.blocks):
-            if b.shape != (2 * l + 1,):
-                raise ValueError(f"block l={l} has shape {b.shape}")
-        if abs(self.norm() - 1.0) > _NORM_TOL:
+        self.table = np.asarray(self.table, dtype=complex)
+        if self.table.shape != (self.n, 2 * self.n - 1):
+            raise ValueError(f"table shape {self.table.shape} is not {(self.n, 2 * self.n - 1)}")
+        if self.table[_outside(self.n)].any():
+            raise ValueError("table has a nonzero entry outside |m| <= l")
+        if not abs(self.norm() - 1.0) <= _NORM_TOL:  # false for NaN as well
             raise ValueError(f"state norm {self.norm()!r} is not 1")
 
     def norm(self) -> float:
-        return math.sqrt(sum(float(np.vdot(b, b).real) for b in self.blocks))
+        return math.sqrt(float((np.square(self.table.real) + np.square(self.table.imag)).sum()))
 
     def m0_amplitudes(self) -> np.ndarray:
-        """The a_{l0} column, one complex amplitude per l."""
-        return np.array([self.blocks[l][l] for l in range(self.n)])
+        """The a_{l0} column of the table (a view), one complex amplitude per l."""
+        return self.table[:, self.n - 1]
 
     def to_json_dict(self) -> dict:
         entries = []
         for l in range(self.n):
             for m in range(-l, l + 1):
-                c = self.blocks[l][l + m]
+                c = self.table[l, self.n - 1 + m]
                 entries.append({"l": l, "m": m, "re": float(c.real), "im": float(c.imag)})
         return {"n": self.n, "entries": entries}
 
@@ -120,29 +127,25 @@ def coupling_tensor(n: int) -> np.ndarray:
 
 
 def from_product_amplitudes(n: int, psi: np.ndarray) -> WaveFunction:
-    """Couple a two-spin amplitude table psi[j+m1, j+m2] into |l m> blocks."""
+    """Couple a two-spin amplitude table psi[j+m1, j+m2] into the |l m> table."""
     weighted = coupling_tensor(n) * psi[None, :, :]
     # shear row i1 right by i1, so column i1 + i2 = m + (n-1) collects all
     # m1 + m2 = m; the pad column keeps wrapped entries out of the sums
     sheared = np.zeros((n, n, 2 * n), dtype=complex)
     sheared[:, :, :n] = weighted
     sheared = sheared.reshape(n, 2 * n * n)[:, : n * (2 * n - 1)]
-    sums = sheared.reshape(n, n, 2 * n - 1).sum(axis=1)
-    return WaveFunction(n, [sums[l, n - 1 - l : n + l] for l in range(n)])
+    return WaveFunction(n, sheared.reshape(n, n, 2 * n - 1).sum(axis=1))
 
 
 def to_product_amplitudes(state: WaveFunction) -> np.ndarray:
     """Amplitude table psi[j+m1, j+m2] of a shell state in the two-spin basis.
 
-    The inverse of the shear in `from_product_amplitudes`: the blocks padded
-    into one table[l, m + n-1] are read at column i1 + i2.
+    The inverse of the shear in `from_product_amplitudes`: the table is read
+    at column i1 + i2.
     """
     n = state.n
-    table = np.zeros((n, 2 * n - 1), dtype=complex)
-    for l, block in enumerate(state.blocks):
-        table[l, n - 1 - l : n + l] = block
     total = np.add.outer(np.arange(n), np.arange(n))
-    return (coupling_tensor(n) * table[:, total]).sum(axis=0)
+    return (coupling_tensor(n) * state.table[:, total]).sum(axis=0)
 
 
 def product_amplitudes(spec: EllipticSpec) -> np.ndarray:
@@ -164,9 +167,9 @@ def build_elliptic(spec: EllipticSpec) -> WaveFunction:
 
 def circular_state(n: int) -> WaveFunction:
     """The |l=n-1, m=n-1> state: zero eccentricity, maximal angular momentum."""
-    blocks = [np.zeros(2 * l + 1, dtype=complex) for l in range(n)]
-    blocks[n - 1][2 * (n - 1)] = 1.0
-    return WaveFunction(n, blocks)
+    table = np.zeros((n, 2 * n - 1), dtype=complex)
+    table[n - 1, 2 * n - 2] = 1.0
+    return WaveFunction(n, table)
 
 
 def extreme_stark(n: int) -> WaveFunction:
@@ -180,23 +183,24 @@ def extreme_stark(n: int) -> WaveFunction:
     """
     fact = math.factorial
     top = fact(n - 1) ** 2
-    blocks = [np.zeros(2 * l + 1, dtype=complex) for l in range(n)]
+    table = np.zeros((n, 2 * n - 1), dtype=complex)
     for l in range(n):
         square = (2 * l + 1) * top / (fact(n - 1 - l) * fact(n + l))
-        blocks[l][l] = (-1) ** (n - 1 - l) * math.sqrt(square)
-    return WaveFunction(n, blocks)
+        table[l, n - 1] = (-1) ** (n - 1 - l) * math.sqrt(square)
+    return WaveFunction(n, table)
 
 
 def overlap(a: WaveFunction, b: WaveFunction) -> complex:
     if a.n != b.n:
         raise ValueError("states live in different shells")
-    return complex(sum(np.vdot(ba, bb) for ba, bb in zip(a.blocks, b.blocks)))
+    return complex(np.vdot(a.table, b.table))
 
 
 def rotate(state: WaveFunction, angles: EulerAngles) -> WaveFunction:
-    """Apply the active rotation U(psi, theta, phi) block by block."""
-    blocks = []
-    for l in range(state.n):
+    """Apply the active rotation U(psi, theta, phi) one l-row at a time."""
+    n = state.n
+    table = np.zeros_like(state.table)
+    for l in range(n):
         d = small_d_matrices(l, [angles.theta])[0]
         m_vals = np.arange(-l, l + 1)
         dmat = (
@@ -204,8 +208,8 @@ def rotate(state: WaveFunction, angles: EulerAngles) -> WaveFunction:
             * d
             * np.exp(-1j * m_vals * angles.phi)[None, :]
         )
-        blocks.append(dmat @ state.blocks[l])
-    return WaveFunction(state.n, blocks)
+        table[l, n - 1 - l : n + l] = dmat @ state.table[l, n - 1 - l : n + l]
+    return WaveFunction(n, table)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from rydberg_frames.povm_so4 import (
 )
 from rydberg_frames.states import (
     EllipticSpec,
-    WaveFunction,
     build_elliptic,
     circular_state,
     coupling_tensor,
@@ -42,6 +41,7 @@ from rydberg_frames.states import (
 )
 
 from rotation_oracle import angle_between, neg, unit
+from shell_table import random_wavefunction
 
 STARK_PRINTED_N10 = [0.3162, 0.4954, 0.5222, 0.4534, 0.3365,
                      0.2148, 0.1167, 0.0526, 0.0186, 0.0045]
@@ -58,12 +58,6 @@ def _report(criterion, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {criterion}: {status} - {detail}")
     assert ok, f"criterion {criterion}: {detail}"
-
-
-def _random_wavefunction(n, rng):
-    blocks = [rng.normal(size=2 * l + 1) + 1j * rng.normal(size=2 * l + 1) for l in range(n)]
-    norm = math.sqrt(sum(float(np.vdot(b, b).real) for b in blocks))
-    return WaveFunction(n, [b / norm for b in blocks])
 
 
 def test_criterion_1_single_axis_table():
@@ -228,7 +222,7 @@ def test_criterion_7_property_suites():
     # per-n suites
     worst_norm = worst_lk = worst_disp = worst_overlap = worst_povm = 0.0
     for n in range(2, 21):
-        wf = _random_wavefunction(n, rng)
+        wf = random_wavefunction(n, rng)
         rotated = rotate(wf, EulerAngles(rng.uniform(0, 6.28), rng.uniform(0, 3.14), rng.uniform(0, 6.28)))
         worst_norm = max(worst_norm, abs(rotated.norm() - 1.0))
 

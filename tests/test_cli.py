@@ -207,6 +207,8 @@ def assert_usage_error(argv):
 
 def test_state_eccentricity_out_of_range_is_usage_error():
     assert_usage_error(["state", "--kind", "elliptic", "--n", "5", "--e", "1.5"])
+    # only the elliptic kind has an eccentricity
+    assert_usage_error(["state", "--kind", "circular", "--n", "101", "--e", "5"])
 
 
 def test_missing_tolerance_file_is_usage_error(tmp_path):

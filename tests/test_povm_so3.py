@@ -22,7 +22,6 @@ from rydberg_frames.povm_so3 import (
 )
 from rydberg_frames.states import (
     EllipticSpec,
-    WaveFunction,
     build_elliptic,
     circular_state,
     extreme_stark,
@@ -32,21 +31,7 @@ from rydberg_frames.states import (
 )
 from cg_oracle import clebsch_gordan
 from rotation_oracle import euler_matrix, unit
-
-
-def random_wavefunction(n, rng):
-    blocks = [rng.normal(size=2 * l + 1) + 1j * rng.normal(size=2 * l + 1) for l in range(n)]
-    norm = math.sqrt(sum(float(np.vdot(b, b).real) for b in blocks))
-    return WaveFunction(n, [b / norm for b in blocks])
-
-
-def random_m0_state(n, rng):
-    blocks = [np.zeros(2 * l + 1, dtype=complex) for l in range(n)]
-    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
-    amps /= np.linalg.norm(amps)
-    for l in range(n):
-        blocks[l][l] = amps[l]
-    return WaveFunction(n, blocks)
+from shell_table import block, random_m0_state, random_wavefunction
 
 
 def beta_nodes(rule: QuadratureRule):
@@ -103,8 +88,9 @@ def _t_stack(a, fid, rule: QuadratureRule) -> np.ndarray:
     betas, _ = beta_nodes(rule)
     t = np.zeros((rule.n_beta, 2 * L + 1, 2 * L + 1), dtype=complex)
     for l in range(a.n):
-        block = math.sqrt(2 * l + 1) * np.conj(a.blocks[l])[:, None] * fid[l][None, :]
-        t[:, L - l : L + l + 1, L - l : L + l + 1] += small_d_matrices(l, betas) * block
+        a_l, b_l = block(a.table, l), block(fid, l)
+        outer = math.sqrt(2 * l + 1) * np.conj(a_l)[:, None] * b_l[None, :]
+        t[:, L - l : L + l + 1, L - l : L + l + 1] += small_d_matrices(l, betas) * outer
     return t
 
 
@@ -136,27 +122,28 @@ class TestFiducial:
         fid = bob_fiducial(circular_state(n))
         top = np.zeros(2 * n - 1)
         top[-1] = 1.0
-        assert np.allclose(fid[n - 1], top)
+        assert np.allclose(block(fid, n - 1), top)
         # vanishing blocks are completed with the m=0 unit vector
         for l in range(n - 1):
             filler = np.zeros(2 * l + 1)
             filler[l] = 1.0
-            assert np.allclose(fid[l], filler)
+            assert np.allclose(block(fid, l), filler)
 
     def test_maximal_k_blocks(self):
         wf = extreme_stark(4)
         fid = bob_fiducial(wf)
         for l in range(4):
             expected = np.zeros(2 * l + 1, dtype=complex)
-            expected[l] = wf.blocks[l][l] / abs(wf.blocks[l][l])
-            assert np.allclose(fid[l], expected, atol=1e-13)
+            expected[l] = wf.table[l, 3] / abs(wf.table[l, 3])
+            assert np.allclose(block(fid, l), expected, atol=1e-13)
 
     def test_generic_normalization(self):
         rng = np.random.default_rng(0)
         fid = bob_fiducial(random_wavefunction(6, rng))
-        for l, b in enumerate(fid):
-            assert b.shape == (2 * l + 1,)
-            assert np.linalg.norm(b) == pytest.approx(1.0, abs=1e-12)
+        assert fid.shape == (6, 11)
+        for l in range(6):
+            assert np.linalg.norm(fid[l]) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(block(fid, l)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestHaarIntegrate:

@@ -26,12 +26,7 @@ from rydberg_frames.states import (
 )
 from cg_oracle import HalfInt, clebsch_gordan
 from rotation_oracle import angle_between, euler_matrix, matrix_to_euler, neg, unit
-
-
-def random_wavefunction(n, rng):
-    blocks = [rng.normal(size=2 * l + 1) + 1j * rng.normal(size=2 * l + 1) for l in range(n)]
-    norm = math.sqrt(sum(float(np.vdot(b, b).real) for b in blocks))
-    return WaveFunction(n, [b / norm for b in blocks])
+from shell_table import block, random_wavefunction
 
 
 def random_direction(rng):
@@ -42,7 +37,7 @@ class TestConstruction:
     def test_aligned_directions_give_circular(self):
         for n in (2, 5, 9):
             wf = build_elliptic(EllipticSpec(n, Z_AXIS, Z_AXIS))
-            assert abs(wf.blocks[n - 1][-1]) == pytest.approx(1.0, abs=1e-12)
+            assert abs(wf.table[n - 1, -1]) == pytest.approx(1.0, abs=1e-12)
             assert abs(overlap(wf, circular_state(n))) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_opposite_directions_give_maximal_k(self):
@@ -52,20 +47,20 @@ class TestConstruction:
             assert abs(overlap(wf, stark)) ** 2 == pytest.approx(1.0, abs=1e-12)
             j = (n - 1) / 2
             for l in range(n):
-                assert wf.blocks[l][l].real == pytest.approx(
+                assert wf.table[l, n - 1].real == pytest.approx(
                     clebsch_gordan(j, j, l, -j, j, 0), abs=1e-12
                 )
 
     def test_circular_state_n2(self):
         wf = circular_state(2)
-        assert wf.blocks[1][2] == 1.0
+        assert wf.table[1, 2] == 1.0
         assert wf.norm() == pytest.approx(1.0)
 
     def test_stark_n3_coefficients(self):
         wf = extreme_stark(3)
         expected = [1 / math.sqrt(3), 1 / math.sqrt(2), 1 / math.sqrt(6)]
         for l, mag in enumerate(expected):
-            assert abs(wf.blocks[l][l]) == pytest.approx(mag, abs=1e-14)
+            assert abs(wf.table[l, 2]) == pytest.approx(mag, abs=1e-14)
         lvec = lk_moments(wf)[0]
         assert abs(lvec[2]) < 1e-12  # <L_z> = 0
 
@@ -81,7 +76,7 @@ class TestConstruction:
                    0.2148, 0.1167, 0.0526, 0.0186, 0.0045]
         wf = extreme_stark(10)
         for l, ref in enumerate(printed):
-            value = abs(wf.blocks[l][l])
+            value = abs(wf.table[l, 9])
             assert math.floor(value * 1e4) / 1e4 == pytest.approx(ref, abs=1e-12)
 
     def test_build_output_normalized(self):
@@ -97,17 +92,22 @@ class TestConstruction:
         assert np.abs(singular[1:]).max() < 1e-13
 
     def test_wavefunction_validation(self):
-        with pytest.raises(ValueError):
-            WaveFunction(2, [np.array([1.0]), np.array([1.0, 0.0, 0.0])])  # norm 2
-        with pytest.raises(ValueError):
-            WaveFunction(2, [np.array([1.0, 0.0]), np.array([0.0, 0.0, 0.0])])  # bad shape
+        for table, message in (
+            ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], "norm"),  # norm 2
+            ([[1.0, 0.0], [0.0, 0.0]], "shape"),
+            ([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]], "shape"),
+            ([[0.6, 0.0, 0.8], [0.0, 0.0, 0.0]], "outside"),  # l = 0, m = -1 and +1
+            ([[0.0, np.nan, 0.0], [0.0, 0.0, 0.0]], "norm"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                WaveFunction(2, table)
 
     def test_shell_range(self):
         for n in (1, MAX_N + 1):
-            blocks = [np.zeros(2 * l + 1) for l in range(n)]
-            blocks[0][0] = 1.0
+            table = np.zeros((n, 2 * n - 1))
+            table[0, n - 1] = 1.0
             with pytest.raises(ValueError, match="MAX_N"):
-                WaveFunction(n, blocks)
+                WaveFunction(n, table)
         with pytest.raises(ValueError):
             build_elliptic(EllipticSpec(MAX_N + 1, X_AXIS, Y_AXIS))
 
@@ -244,7 +244,7 @@ class TestExpectations:
                 assert abs(lk_sym) < 1e-10
                 # independent route for <L^2> from the l-block structure
                 l2_blocks = sum(
-                    l * (l + 1) * float(np.vdot(wf.blocks[l], wf.blocks[l]).real)
+                    l * (l + 1) * float(np.vdot(block(wf.table, l), block(wf.table, l)).real)
                     for l in range(n)
                 )
                 assert l2 == pytest.approx(l2_blocks, abs=1e-10)
@@ -281,7 +281,8 @@ class TestOverlapAndRotation:
         rng = np.random.default_rng(19)
         wf = random_wavefunction(7, rng)
         rotated = rotate(wf, EulerAngles(1.3, 0.9, 5.1))
-        for before, after in zip(wf.blocks, rotated.blocks):
+        for l in range(7):
+            before, after = block(wf.table, l), block(rotated.table, l)
             assert np.linalg.norm(after) == pytest.approx(np.linalg.norm(before), abs=1e-12)
 
     def test_rotated_maximal_k_equals_built(self):
@@ -301,10 +302,7 @@ class TestOverlapAndRotation:
         combined = matrix_to_euler(euler_matrix(a1) @ euler_matrix(a2))
         two_step = rotate(rotate(wf, a2), a1)
         one_step = rotate(wf, combined)
-        diff = max(
-            np.abs(b1 - b2).max() for b1, b2 in zip(two_step.blocks, one_step.blocks)
-        )
-        assert diff < 1e-11
+        assert np.abs(two_step.table - one_step.table).max() < 1e-11
 
 
 class TestSerialization:
@@ -313,7 +311,7 @@ class TestSerialization:
         wf = random_wavefunction(5, rng)
         data = json.loads(json.dumps(wf.to_json_dict()))
         for e in data["entries"]:
-            assert complex(e["re"], e["im"]) == wf.blocks[e["l"]][e["l"] + e["m"]]
+            assert complex(e["re"], e["im"]) == wf.table[e["l"], 4 + e["m"]]
 
     def test_entries_sorted_and_complete(self):
         wf = extreme_stark(3)
@@ -328,6 +326,16 @@ class TestSerialization:
         back = from_product_amplitudes(6, to_product_amplitudes(wf))
         assert abs(overlap(wf, back)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
+    def test_product_amplitudes_leave_exact_zeros_outside_the_triangle(self):
+        # the shear sums only zero tensor entries there, so no rounding residue
+        # reaches the |m| > l entries that WaveFunction refuses
+        rng = np.random.default_rng(24)
+        for n in range(2, MAX_N + 1):
+            psi = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            table = from_product_amplitudes(n, psi / np.linalg.norm(psi)).table
+            outside = np.abs(np.arange(2 * n - 1) - (n - 1)) > np.arange(n)[:, None]
+            assert np.all(table[outside] == 0.0)
+
     @pytest.mark.parametrize("n", [2, 7, 40, MAX_N])
     def test_product_amplitudes_bit_identical_to_loop(self, n):
         # reference: one meshgrid per l, summed over l in ascending order
@@ -336,7 +344,7 @@ class TestSerialization:
         loop = np.zeros((n, n), dtype=complex)
         for l in range(n):
             pad = np.zeros(2 * n - 1, dtype=complex)
-            pad[n - 1 - l : n + l] = wf.blocks[l]
+            pad[n - 1 - l : n + l] = block(wf.table, l)
             loop += coupling_tensor(n)[l] * pad[i1 + i2]
         assert np.array_equal(to_product_amplitudes(wf), loop)
 
