@@ -203,7 +203,7 @@ def m0_overlap_matrix(n: int) -> np.ndarray:
 def cos_omega_z_m0(a0) -> float:
     """Closed-form <cos omega_z> for a normalized m=0 amplitude column."""
     x = np.abs(np.asarray(a0, dtype=complex))
-    if abs(np.linalg.norm(x) - 1.0) > 1e-8:
+    if not abs(np.linalg.norm(x) - 1.0) <= 1e-8:  # also refuses NaN
         raise ValueError("m=0 amplitudes are not normalized")
     return float(2.0 * np.sum(_m0_coupling(len(x)) * x[1:] * x[:-1]))
 

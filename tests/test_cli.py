@@ -27,13 +27,16 @@ def test_help_lists_subcommands():
     text = parser.format_help()
     for name in ("table1", "table2", "table3", "so4", "ortho", "state"):
         assert name in text
+    assert main(["--help"]) == 0
 
 
 def test_usage_error_exit_code():
-    for v1 in ("1,1,0", "nan,0,0"):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["so4", "--v1", v1])
-        assert exc.value.code == 2
+    # a value argparse cannot convert, an unknown choice and a missing
+    # subcommand take the same one-line route as a range check
+    for argv in (["so4", "--v1", "1,1,0"], ["so4", "--v1", "nan,0,0"],
+                 ["table3", "--n-list", "5,x"], ["so4", "--n", "abc"],
+                 ["table1", "--format", "xml"], []):
+        assert_usage_error(argv)
 
 
 def test_default_tolerances_load():
@@ -129,15 +132,7 @@ def test_so4_seeded_rerun_is_byte_identical(tmp_path):
 
 
 def test_ecc_grid_validation():
-    with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(["table3", "--ecc-grid", "0.5,1.5"])
-    assert exc.value.code == 2
-
-
-def test_so4_rejects_non_unit_vector():
-    with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(["so4", "--v1", "1,1,0"])
-    assert exc.value.code == 2
+    assert_usage_error(["table3", "--ecc-grid", "0.5,1.5"])
 
 
 def test_ortho_small_n_passes():
@@ -224,6 +219,10 @@ def test_malformed_tolerance_file_is_usage_error(tmp_path):
 def test_unwritable_dump_path_is_usage_error(tmp_path):
     assert_usage_error(["so4", "--samples", "1000",
                         "--dump-samples", str(tmp_path / "no_dir" / "x.csv")])
+    # the closed form alone draws no outcomes to dump
+    dump = tmp_path / "x.csv"
+    assert_usage_error(["so4", "--samples", "0", "--dump-samples", str(dump)])
+    assert not dump.exists()
 
 
 def test_unwritable_report_path_is_usage_error(tmp_path):

@@ -258,8 +258,9 @@ class TestSingleAxis:
         assert cos_omega_z_m0(amps) == 0.0
 
     def test_m0_requires_normalization(self):
-        with pytest.raises(ValueError):
-            cos_omega_z_m0(np.ones(4))
+        for bad in (np.ones(4), [math.nan, 0.0, 0.0]):
+            with pytest.raises(ValueError):
+                cos_omega_z_m0(bad)
 
     def test_maximal_k_beats_circular(self):
         for n in range(3, 13):
