@@ -6,6 +6,12 @@ eccentricity optimization, product-measurement sampling, and the
 orthogonalization error gain.
 """
 
+import os
+
+# before numpy loads: one BLAS thread unless the user says otherwise, so the
+# Monte Carlo path forks a single-threaded process and runs one level of workers
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .angmom import coherent_coeffs, small_d_matrices

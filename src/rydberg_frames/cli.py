@@ -188,8 +188,9 @@ def cmd_ortho(args, tol: dict):
     columns = ["n", "samples", "g", "g_new", "ratio", "stderr",
                "g_expected", "g_pull_sigma", "ratio_ok", "ok"]
     rows = []
-    for i, n in enumerate(args.n_list):
-        report = ortho_mod.gain_factor(n, samples, seed + i)
+    shells = [(n, samples, seed + i) for i, n in enumerate(args.n_list)]
+    for report in p4.ordered_map(lambda shell: ortho_mod.gain_factor(*shell), shells):
+        n = report.n
         g_expected = p4.so4_infidelity(n)
         g_pull = abs(report.g - g_expected) / _mean_stderr_of_g(n, samples)
         g_ok = bool(g_pull <= tol["sigma"])

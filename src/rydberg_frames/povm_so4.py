@@ -8,10 +8,12 @@ hence a per-direction mean square error of exactly 1/(n+1) for every n.
 
 All sampling is rejection-free through the inverse CDF on s = sin^2(chi/2)
 and uses numpy's counter-based 64-bit Philox generator with an explicit seed
-in every API. `direction_blocks` streams the estimates in blocks of
-`_DUMP_BLOCK_ROWS` rows, the same rows as one pass over the seed's stream, by
-Philox skip-ahead (Salmon et al., SC11, 2011); callers keep only 1-D
-per-sample values, e.g. the two error cosines of `so4` (16 B per sample).
+in every API. `so4` draws its two error cosines straight from the seed's
+stream (16 B per sample) and `direction_blocks` streams `ortho`'s estimates in
+blocks of `_DUMP_BLOCK_ROWS` rows, both by Philox skip-ahead (Salmon et al.,
+SC11, 2011), so the bits are those of one pass over the stream. `ordered_map`
+runs the dump's blocks and `ortho`'s shells on forked workers, one per usable
+CPU, and returns the results in order: no output byte depends on the CPUs.
 
 The diagnostic, that rotated maximal-K projectors alone do not resolve the
 identity, is a Haar integral of D-functions and is given in closed form
@@ -22,6 +24,7 @@ product POVM, on explicit grids as oracles.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +69,15 @@ def sample_error_cosines(n: int, count: int, rng: np.random.Generator) -> np.nda
     """cos(chi) draws from the density ~ cos^{2(n-1)}(chi/2) on the sphere.
 
     Inverse CDF on s = sin^2(chi/2): the density is n (1-s)^(n-1) ds, so
-    s = 1 - (1-U)^(1/n) with U uniform.
+    s = 1 - (1-U)^(1/n) with U uniform. Runs in place in the draw's buffer,
+    with the ufuncs and so the bits of 1.0 - 2.0 * (1.0 - (1.0 - U) ** (1.0 / n)).
     """
-    s = 1.0 - (1.0 - rng.random(count)) ** (1.0 / n)
-    return 1.0 - 2.0 * s
+    out = rng.random(count)
+    np.subtract(1.0, out, out=out)
+    out **= 1.0 / n
+    np.subtract(1.0, out, out=out)
+    out *= 2.0
+    return np.subtract(1.0, out, out=out)
 
 
 def sample_directions_about(n: int, center: UnitVector, count: int,
@@ -104,7 +112,7 @@ def sample_directions_about(n: int, center: UnitVector, count: int,
 
 def direction_blocks(n: int, v1: UnitVector, v2: UnitVector, count: int, seed: int):
     """Yield (start, est1, est2): estimates of v1 and v2 for rows start .. start
-    + len(est1) - 1, in blocks of `_DUMP_BLOCK_ROWS` rows.
+    + len(est1) - 1, in blocks of `_DUMP_BLOCK_ROWS` rows. `ortho` is its caller.
 
     The rows are those of one pass over `philox_rng(seed)`, which draws four
     segments of `count` doubles: the cosines for v1, its azimuths, then the same
@@ -118,6 +126,40 @@ def direction_blocks(n: int, v1: UnitVector, v2: UnitVector, count: int, seed: i
                sample_directions_about(n, v2, rows, cos2, azimuth2))
 
 
+_inherited = None  # the function the workers of `ordered_map` inherit by fork
+
+
+def _call_inherited(item):
+    return _inherited(item)
+
+
+def ordered_map(fn, items):
+    """Yield fn(item) for each item, in order, on min(usable CPUs, items) workers.
+
+    The workers are forked, so fn and the arrays it reads reach them by
+    inheritance; only the items and the results are pickled. Fork is safe here
+    because the package starts no thread and keeps BLAS on one. With one worker,
+    or where the platform cannot fork, this is plain `map`.
+    """
+    global _inherited
+    items = list(items)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, len(items))
+    if workers <= 1 or not hasattr(os, "fork"):
+        yield from map(fn, items)
+        return
+    # imported here, so an import of the package does not pay for them
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    _inherited = fn
+    try:
+        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+            yield from pool.map(_call_inherited, items)
+    finally:
+        _inherited = None
+
+
 @dataclass
 class OutcomeBatch:
     """Error cosines of the two transmitted directions, one pair per sample."""
@@ -127,31 +169,33 @@ class OutcomeBatch:
 
     def write_csv(self, path):
         """Columns (sample, chi1, chi2, cos_chi1, cos_chi2): CRLF rows with
-        `%.12g` cells, the bytes `csv.writer` gives for the same cells,
-        rendered and written in blocks of `_DUMP_BLOCK_ROWS` rows."""
-        count = len(self.cos_chi1)
+        `%.12g` cells, the bytes `csv.writer` gives for the same cells. Blocks
+        of `_DUMP_BLOCK_ROWS` rows are rendered by `ordered_map` and written in
+        order, so the bytes do not depend on the worker count."""
         with open(path, "wb") as handle:
             handle.write(_DUMP_HEADER)
-            for start in range(0, count, _DUMP_BLOCK_ROWS):
-                stop = min(start + _DUMP_BLOCK_ROWS, count)
-                cos_pair = (self.cos_chi1[start:stop], self.cos_chi2[start:stop])
-                columns = [np.arccos(np.clip(c, -1.0, 1.0)) for c in cos_pair] + list(cos_pair)
-                cells = [None] * (5 * (stop - start))
-                cells[0::5] = range(start, stop)
-                for k, column in enumerate(columns, start=1):
-                    cells[k::5] = column.tolist()
-                handle.write((_DUMP_ROW * (stop - start)) % tuple(cells))
+            starts = range(0, len(self.cos_chi1), _DUMP_BLOCK_ROWS)
+            for block in ordered_map(self._render_block, starts):
+                handle.write(block)
+
+    def _render_block(self, start: int) -> bytes:
+        stop = min(start + _DUMP_BLOCK_ROWS, len(self.cos_chi1))
+        cos_pair = (self.cos_chi1[start:stop], self.cos_chi2[start:stop])
+        columns = [np.arccos(np.clip(c, -1.0, 1.0)) for c in cos_pair] + list(cos_pair)
+        cells = [None] * (5 * (stop - start))
+        cells[0::5] = range(start, stop)
+        for k, column in enumerate(columns, start=1):
+            cells[k::5] = column.tolist()
+        return (_DUMP_ROW * (stop - start)) % tuple(cells)
 
 
 def sample_outcome_batch(n: int, v1: UnitVector, v2: UnitVector, count: int,
                          seed: int) -> OutcomeBatch:
-    """Sample `count` outcome pairs and keep only their error cosines."""
-    cos_chi1, cos_chi2 = np.empty(count), np.empty(count)
-    for start, est1, est2 in direction_blocks(n, v1, v2, count, seed):
-        stop = start + len(est1)
-        np.matmul(est1, v1.as_array(), out=cos_chi1[start:stop])
-        np.matmul(est2, v2.as_array(), out=cos_chi2[start:stop])
-    return OutcomeBatch(cos_chi1, cos_chi2)
+    """Sample `count` outcome pairs and keep only their error cosines, which do
+    not depend on v1 and v2. They are drawn where `direction_blocks` draws them:
+    about v1 at the start of the seed's stream, about v2 after 2 count doubles."""
+    return OutcomeBatch(sample_error_cosines(n, count, _stream_at(seed, 0)),
+                        sample_error_cosines(n, count, _stream_at(seed, 2 * count)))
 
 
 # ---------------------------------------------------------------------------

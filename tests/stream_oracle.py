@@ -2,7 +2,8 @@
 
 Draws every sample in one pass over `philox_rng(seed)`, through whole
 (count, 3) estimate arrays, and reduces them as whole arrays: the layout the
-streamed `direction_blocks` must reproduce bit for bit.
+streamed `direction_blocks` must reproduce bit for bit. `so4`'s cosines have
+their own one-pass oracle, which draws them with no azimuths or vectors.
 """
 
 import math
@@ -22,8 +23,23 @@ def sample_error_arrays(n, count, seed, v1=X_AXIS, v2=Y_AXIS):
     return est1, est2
 
 
+def one_shot_cosines(n, count, seed):
+    """cos_chi1 and cos_chi2 of `sample_outcome_batch` in one pass over the
+    stream: the v1 cosines, `count` skipped doubles (the azimuths about v1 in
+    `sample_error_arrays`), then the v2 cosines, each as one whole expression."""
+    rng = philox_rng(seed)
+
+    def draw():
+        return 1.0 - 2.0 * (1.0 - (1.0 - rng.random(count)) ** (1.0 / n))
+
+    cos_chi1 = draw()
+    rng.random(count)
+    return cos_chi1, draw()
+
+
 def outcome_cosines(n, v1, v2, count, seed):
-    """cos_chi1 and cos_chi2 of `sample_outcome_batch`, from whole arrays."""
+    """The error cosines by the vector route: the estimates of
+    `sample_error_arrays` dotted with v1 and v2."""
     est1, est2 = sample_error_arrays(n, count, seed, v1, v2)
     return est1 @ v1.as_array(), est2 @ v2.as_array()
 

@@ -157,9 +157,24 @@ B = _DUMP_BLOCK_ROWS
 @pytest.mark.parametrize("v2", [Y_AXIS, OBLIQUE], ids=["Y", "O"])
 def test_outcome_cosines_bit_identical_to_one_shot(n, count, v2):
     batch = sample_outcome_batch(n, X_AXIS, v2, count, seed=n)
-    cos_chi1, cos_chi2 = stream_oracle.outcome_cosines(n, X_AXIS, v2, count, seed=n)
+    cos_chi1, cos_chi2 = stream_oracle.one_shot_cosines(n, count, seed=n)
     assert np.array_equal(batch.cos_chi1, cos_chi1)
     assert np.array_equal(batch.cos_chi2, cos_chi2)
+
+
+@pytest.mark.parametrize("n", [2, 5, 40, MAX_N])
+@pytest.mark.parametrize("count", [2, 7, B + 1, 131075])
+@pytest.mark.parametrize("v2", [Y_AXIS, OBLIQUE], ids=["Y", "O"])
+def test_outcome_cosines_match_the_vector_route(n, count, v2):
+    # the estimates dotted with their axes give back the drawn cosines: bit for
+    # bit on the coordinate axes, within rounding about an oblique axis
+    batch = sample_outcome_batch(n, X_AXIS, v2, count, seed=n)
+    cos_chi1, cos_chi2 = stream_oracle.outcome_cosines(n, X_AXIS, v2, count, seed=n)
+    assert np.array_equal(batch.cos_chi1, cos_chi1)
+    if v2 is Y_AXIS:
+        assert np.array_equal(batch.cos_chi2, cos_chi2)
+    else:
+        assert np.max(np.abs(batch.cos_chi2 - cos_chi2)) <= 5e-16
 
 
 def test_direction_blocks_cover_the_rows_in_order():
