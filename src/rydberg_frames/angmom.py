@@ -29,8 +29,9 @@ import numpy as np
 MAX_J = 50
 MAX_N = 2 * MAX_J + 1
 
-# Largest Monte Carlo sample count per shell: `so4` keeps 16 B per sample and
-# `ortho` about 32 B, so this caps a run at a few gigabytes.
+# Largest Monte Carlo sample count per shell: `so4` peaks at 24 B per sample
+# (two cosines and one temporary of `std`) and `ortho` at 32 B (its errors
+# before and after, and `np.cov`'s centered copy): a few gigabytes at most.
 MAX_SAMPLES = 10**8
 
 # log(k!) for k = 0 .. 2*MAX_J, for the coherent-state binomials

@@ -18,6 +18,8 @@ import math
 import sys
 from importlib import resources
 
+import numpy as np
+
 from . import __version__
 from . import ortho as ortho_mod
 from . import povm_so3 as p3
@@ -170,7 +172,10 @@ def cmd_so4(args, tol: dict):
         if args.dump_samples:
             batch.write_csv(args.dump_samples)
         for axis, cos_chi in (("1", batch.cos_chi1), ("2", batch.cos_chi2)):
-            per_sample = 0.5 * (1.0 - cos_chi)
+            # the dump is written, so the errors 0.5 * (1.0 - cos_chi) take the
+            # cosines' own buffer: the same two ufuncs, so the same bits
+            per_sample = np.subtract(1.0, cos_chi, out=cos_chi)
+            per_sample *= 0.5
             mc = float(per_sample.mean())
             stderr = float(per_sample.std(ddof=1)) / math.sqrt(samples)
             pull = abs(mc - closed) / stderr

@@ -8,7 +8,9 @@ by only half the angle defect. In the large-n limit this reduces the per-axis
 mean square error by the factor 3/4.
 
 The construction here is the exact in-plane rotation, not its first-order
-expansion, so the 3/4 factor is a measured limit rather than an input.
+expansion, so the 3/4 factor is a measured limit rather than an input. The
+Monte Carlo path holds the estimates as columns of (3, rows) blocks, so each
+arithmetic step runs over one contiguous component row.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .geometry import X_AXIS, Y_AXIS
 from .povm_so3 import two_axis_eta
-from .povm_so4 import direction_blocks
+from .povm_so4 import _DUMP_BLOCK_ROWS, _stream_at, sample_directions_about
 
 
 @dataclass(frozen=True)
@@ -35,31 +37,47 @@ class GainReport:
     ratio_stderr: float
 
 
-def _orthogonalize_rows(r_x: np.ndarray, r_y: np.ndarray):
-    """Exact symmetric in-plane orthogonalization of paired unit rows.
+def _orthogonalize_rows(r_x, r_y, x_rows=slice(None), y_rows=slice(None), out=None):
+    """Exact symmetric in-plane orthogonalization of paired unit estimates,
+    the columns of the (3, rows) arrays r_x and r_y.
 
     Writes each input as cos(Omega/2) b + sin(Omega/2) q in the orthonormal
     in-plane basis (bisector b, difference direction q) and moves both to the
     45 degree positions, so outputs are exactly perpendicular and each input
-    travels |Omega - pi/2| / 2. The rows are normalized with the sum of squares
-    `np.linalg.norm` forms, and the arithmetic runs in place in three
-    (rows, 3) buffers.
+    travels |Omega - pi/2| / 2. b and q are normalized in `out` (fresh if None)
+    by (v0 v0 + v1 v1) + v2 v2, the sum `np.linalg.norm` forms over a (rows, 3)
+    row. Only components `x_rows` of new_x and `y_rows` of new_y are formed.
     """
-    b = r_x + r_y
-    q = r_x - r_y
-    work = np.empty_like(b)
+    b, q = np.empty((2,) + r_x.shape) if out is None else out
+    np.add(r_x, r_y, out=b)
+    np.subtract(r_x, r_y, out=q)
     for v in (b, q):
-        norm = np.add.reduce(np.multiply(v, v, out=work), axis=-1, keepdims=True)
+        norm = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
         np.sqrt(norm, out=norm)
         if np.any(norm < 1e-12):
             raise ValueError("cannot orthogonalize parallel or antiparallel estimates")
         v /= norm
     half = 1.0 / math.sqrt(2.0)
-    new_y = np.subtract(b, q, out=work)
-    new_y *= half
-    new_x = np.add(b, q, out=b)
-    new_x *= half
-    return new_x, new_y
+    return (b[x_rows] + q[x_rows]) * half, (b[y_rows] - q[y_rows]) * half
+
+
+def _error_pair(n: int, samples: int, seed: int) -> np.ndarray:
+    """Each sample's error (after, before) orthogonalization, by blocks in four
+    reused (3, rows) buffers freed on return. The bits are one pass over the
+    seed's stream: cosines about x, their azimuths, then the same two about y."""
+    pair = np.empty((2, samples))
+    after, before = pair
+    cos_x, azimuth_x, cos_y, azimuth_y = (_stream_at(seed, k * samples) for k in range(4))
+    buffers = np.empty((4, 3 * _DUMP_BLOCK_ROWS))
+    for start in range(0, samples, _DUMP_BLOCK_ROWS):
+        rows = min(_DUMP_BLOCK_ROWS, samples - start)
+        r_x, r_y, b, q = (buffer[: 3 * rows].reshape(3, rows) for buffer in buffers)
+        sample_directions_about(n, X_AXIS, rows, cos_x, azimuth_x, out=r_x)
+        sample_directions_about(n, Y_AXIS, rows, cos_y, azimuth_y, out=r_y)
+        before[start : start + rows] = two_axis_eta(r_x[0], r_y[1])
+        new_x, new_y = _orthogonalize_rows(r_x, r_y, 0, 1, out=(b, q))
+        after[start : start + rows] = two_axis_eta(new_x, new_y)
+    return pair
 
 
 def gain_factor(n: int, samples: int, seed: int) -> GainReport:
@@ -74,14 +92,7 @@ def gain_factor(n: int, samples: int, seed: int) -> GainReport:
         raise ValueError("gain estimation requires at least 1e5 samples")
     # after and before are kept whole: their means and covariance are pairwise
     # sums over all samples, and would change bits if split per block
-    pair = np.empty((2, samples))
-    after, before = pair
-    for start, r_x, r_y in direction_blocks(n, X_AXIS, Y_AXIS, samples, seed):
-        stop = start + len(r_x)
-        before[start:stop] = two_axis_eta(r_x[:, 0], r_y[:, 1])
-        new_x, new_y = _orthogonalize_rows(r_x, r_y)
-        after[start:stop] = two_axis_eta(new_x[:, 0], new_y[:, 1])
-
+    after, before = pair = _error_pair(n, samples, seed)
     g = float(before.mean())
     g_new = float(after.mean())
     ratio = g_new / g

@@ -9,11 +9,11 @@ hence a per-direction mean square error of exactly 1/(n+1) for every n.
 All sampling is rejection-free through the inverse CDF on s = sin^2(chi/2)
 and uses numpy's counter-based 64-bit Philox generator with an explicit seed
 in every API. `so4` draws its two error cosines straight from the seed's
-stream (16 B per sample) and `direction_blocks` streams `ortho`'s estimates in
-blocks of `_DUMP_BLOCK_ROWS` rows, both by Philox skip-ahead (Salmon et al.,
-SC11, 2011), so the bits are those of one pass over the stream. `ordered_map`
-runs the dump's blocks and `ortho`'s shells on forked workers, one per usable
-CPU, and returns the results in order: no output byte depends on the CPUs.
+stream (16 B per sample) and `ortho` draws its estimates as the columns of
+(3, rows) blocks, both by Philox skip-ahead (Salmon et al., SC11, 2011), so
+the bits are those of one pass over the stream. `ordered_map` runs the dump's
+blocks and `ortho`'s shells on forked workers, one per usable CPU, and returns
+the results in order: no output byte depends on the CPUs.
 
 The diagnostic, that rotated maximal-K projectors alone do not resolve the
 identity, is a Haar integral of D-functions and is given in closed form
@@ -26,14 +26,15 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .geometry import UnitVector, perpendicular_unit
 from .states import extreme_stark
 
-# The Monte Carlo path draws, reduces and renders this many rows at a time, so
-# no (count, 3) array and no Python floats of the whole batch exist at once.
+# The Monte Carlo path draws, reduces and renders this many samples at a time,
+# so no (3, count) array and no Python floats of the whole batch exist at once.
 _DUMP_BLOCK_ROWS = 65536
 _DUMP_HEADER = b"sample,chi1,chi2,cos_chi1,cos_chi2\r\n"
 _DUMP_ROW = b"%d,%.12g,%.12g,%.12g,%.12g\r\n"
@@ -80,50 +81,40 @@ def sample_error_cosines(n: int, count: int, rng: np.random.Generator) -> np.nda
     return np.subtract(1.0, out, out=out)
 
 
+@lru_cache(maxsize=8)
+def _frame(center: UnitVector):
+    """The orthonormal frame (c, e1, c x e1) about `center`, formed once per axis."""
+    c = center.as_array()
+    e1 = perpendicular_unit(center).as_array()
+    return c, e1, np.cross(c, e1)
+
+
 def sample_directions_about(n: int, center: UnitVector, count: int,
                             cos_rng: np.random.Generator,
-                            azimuth_rng: np.random.Generator) -> np.ndarray:
-    """Unit vectors distributed about `center` with the per-axis error density.
+                            azimuth_rng: np.random.Generator, out=None) -> np.ndarray:
+    """Unit vectors distributed about `center` with the per-axis error density,
+    one per column of a C-contiguous (3, count) array: `out`, or a fresh one.
 
     The error cosines come from `cos_rng` and the azimuths from `azimuth_rng`
-    (one generator passed twice draws the cosines first). Row i is
+    (one generator passed twice draws the cosines first). Column i is
     cos_chi c + sin_chi cos(az) e1 + sin_chi sin(az) e2, summed left to right
-    one column at a time into the (count, 3) result.
+    one component at a time, each component a contiguous row.
     """
     cos_chi = sample_error_cosines(n, count, cos_rng)
     sin_chi = np.sqrt(np.clip(1.0 - cos_chi**2, 0.0, None))
     azimuth = azimuth_rng.uniform(0.0, 2.0 * math.pi, count)
-    c = center.as_array()
-    e1 = perpendicular_unit(center).as_array()
-    e2 = np.cross(c, e1)
+    c, e1, e2 = _frame(center)
     along_e1 = np.cos(azimuth)
     along_e1 *= sin_chi
     along_e2 = np.sin(azimuth, out=azimuth)
     along_e2 *= sin_chi
-    out = np.empty((count, 3))
-    term = np.empty(count)
+    out = np.empty((3, count)) if out is None else out
+    term = sin_chi  # free once the two products above are formed
     for k in range(3):
-        column = out[:, k]
-        np.multiply(cos_chi, c[k], out=column)
-        column += np.multiply(along_e1, e1[k], out=term)
-        column += np.multiply(along_e2, e2[k], out=term)
+        np.multiply(cos_chi, c[k], out=out[k])
+        out[k] += np.multiply(along_e1, e1[k], out=term)
+        out[k] += np.multiply(along_e2, e2[k], out=term)
     return out
-
-
-def direction_blocks(n: int, v1: UnitVector, v2: UnitVector, count: int, seed: int):
-    """Yield (start, est1, est2): estimates of v1 and v2 for rows start .. start
-    + len(est1) - 1, in blocks of `_DUMP_BLOCK_ROWS` rows. `ortho` is its caller.
-
-    The rows are those of one pass over `philox_rng(seed)`, which draws four
-    segments of `count` doubles: the cosines for v1, its azimuths, then the same
-    two for v2. Each segment has its own generator positioned at its start.
-    """
-    cos1, azimuth1, cos2, azimuth2 = (_stream_at(seed, k * count) for k in range(4))
-    for start in range(0, count, _DUMP_BLOCK_ROWS):
-        rows = min(_DUMP_BLOCK_ROWS, count - start)
-        yield (start,
-               sample_directions_about(n, v1, rows, cos1, azimuth1),
-               sample_directions_about(n, v2, rows, cos2, azimuth2))
 
 
 _inherited = None  # the function the workers of `ordered_map` inherit by fork
@@ -192,8 +183,9 @@ class OutcomeBatch:
 def sample_outcome_batch(n: int, v1: UnitVector, v2: UnitVector, count: int,
                          seed: int) -> OutcomeBatch:
     """Sample `count` outcome pairs and keep only their error cosines, which do
-    not depend on v1 and v2. They are drawn where `direction_blocks` draws them:
-    about v1 at the start of the seed's stream, about v2 after 2 count doubles."""
+    not depend on v1 and v2. They are drawn where `ortho.gain_factor` draws its
+    cosines: about v1 at the start of the seed's stream, about v2 after 2 count
+    doubles."""
     return OutcomeBatch(sample_error_cosines(n, count, _stream_at(seed, 0)),
                         sample_error_cosines(n, count, _stream_at(seed, 2 * count)))
 

@@ -1,26 +1,55 @@
 """One-shot Monte Carlo: the oracle for the block-streamed sampling path.
 
-Draws every sample in one pass over `philox_rng(seed)`, through whole
-(count, 3) estimate arrays, and reduces them as whole arrays: the layout the
-streamed `direction_blocks` must reproduce bit for bit. `so4`'s cosines have
-their own one-pass oracle, which draws them with no azimuths or vectors.
+Draws every sample in one pass over `philox_rng(seed)` into whole (count, 3)
+row-layout estimate arrays, by broadcast expressions frozen here, and reduces
+them as whole arrays: the values the column-major, block-streamed kernel of
+`ortho.gain_factor` must reproduce bit for bit. `so4`'s cosines have their own
+one-pass oracle, which draws them with no azimuths or vectors.
 """
 
 import math
 
 import numpy as np
 
-from rydberg_frames.geometry import X_AXIS, Y_AXIS
-from rydberg_frames.ortho import GainReport, _orthogonalize_rows
-from rydberg_frames.povm_so4 import philox_rng, sample_directions_about
+from rydberg_frames.geometry import X_AXIS, Y_AXIS, perpendicular_unit
+from rydberg_frames.ortho import GainReport
+from rydberg_frames.povm_so4 import philox_rng
+
+
+def cosines(n, count, rng):
+    """Error cosines by the inverse CDF on s = sin^2(chi/2), as one expression."""
+    return 1.0 - 2.0 * (1.0 - (1.0 - rng.random(count)) ** (1.0 / n))
+
+
+def directions(n, center, count, rng):
+    """(count, 3) estimates about `center` as one broadcast expression: the
+    cosines, then the azimuths, from one generator."""
+    cos_chi = cosines(n, count, rng)
+    sin_chi = np.sqrt(np.clip(1.0 - cos_chi**2, 0.0, None))
+    azimuth = rng.uniform(0.0, 2.0 * math.pi, count)
+    e1 = perpendicular_unit(center).as_array()
+    e2 = np.cross(center.as_array(), e1)
+    return (
+        cos_chi[:, None] * center.as_array()[None, :]
+        + (sin_chi * np.cos(azimuth))[:, None] * e1[None, :]
+        + (sin_chi * np.sin(azimuth))[:, None] * e2[None, :]
+    )
+
+
+def orthogonalize(r_x, r_y):
+    """The orthogonalization of paired (rows, 3) estimates as array expressions."""
+    total = r_x + r_y
+    diff = r_x - r_y
+    b = total / np.linalg.norm(total, axis=-1, keepdims=True)
+    q = diff / np.linalg.norm(diff, axis=-1, keepdims=True)
+    half = 1.0 / math.sqrt(2.0)
+    return half * (b + q), half * (b - q)
 
 
 def sample_error_arrays(n, count, seed, v1=X_AXIS, v2=Y_AXIS):
     """(count, 3) estimates of v1, then of v2, from one generator."""
     rng = philox_rng(seed)
-    est1 = sample_directions_about(n, v1, count, rng, rng)
-    est2 = sample_directions_about(n, v2, count, rng, rng)
-    return est1, est2
+    return directions(n, v1, count, rng), directions(n, v2, count, rng)
 
 
 def one_shot_cosines(n, count, seed):
@@ -28,13 +57,9 @@ def one_shot_cosines(n, count, seed):
     stream: the v1 cosines, `count` skipped doubles (the azimuths about v1 in
     `sample_error_arrays`), then the v2 cosines, each as one whole expression."""
     rng = philox_rng(seed)
-
-    def draw():
-        return 1.0 - 2.0 * (1.0 - (1.0 - rng.random(count)) ** (1.0 / n))
-
-    cos_chi1 = draw()
+    cos_chi1 = cosines(n, count, rng)
     rng.random(count)
-    return cos_chi1, draw()
+    return cos_chi1, cosines(n, count, rng)
 
 
 def outcome_cosines(n, v1, v2, count, seed):
@@ -47,7 +72,7 @@ def outcome_cosines(n, v1, v2, count, seed):
 def gain_factor(n, samples, seed):
     """`ortho.gain_factor` on whole arrays."""
     r_x, r_y = sample_error_arrays(n, samples, seed)
-    new_x, new_y = _orthogonalize_rows(r_x, r_y)
+    new_x, new_y = orthogonalize(r_x, r_y)
     before = 0.25 * (1.0 - r_x[:, 0]) + 0.25 * (1.0 - r_y[:, 1])
     after = 0.25 * (1.0 - new_x[:, 0]) + 0.25 * (1.0 - new_y[:, 1])
     g = float(before.mean())

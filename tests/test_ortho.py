@@ -9,13 +9,19 @@ from rydberg_frames.povm_so4 import _DUMP_BLOCK_ROWS, philox_rng, sample_directi
 
 import stream_oracle
 from rotation_oracle import angle_between, neg, unit
-from stream_oracle import sample_error_arrays
 
 
 def orthogonalize(r_x, r_y):
-    """One estimate pair through `_orthogonalize_rows`, as (1, 3) rows."""
-    new_x, new_y = _orthogonalize_rows(r_x.as_array()[None, :], r_y.as_array()[None, :])
-    return UnitVector.from_array(new_x[0]), UnitVector.from_array(new_y[0])
+    """One estimate pair through `_orthogonalize_rows`, as (3, 1) columns."""
+    new_x, new_y = _orthogonalize_rows(r_x.as_array()[:, None], r_y.as_array()[:, None])
+    return UnitVector.from_array(new_x[:, 0]), UnitVector.from_array(new_y[:, 0])
+
+
+def sample_columns(n, count, seed):
+    """(3, count) estimates of x, then of y, from one generator."""
+    rng = philox_rng(seed)
+    return (sample_directions_about(n, X_AXIS, count, rng, rng),
+            sample_directions_about(n, Y_AXIS, count, rng, rng))
 
 
 class TestOrthogonalize:
@@ -77,56 +83,51 @@ class TestOrthogonalize:
         assert r2 < r1 / 50.0  # quadratic, not linear, in the error size
 
 
-def _orthogonalize_oracle(r_x, r_y):
-    """The orthogonalization as array expressions (reference for the in-place form)."""
-    total = r_x + r_y
-    diff = r_x - r_y
-    b = total / np.linalg.norm(total, axis=-1, keepdims=True)
-    q = diff / np.linalg.norm(diff, axis=-1, keepdims=True)
-    half = 1.0 / math.sqrt(2.0)
-    return half * (b + q), half * (b - q)
-
-
 @pytest.mark.parametrize(
     "center", [X_AXIS, Y_AXIS, Z_AXIS, unit(0.3, -0.5, 0.8)], ids="XYZO"
 )
 def test_orthogonalize_rows_bit_identical_to_expression(center):
+    # the (3, rows) outputs are the transpose of the row-layout expression, and
+    # the components picked out with given buffers are its columns
     rng = philox_rng(31)
-    r_x = sample_directions_about(10, center, 50000, rng, rng)
-    r_y = sample_directions_about(10, perpendicular_unit(center), 50000, rng, rng)
-    inputs = (r_x.copy(), r_y.copy())
-    got = _orthogonalize_rows(r_x, r_y)
-    expected = _orthogonalize_oracle(r_x, r_y)
-    assert np.array_equal(r_x, inputs[0]) and np.array_equal(r_y, inputs[1])
-    assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+    rows_x = stream_oracle.directions(10, center, 50000, rng)
+    rows_y = stream_oracle.directions(10, perpendicular_unit(center), 50000, rng)
+    expected_x, expected_y = stream_oracle.orthogonalize(rows_x, rows_y)
+    r_x, r_y = np.ascontiguousarray(rows_x.T), np.ascontiguousarray(rows_y.T)
+    new_x, new_y = _orthogonalize_rows(r_x, r_y)
+    assert np.array_equal(new_x, expected_x.T) and np.array_equal(new_y, expected_y.T)
+    out = np.empty((2, 3, 50000))
+    new_x0, new_y1 = _orthogonalize_rows(r_x, r_y, 0, 1, out=out)
+    assert np.array_equal(new_x0, expected_x[:, 0]) and np.array_equal(new_y1, expected_y[:, 1])
+    assert np.array_equal(r_x, rows_x.T) and np.array_equal(r_y, rows_y.T)
 
 
 class TestSampler:
     def test_moments_and_azimuthal_symmetry(self):
         n, count = 10, 200000
-        r_x, r_y = sample_error_arrays(n, count, seed=5)
+        r_x, r_y = sample_columns(n, count, seed=5)
         mean = (n - 1.0) / (n + 1.0)
         var = 4.0 * (2.0 / ((n + 1.0) * (n + 2.0)) - 1.0 / (n + 1.0) ** 2)
         se = math.sqrt(var / count)
-        assert abs(r_x[:, 0].mean() - mean) < 3 * se
-        assert abs(r_y[:, 1].mean() - mean) < 3 * se
+        assert abs(r_x[0].mean() - mean) < 3 * se
+        assert abs(r_y[1].mean() - mean) < 3 * se
         # azimuthal symmetry about the true axis: transverse components average to zero
-        for comp in (r_x[:, 1], r_x[:, 2], r_y[:, 0], r_y[:, 2]):
+        for comp in (r_x[1], r_x[2], r_y[0], r_y[2]):
             assert abs(comp.mean()) < 3.0 * comp.std() / math.sqrt(count)
 
     def test_per_axis_infidelity_n10(self):
         n, count = 10, 400000
-        r_x, r_y = sample_error_arrays(n, count, seed=6)
-        infid = 0.25 * (1 - r_x[:, 0]) + 0.25 * (1 - r_y[:, 1])
+        r_x, r_y = sample_columns(n, count, seed=6)
+        infid = 0.25 * (1 - r_x[0]) + 0.25 * (1 - r_y[1])
         se = infid.std() / math.sqrt(count)
         assert abs(infid.mean() - 1.0 / 11.0) < 3 * se
 
     def test_phi_part_halving(self):
         # the mean azimuth's second moment is half a single azimuth's
         n, count = 20, 300000
-        r_x, r_y = sample_error_arrays(n, count, seed=7)
-        phi1 = np.arctan2(r_x[:, 1], r_x[:, 0])
-        phi2t = np.arctan2(r_y[:, 1], r_y[:, 0]) - math.pi / 2
+        r_x, r_y = sample_columns(n, count, seed=7)
+        phi1 = np.arctan2(r_x[1], r_x[0])
+        phi2t = np.arctan2(r_y[1], r_y[0]) - math.pi / 2
         mean_sq = (0.5 * (phi1 + phi2t)) ** 2
         target = 0.5 * (phi1**2).mean()
         se = mean_sq.std() / math.sqrt(count) + (phi1**2).std() / math.sqrt(count)

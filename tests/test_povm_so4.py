@@ -8,11 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from rydberg_frames.angmom import MAX_N, coherent_coeffs, small_d_matrices
-from rydberg_frames.geometry import X_AXIS, Y_AXIS, Z_AXIS, perpendicular_unit
+from rydberg_frames.geometry import X_AXIS, Y_AXIS, Z_AXIS
 from rydberg_frames.povm_so4 import (
     _DUMP_BLOCK_ROWS,
     _DUMP_ROW,
-    direction_blocks,
     philox_rng,
     sample_directions_about,
     sample_error_cosines,
@@ -94,30 +93,22 @@ class TestSampling:
         assert float(rows[1][3]) == pytest.approx(math.cos(float(rows[1][1])), abs=1e-9)
 
 
-def _directions_oracle(n, center, count, rng):
-    """The sampler as one broadcast expression (reference for the in-place form)."""
-    cos_chi = sample_error_cosines(n, count, rng)
-    sin_chi = np.sqrt(np.clip(1.0 - cos_chi**2, 0.0, None))
-    azimuth = rng.uniform(0.0, 2.0 * math.pi, count)
-    e1 = perpendicular_unit(center).as_array()
-    e2 = np.cross(center.as_array(), e1)
-    return (
-        cos_chi[:, None] * center.as_array()[None, :]
-        + (sin_chi * np.cos(azimuth))[:, None] * e1[None, :]
-        + (sin_chi * np.sin(azimuth))[:, None] * e2[None, :]
-    )
-
-
 OBLIQUE = unit(0.3, -0.5, 0.8)
 
 
 @pytest.mark.parametrize("center", [X_AXIS, Y_AXIS, Z_AXIS, OBLIQUE], ids="XYZO")
 def test_directions_bit_identical_to_expression(center):
+    # the (3, count) columns are the transpose of the row-layout expression,
+    # whether drawn into a fresh array or into a given one
     rng = philox_rng(21)
     got = sample_directions_about(7, center, 50000, rng, rng)
-    expected = _directions_oracle(7, center, 50000, philox_rng(21))
-    assert got.flags.c_contiguous and got.shape == (50000, 3)
-    assert np.array_equal(got, expected)
+    expected = stream_oracle.directions(7, center, 50000, philox_rng(21))
+    assert got.flags.c_contiguous and got.shape == (3, 50000)
+    assert np.array_equal(got, expected.T)
+    rng = philox_rng(21)
+    out = np.full((3, 50000), np.nan)
+    assert sample_directions_about(7, center, 50000, rng, rng, out=out) is out
+    assert np.array_equal(out, expected.T)
 
 
 def _csv_writer_line(index, cells):
@@ -175,17 +166,6 @@ def test_outcome_cosines_match_the_vector_route(n, count, v2):
         assert np.array_equal(batch.cos_chi2, cos_chi2)
     else:
         assert np.max(np.abs(batch.cos_chi2 - cos_chi2)) <= 5e-16
-
-
-def test_direction_blocks_cover_the_rows_in_order():
-    count = 2 * B + 3
-    est1, est2 = stream_oracle.sample_error_arrays(7, count, 4, X_AXIS, OBLIQUE)
-    stops = []
-    for start, block1, block2 in direction_blocks(7, X_AXIS, OBLIQUE, count, 4):
-        stops.append(start + len(block1))
-        assert np.array_equal(block1, est1[start:stops[-1]])
-        assert np.array_equal(block2, est2[start:stops[-1]])
-    assert stops == [B, 2 * B, count]
 
 
 _CELLS = hst.floats(allow_nan=True, allow_infinity=True)
