@@ -168,7 +168,8 @@ def cmd_so4(args, tol: dict):
     closed = p4.so4_infidelity(n)
     rows = []
     if samples > 0:
-        batch = p4.sample_outcome_batch(n, args.v1, args.v2, samples, args.seed)
+        # count by keyword: perfbench's tracer reads it by name
+        batch = p4.sample_outcome_batch(n, count=samples, seed=args.seed)
         if args.dump_samples:
             batch.write_csv(args.dump_samples)
         for axis, cos_chi in (("1", batch.cos_chi1), ("2", batch.cos_chi2)):
@@ -312,8 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_report("so4", cmd_so4, "product-measurement infidelity, closed form and sampled")
     p.add_argument("--n", type=shell, default=10)
-    p.add_argument("--v1", type=_parse_unit_vector, default=UnitVector(1.0, 0.0, 0.0))
-    p.add_argument("--v2", type=_parse_unit_vector, default=UnitVector(0.0, 1.0, 0.0))
+    for flag, default in (("--v1", (1.0, 0.0, 0.0)), ("--v2", (0.0, 1.0, 0.0))):
+        p.add_argument(flag, type=_parse_unit_vector, default=UnitVector(*default),
+                       help="transmitted unit vector x,y,z; it only labels the report, since the "
+                       f"errors do not depend on the axes (a leading minus needs {flag}=-1,0,0)")
     # a standard error needs at least two samples; 0 gives the closed form only
     p.add_argument("--samples", type=_int_range(2, MAX_SAMPLES, zero=True), default=100000)
     p.add_argument("--seed", type=seed, default=0)

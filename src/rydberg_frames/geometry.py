@@ -69,10 +69,3 @@ X_AXIS = UnitVector(1.0, 0.0, 0.0)
 Y_AXIS = UnitVector(0.0, 1.0, 0.0)
 Z_AXIS = UnitVector(0.0, 0.0, 1.0)
 
-
-def perpendicular_unit(v: UnitVector) -> UnitVector:
-    """Deterministic unit vector orthogonal to v: v x z, or v x x near the poles."""
-    c = np.cross(v.as_array(), Z_AXIS.as_array())
-    if np.linalg.norm(c) < 1e-9:
-        c = np.cross(v.as_array(), X_AXIS.as_array())
-    return UnitVector.from_array(c / np.linalg.norm(c))

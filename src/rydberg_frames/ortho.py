@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import X_AXIS, Y_AXIS
 from .povm_so3 import two_axis_eta
-from .povm_so4 import _DUMP_BLOCK_ROWS, _stream_at, sample_directions_about
+from .povm_so4 import _DUMP_BLOCK_ROWS, _segments, sample_directions_about
 
 
 @dataclass(frozen=True)
@@ -67,13 +66,13 @@ def _error_pair(n: int, samples: int, seed: int) -> np.ndarray:
     seed's stream: cosines about x, their azimuths, then the same two about y."""
     pair = np.empty((2, samples))
     after, before = pair
-    cos_x, azimuth_x, cos_y, azimuth_y = (_stream_at(seed, k * samples) for k in range(4))
+    cos_x, azimuth_x, cos_y, azimuth_y = _segments(seed, samples)
     buffers = np.empty((4, 3 * _DUMP_BLOCK_ROWS))
     for start in range(0, samples, _DUMP_BLOCK_ROWS):
         rows = min(_DUMP_BLOCK_ROWS, samples - start)
         r_x, r_y, b, q = (buffer[: 3 * rows].reshape(3, rows) for buffer in buffers)
-        sample_directions_about(n, X_AXIS, rows, cos_x, azimuth_x, out=r_x)
-        sample_directions_about(n, Y_AXIS, rows, cos_y, azimuth_y, out=r_y)
+        sample_directions_about(n, 0, rows, cos_x, azimuth_x, r_x)
+        sample_directions_about(n, 1, rows, cos_y, azimuth_y, r_y)
         before[start : start + rows] = two_axis_eta(r_x[0], r_y[1])
         new_x, new_y = _orthogonalize_rows(r_x, r_y, 0, 1, out=(b, q))
         after[start : start + rows] = two_axis_eta(new_x, new_y)

@@ -128,12 +128,13 @@ def _x_sums(u: np.ndarray, cg: np.ndarray) -> np.ndarray:
     return x
 
 
-def _haar_moments(a: WaveFunction, fid: np.ndarray):
+def _haar_moments(a: WaveFunction):
     """Haar averages of |<A|U|B>|^2 times 1, cos(beta), R_xx + R_yy and R_xx - R_yy.
 
-    fid is the table of unit rows b_l of |B> = sum_l sqrt(2l+1) b_l. The
-    Clebsch-Gordan series D^l D^1 = sum_L <..|L..><..|L..> D^L and Schur
-    orthogonality (Edmonds, eqs. 4.3.2 and 4.6.2) give, for f = D^1_{q q'},
+    |B> = sum_l sqrt(2l+1) b_l is Bob's fiducial, with b_l the unit rows of
+    `bob_fiducial(a)`. The Clebsch-Gordan series
+    D^l D^1 = sum_L <..|L..><..|L..> D^L and Schur orthogonality (Edmonds,
+    eqs. 4.3.2 and 4.6.2) give, for f = D^1_{q q'},
 
         <|<A|U|B>|^2 f> = sum_l sum_{L = l-1, l, l+1} sqrt((2l+1)/(2L+1))
                           X^a_{lL}(q) conj(X^b_{lL}(q')),
@@ -145,10 +146,10 @@ def _haar_moments(a: WaveFunction, fid: np.ndarray):
     """
     n = a.n
     cg, weights = _cg_series(n)
-    # u[0, l + 1, m + n] = a_{lm} and u[1] the same for fid, bordered by zeros
+    # u[0, l + 1, m + n] = a_{lm} and u[1] the same for b, bordered by zeros
     u = np.zeros((2, n + 2, 2 * n + 1), dtype=complex)
     u[0, 1:-1, 1:-1] = a.table
-    u[1, 1:-1, 1:-1] = fid
+    u[1, 1:-1, 1:-1] = bob_fiducial(a)
     ua, ub = u
     xa, xb = _x_sums(ua, cg), _x_sums(ub, cg)
 
@@ -161,7 +162,7 @@ def _haar_moments(a: WaveFunction, fid: np.ndarray):
 
 def cos_omega_z(a: WaveFunction) -> float:
     """Mean error cosine <cos omega_z> for transmitting the z axis with state a."""
-    _, mom_z, _, _ = _haar_moments(a, bob_fiducial(a))
+    _, mom_z, _, _ = _haar_moments(a)
     return mom_z
 
 
@@ -172,13 +173,13 @@ def cos_omega_xy(a: WaveFunction):
     over the error distribution, formed from the moments of their sum and
     their difference.
     """
-    _, _, sum_xy, diff_xy = _haar_moments(a, bob_fiducial(a))
+    _, _, sum_xy, diff_xy = _haar_moments(a)
     return 0.5 * (sum_xy + diff_xy), 0.5 * (sum_xy - diff_xy)
 
 
 def povm_completeness_deviation(a: WaveFunction) -> float:
     """|integral of |<A|U|B>|^2 dU - 1|; zero when the POVM resolves the identity."""
-    total, _, _, _ = _haar_moments(a, bob_fiducial(a))
+    total, _, _, _ = _haar_moments(a)
     return abs(total - 1.0)
 
 

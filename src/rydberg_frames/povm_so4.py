@@ -6,14 +6,16 @@ solid-angle error density (2j+1)/(4 pi) cos^{2(n-1)}(chi/2) about the true
 direction. That density integrates to one and has <cos chi> = (n-1)/(n+1),
 hence a per-direction mean square error of exactly 1/(n+1) for every n.
 
+The density is the same about every axis, so no result depends on which
+axes are sent: `so4` draws only the two error cosines (16 B per sample) and
+`ortho` draws its estimates about x and y, as the columns of (3, rows) blocks.
 All sampling is rejection-free through the inverse CDF on s = sin^2(chi/2)
 and uses numpy's counter-based 64-bit Philox generator with an explicit seed
-in every API. `so4` draws its two error cosines straight from the seed's
-stream (16 B per sample) and `ortho` draws its estimates as the columns of
-(3, rows) blocks, both by Philox skip-ahead (Salmon et al., SC11, 2011), so
-the bits are those of one pass over the stream. `ordered_map` runs the dump's
-blocks and `ortho`'s shells on forked workers, one per usable CPU, and returns
-the results in order: no output byte depends on the CPUs.
+in every API. `_segments` splits the seed's stream into its four segments by
+Philox skip-ahead (Salmon et al., SC11, 2011), so the bits are those of one
+pass over the stream. `ordered_map` runs the dump's blocks and `ortho`'s
+shells on forked workers, one per usable CPU, and returns the results in
+order: no output byte depends on the CPUs.
 
 The diagnostic, that rotated maximal-K projectors alone do not resolve the
 identity, is a Haar integral of D-functions and is given in closed form
@@ -26,11 +28,9 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .geometry import UnitVector, perpendicular_unit
 from .states import extreme_stark
 
 # The Monte Carlo path draws, reduces and renders this many samples at a time,
@@ -42,21 +42,23 @@ _DUMP_ROW = b"%d,%.12g,%.12g,%.12g,%.12g\r\n"
 
 def philox_rng(seed: int) -> np.random.Generator:
     """Counter-based 64-bit generator. A command draws all its samples from the
-    one stream of its seed; `_stream_at` positions a generator anywhere in that
-    stream by `advance`, so blocks are drawn without the doubles before them."""
+    one stream of its seed; `_segments` positions generators in that stream by
+    `advance`, so blocks are drawn without the doubles before them."""
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _stream_at(seed: int, offset: int) -> np.random.Generator:
-    """`philox_rng(seed)` after `offset` doubles have been drawn from it.
-
-    Each Philox counter step yields four doubles, so advance by the whole steps
-    and discard the remainder.
-    """
-    rng = philox_rng(seed)
-    rng.bit_generator.advance(offset // 4)
-    rng.random(offset % 4)
-    return rng
+def _segments(seed: int, count: int) -> list:
+    """The seed's stream as four segments of `count` doubles, one positioned
+    generator each: the cosines about the first axis, their azimuths, then the
+    same two about the second. Each Philox counter step yields four doubles,
+    so a generator advances by the whole steps and discards the remainder."""
+    segments = []
+    for offset in (0, count, 2 * count, 3 * count):
+        rng = philox_rng(seed)
+        rng.bit_generator.advance(offset // 4)
+        rng.random(offset % 4)
+        segments.append(rng)
+    return segments
 
 
 def so4_infidelity(n: int) -> float:
@@ -81,39 +83,26 @@ def sample_error_cosines(n: int, count: int, rng: np.random.Generator) -> np.nda
     return np.subtract(1.0, out, out=out)
 
 
-@lru_cache(maxsize=8)
-def _frame(center: UnitVector):
-    """The orthonormal frame (c, e1, c x e1) about `center`, formed once per axis."""
-    c = center.as_array()
-    e1 = perpendicular_unit(center).as_array()
-    return c, e1, np.cross(c, e1)
-
-
-def sample_directions_about(n: int, center: UnitVector, count: int,
+def sample_directions_about(n: int, axis: int, count: int,
                             cos_rng: np.random.Generator,
-                            azimuth_rng: np.random.Generator, out=None) -> np.ndarray:
-    """Unit vectors distributed about `center` with the per-axis error density,
-    one per column of a C-contiguous (3, count) array: `out`, or a fresh one.
+                            azimuth_rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Estimates of coordinate axis `axis` (0 = x, 1 = y) with the per-axis
+    error density, drawn into the columns of the C-contiguous (3, count) `out`.
 
     The error cosines come from `cos_rng` and the azimuths from `azimuth_rng`
-    (one generator passed twice draws the cosines first). Column i is
-    cos_chi c + sin_chi cos(az) e1 + sin_chi sin(az) e2, summed left to right
-    one component at a time, each component a contiguous row.
+    (one generator passed twice draws the cosines first). In the frame
+    (axis, e1 = axis x z, axis x e1) the rows are (cos chi, -sin chi cos az,
+    -sin chi sin az) about x and (sin chi cos az, cos chi, -sin chi sin az)
+    about y, each a contiguous row.
     """
-    cos_chi = sample_error_cosines(n, count, cos_rng)
-    sin_chi = np.sqrt(np.clip(1.0 - cos_chi**2, 0.0, None))
+    out[axis] = sample_error_cosines(n, count, cos_rng)
+    sin_chi = np.sqrt(np.clip(1.0 - out[axis] ** 2, 0.0, None))
     azimuth = azimuth_rng.uniform(0.0, 2.0 * math.pi, count)
-    c, e1, e2 = _frame(center)
-    along_e1 = np.cos(azimuth)
-    along_e1 *= sin_chi
-    along_e2 = np.sin(azimuth, out=azimuth)
-    along_e2 *= sin_chi
-    out = np.empty((3, count)) if out is None else out
-    term = sin_chi  # free once the two products above are formed
-    for k in range(3):
-        np.multiply(cos_chi, c[k], out=out[k])
-        out[k] += np.multiply(along_e1, e1[k], out=term)
-        out[k] += np.multiply(along_e2, e2[k], out=term)
+    np.cos(azimuth, out=out[1 - axis])
+    out[1 - axis] *= sin_chi
+    np.multiply(np.sin(azimuth, out=azimuth), sin_chi, out=out[2])
+    # e1 is -y about x and +x about y; axis x e1 is -z about both
+    np.negative(out[axis + 1 :], out=out[axis + 1 :])
     return out
 
 
@@ -180,14 +169,13 @@ class OutcomeBatch:
         return (_DUMP_ROW * (stop - start)) % tuple(cells)
 
 
-def sample_outcome_batch(n: int, v1: UnitVector, v2: UnitVector, count: int,
-                         seed: int) -> OutcomeBatch:
+def sample_outcome_batch(n: int, count: int, seed: int) -> OutcomeBatch:
     """Sample `count` outcome pairs and keep only their error cosines, which do
-    not depend on v1 and v2. They are drawn where `ortho.gain_factor` draws its
-    cosines: about v1 at the start of the seed's stream, about v2 after 2 count
-    doubles."""
-    return OutcomeBatch(sample_error_cosines(n, count, _stream_at(seed, 0)),
-                        sample_error_cosines(n, count, _stream_at(seed, 2 * count)))
+    not depend on the transmitted axes. They are drawn where `ortho.gain_factor`
+    draws its cosines: segments 0 and 2 of `_segments(seed, count)`."""
+    cos_1, _, cos_2, _ = _segments(seed, count)
+    return OutcomeBatch(sample_error_cosines(n, count, cos_1),
+                        sample_error_cosines(n, count, cos_2))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from rydberg_frames.geometry import X_AXIS, Y_AXIS, perpendicular_unit
+from rydberg_frames.geometry import X_AXIS, Y_AXIS
 from rydberg_frames.ortho import GainReport
 from rydberg_frames.povm_so4 import philox_rng
 
@@ -21,16 +21,26 @@ def cosines(n, count, rng):
     return 1.0 - 2.0 * (1.0 - (1.0 - rng.random(count)) ** (1.0 / n))
 
 
+def frame(center):
+    """The orthonormal frame (c, e1, c x e1) about `center`, with e1 = c x z,
+    or c x x near the poles, normalized."""
+    c = center.as_array()
+    e1 = np.cross(c, [0.0, 0.0, 1.0])
+    if np.linalg.norm(e1) < 1e-9:
+        e1 = np.cross(c, [1.0, 0.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    return c, e1, np.cross(c, e1)
+
+
 def directions(n, center, count, rng):
     """(count, 3) estimates about `center` as one broadcast expression: the
     cosines, then the azimuths, from one generator."""
     cos_chi = cosines(n, count, rng)
     sin_chi = np.sqrt(np.clip(1.0 - cos_chi**2, 0.0, None))
     azimuth = rng.uniform(0.0, 2.0 * math.pi, count)
-    e1 = perpendicular_unit(center).as_array()
-    e2 = np.cross(center.as_array(), e1)
+    c, e1, e2 = frame(center)
     return (
-        cos_chi[:, None] * center.as_array()[None, :]
+        cos_chi[:, None] * c[None, :]
         + (sin_chi * np.cos(azimuth))[:, None] * e1[None, :]
         + (sin_chi * np.sin(azimuth))[:, None] * e2[None, :]
     )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rydberg_frames.geometry import EulerAngles, UnitVector, X_AXIS, Y_AXIS, Z_AXIS, perpendicular_unit
+from rydberg_frames.geometry import EulerAngles, UnitVector
 
 from rotation_oracle import unit
 
@@ -33,9 +33,3 @@ def test_euler_angles_canonicalization():
     assert 0.0 <= a.phi < 2 * math.pi
     with pytest.raises(ValueError):
         EulerAngles(0.0, -1.0, 0.0)
-
-
-def test_perpendicular_unit():
-    for v in (X_AXIS, Y_AXIS, Z_AXIS, unit(1, 2, 3)):
-        p = perpendicular_unit(v)
-        assert abs(p.as_array() @ v.as_array()) < 1e-12

@@ -8,7 +8,6 @@ sample for each direction pair and fail these bounds.
 import tracemalloc
 
 from rydberg_frames.cli import main
-from rydberg_frames.geometry import X_AXIS, Y_AXIS
 from rydberg_frames.ortho import gain_factor
 from rydberg_frames.povm_so4 import sample_outcome_batch
 
@@ -28,7 +27,7 @@ def traced_peak(fn, *args):
 
 
 def test_outcome_batch_keeps_16_bytes_per_sample():
-    peak, batch = traced_peak(sample_outcome_batch, 10, X_AXIS, Y_AXIS, COUNT, 1)
+    peak, batch = traced_peak(sample_outcome_batch, 10, COUNT, 1)
     assert batch.cos_chi1.size == COUNT
     assert peak <= 16 * COUNT + SLACK
 

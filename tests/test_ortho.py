@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rydberg_frames.geometry import UnitVector, X_AXIS, Y_AXIS, Z_AXIS, perpendicular_unit
+from rydberg_frames.geometry import UnitVector, X_AXIS, Y_AXIS, Z_AXIS
 from rydberg_frames.ortho import _orthogonalize_rows, gain_factor
 from rydberg_frames.povm_so4 import _DUMP_BLOCK_ROWS, philox_rng, sample_directions_about
 
@@ -20,8 +20,10 @@ def orthogonalize(r_x, r_y):
 def sample_columns(n, count, seed):
     """(3, count) estimates of x, then of y, from one generator."""
     rng = philox_rng(seed)
-    return (sample_directions_about(n, X_AXIS, count, rng, rng),
-            sample_directions_about(n, Y_AXIS, count, rng, rng))
+    out = np.empty((2, 3, count))
+    for axis in (0, 1):
+        sample_directions_about(n, axis, count, rng, rng, out[axis])
+    return out
 
 
 class TestOrthogonalize:
@@ -91,7 +93,8 @@ def test_orthogonalize_rows_bit_identical_to_expression(center):
     # the components picked out with given buffers are its columns
     rng = philox_rng(31)
     rows_x = stream_oracle.directions(10, center, 50000, rng)
-    rows_y = stream_oracle.directions(10, perpendicular_unit(center), 50000, rng)
+    e1 = UnitVector.from_array(stream_oracle.frame(center)[1])
+    rows_y = stream_oracle.directions(10, e1, 50000, rng)
     expected_x, expected_y = stream_oracle.orthogonalize(rows_x, rows_y)
     r_x, r_y = np.ascontiguousarray(rows_x.T), np.ascontiguousarray(rows_y.T)
     new_x, new_y = _orthogonalize_rows(r_x, r_y)

@@ -200,7 +200,7 @@ class TestClosedFormMoments:
         ]
         rule = QuadratureRule.for_shell(n)
         for a in states:
-            closed = _haar_moments(a, bob_fiducial(a))
+            closed = _haar_moments(a)
             grid = self.grid_moments(a, rule)
             assert np.abs(np.subtract(closed, grid)).max() <= 1e-14
 
@@ -211,7 +211,7 @@ class TestClosedFormMoments:
         rule = QuadratureRule.for_shell(n)
         for a in (alice_two_axis_state(n, 0.3), alice_two_axis_state(n, 0.7),
                   build_elliptic(EllipticSpec(n, *directions))):
-            closed = _haar_moments(a, bob_fiducial(a))
+            closed = _haar_moments(a)
             assert np.abs(np.subtract(closed, beta_grid_moments(a, rule))).max() <= 1e-12
 
 

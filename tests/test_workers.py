@@ -12,10 +12,7 @@ import pytest
 
 from rydberg_frames import povm_so4
 from rydberg_frames.cli import main
-from rydberg_frames.geometry import X_AXIS
 from rydberg_frames.povm_so4 import _DUMP_BLOCK_ROWS, ordered_map, sample_outcome_batch
-
-from rotation_oracle import unit
 
 REAL_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
@@ -44,7 +41,7 @@ needs_two_cpus = pytest.mark.skipif(REAL_CPUS < 2, reason="forks two workers")
 
 @needs_two_cpus
 def test_dump_bytes_do_not_depend_on_cpus(tmp_path, monkeypatch, executors):
-    batch = sample_outcome_batch(6, X_AXIS, unit(0.3, -0.5, 0.8), 2 * _DUMP_BLOCK_ROWS + 3, seed=17)
+    batch = sample_outcome_batch(6, 2 * _DUMP_BLOCK_ROWS + 3, seed=17)
     dumps = []
     for cpus in (1, 2):
         set_cpus(monkeypatch, cpus)
