@@ -34,7 +34,6 @@ from .povm_so4 import (
     so4_infidelity,
 )
 from .states import (
-    EllipticSpec,
     WaveFunction,
     build_elliptic,
     circular_state,

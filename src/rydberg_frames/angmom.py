@@ -9,12 +9,11 @@ exp(-i J_y theta) exp(-i J_z phi) come from one kernel, the
 eigendecomposition of that J_y (`small_d_matrices`). The coherent-state
 coefficients use a log-factorial table built once at import time.
 
-Half-odd spins are passed as floats and converted to twice their value, an
-integer, so no floating point equality on values like 9/2 is ever relied
-on; values that are not half-integers are refused. No Clebsch-Gordan
-coefficient is evaluated term by term here: the exact Racah sum is a test
-oracle (`tests/cg_oracle.py`). All functions here are pure and safe to call
-concurrently.
+Every kernel names its spin j by the dimension n = 2j + 1 of the
+representation, an integer, so half-odd spins need no special form. No
+Clebsch-Gordan coefficient is evaluated term by term here: the exact Racah
+sum is a test oracle (`tests/cg_oracle.py`). All functions here are pure and
+safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -38,13 +37,6 @@ MAX_SAMPLES = 10**8
 _LOG_FACT = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 2 * MAX_J + 1)))))
 
 
-def _twice(value) -> int:
-    doubled = round(2 * float(value))
-    if abs(2 * float(value) - doubled) > 1e-9:
-        raise ValueError(f"not a half-integer: {value!r}")
-    return doubled
-
-
 def ladder_factors(n: int) -> np.ndarray:
     """<m+1| J+ |m> = sqrt((j-m)(j+m+1)) of spin j = (n-1)/2, m = -j .. j-1."""
     j = (n - 1) / 2.0
@@ -59,8 +51,8 @@ def spin_matrices(n: int):
     return (jplus + jplus.T) / 2.0, (jplus - jplus.T) / 2j, jz
 
 
-def coherent_coeffs(j, theta: float, phi: float) -> np.ndarray:
-    """Coefficients of the spin-j coherent state along (theta, phi).
+def coherent_coeffs(n: int, theta: float, phi: float) -> np.ndarray:
+    """Coefficients of the spin-j = (n-1)/2 coherent state along (theta, phi).
 
     Returns the complex vector D^j_m(theta, phi) indexed by m = -j .. j
     ascending, i.e. the expansion of exp(-i J_z phi) exp(-i J_y theta) |j j>
@@ -68,10 +60,10 @@ def coherent_coeffs(j, theta: float, phi: float) -> np.ndarray:
 
         D^j_m = binom(2j, j+m)^(1/2) cos(theta/2)^(j+m) sin(theta/2)^(j-m) e^(-i m phi)
     """
-    tj = _twice(j)
-    if not 0 <= tj <= 2 * MAX_J:
-        raise ValueError(f"spin {tj / 2} outside [0, MAX_J = {MAX_J}]")
-    idx = np.arange(tj + 1)  # j + m
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"dimension {n} outside [1, MAX_N = {MAX_N}]")
+    tj = n - 1
+    idx = np.arange(n)  # j + m
     log_binom = 0.5 * (_LOG_FACT[tj] - _LOG_FACT[idx] - _LOG_FACT[tj - idx])
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
@@ -81,25 +73,24 @@ def coherent_coeffs(j, theta: float, phi: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _jy_eig(tl: int):
-    eigvals, eigvecs = np.linalg.eigh(spin_matrices(tl + 1)[1])
+def _jy_eig(n: int):
+    eigvals, eigvecs = np.linalg.eigh(spin_matrices(n)[1])
     eigvals.setflags(write=False)
     eigvecs.setflags(write=False)
     return eigvals, eigvecs
 
 
-def small_d_matrices(l, betas) -> np.ndarray:
-    """Stack of full d^l(beta) matrices, shape (len(betas), 2l+1, 2l+1).
+def small_d_matrices(n: int, betas) -> np.ndarray:
+    """Stack of full d^j(beta) matrices of spin j = (n-1)/2, shape (len(betas), n, n).
 
     Computed as exp(-i beta J_y) = V exp(-i beta Lambda) V^H through the
     eigendecomposition of J_y, one batched matrix product for all betas; it
-    stays accurate at every l and is much faster than the term-by-term sum
-    when whole matrices are needed on quadrature grids. Rows index mp,
-    columns m, both ascending from -l. The result is a C-contiguous float64
-    array that owns its data (the imaginary part vanishes), so caching it
-    does not keep the complex product alive.
+    stays accurate at every j, where the term-by-term sum loses all digits
+    by j = 60. Rows index mp, columns m, both ascending from -j. The result
+    is a C-contiguous float64 array that owns its data (the imaginary part
+    vanishes), so holding it does not keep the complex product alive.
     """
-    eigvals, eigvecs = _jy_eig(_twice(l))
+    eigvals, eigvecs = _jy_eig(n)
     phases = np.exp(-1j * np.outer(np.asarray(betas, dtype=float), eigvals))
     stack = (eigvecs * phases[:, None, :]) @ eigvecs.conj().T
     return np.ascontiguousarray(stack.real)

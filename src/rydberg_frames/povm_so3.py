@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .states import EllipticSpec, WaveFunction, build_elliptic
+from .states import WaveFunction, build_elliptic
 from .geometry import UnitVector
 
 _ZERO_BLOCK = 1e-12
@@ -238,7 +238,7 @@ def alice_two_axis_state(n: int, e: float) -> WaveFunction:
     zeta = math.asin(e)
     u1 = UnitVector.from_spherical(math.pi / 2.0, math.pi / 2.0 + zeta)
     u2 = UnitVector.from_spherical(math.pi / 2.0, math.pi / 2.0 - zeta)
-    return build_elliptic(EllipticSpec(n, u1, u2))
+    return build_elliptic(n, u1, u2)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

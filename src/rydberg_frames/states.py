@@ -8,7 +8,9 @@ one amplitude table psi[j+m1, j+m2]; the first spin acts on its rows and the
 second on its columns, so L_i psi = J_i psi + psi J_i^T and
 K_i psi = psi J_i^T - J_i psi with the three spin-j matrices J_i. Every K
 matrix element is evaluated that way, never through position-space
-integrals.
+integrals. A spatial rotation applies the same spin-j D-matrix to both
+spins, psi -> D psi D^T, and an elliptic state is the product of two spin-j
+coherent states, psi = c1 (x) c2.
 """
 
 from __future__ import annotations
@@ -65,15 +67,6 @@ class WaveFunction:
                 c = self.table[l, self.n - 1 + m]
                 entries.append({"l": l, "m": m, "re": float(c.real), "im": float(c.imag)})
         return {"n": self.n, "entries": entries}
-
-
-@dataclass(frozen=True)
-class EllipticSpec:
-    """Shell number and the two classical directions defining a coherent state."""
-
-    n: int
-    u1: UnitVector
-    u2: UnitVector
 
 
 # n^3 doubles per shell, 8 MB at n = MAX_N; commands walk their shells one at a time
@@ -148,21 +141,20 @@ def to_product_amplitudes(state: WaveFunction) -> np.ndarray:
     return (coupling_tensor(n) * state.table[:, total]).sum(axis=0)
 
 
-def product_amplitudes(spec: EllipticSpec) -> np.ndarray:
+def product_amplitudes(n: int, u1: UnitVector, u2: UnitVector) -> np.ndarray:
     """Two-spin amplitude table c1 (x) c2 of the coherent state for (u1, u2)."""
-    j = (spec.n - 1) / 2
-    c1 = coherent_coeffs(j, *spec.u1.spherical())
-    c2 = coherent_coeffs(j, *spec.u2.spherical())
+    c1 = coherent_coeffs(n, *u1.spherical())
+    c2 = coherent_coeffs(n, *u2.spherical())
     return np.outer(c1, c2)
 
 
-def build_elliptic(spec: EllipticSpec) -> WaveFunction:
+def build_elliptic(n: int, u1: UnitVector, u2: UnitVector) -> WaveFunction:
     """Shell coherent state for directions (u1, u2), expanded over |l m>.
 
     Coefficients are a_{lm} = sum over m1+m2=m of
     D^j_{m1}(theta1, phi1) D^j_{m2}(theta2, phi2) C^{jj l}_{m1 m2 m}.
     """
-    return from_product_amplitudes(spec.n, product_amplitudes(spec))
+    return from_product_amplitudes(n, product_amplitudes(n, u1, u2))
 
 
 def circular_state(n: int) -> WaveFunction:
@@ -197,19 +189,13 @@ def overlap(a: WaveFunction, b: WaveFunction) -> complex:
 
 
 def rotate(state: WaveFunction, angles: EulerAngles) -> WaveFunction:
-    """Apply the active rotation U(psi, theta, phi) one l-row at a time."""
+    """Apply the active rotation U(psi, theta, phi) as D psi D^T on the two-spin table."""
     n = state.n
-    table = np.zeros_like(state.table)
-    for l in range(n):
-        d = small_d_matrices(l, [angles.theta])[0]
-        m_vals = np.arange(-l, l + 1)
-        dmat = (
-            np.exp(-1j * m_vals * angles.psi)[:, None]
-            * d
-            * np.exp(-1j * m_vals * angles.phi)[None, :]
-        )
-        table[l, n - 1 - l : n + l] = dmat @ state.table[l, n - 1 - l : n + l]
-    return WaveFunction(n, table)
+    m = np.arange(n) - (n - 1) / 2.0
+    big_d = (np.exp(-1j * m * angles.psi)[:, None]
+             * small_d_matrices(n, [angles.theta])[0]
+             * np.exp(-1j * m * angles.phi)[None, :])
+    return from_product_amplitudes(n, big_d @ to_product_amplitudes(state) @ big_d.T)
 
 
 # ---------------------------------------------------------------------------

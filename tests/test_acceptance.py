@@ -29,7 +29,6 @@ from rydberg_frames.povm_so4 import (
     stark_block_constants,
 )
 from rydberg_frames.states import (
-    EllipticSpec,
     build_elliptic,
     circular_state,
     coupling_tensor,
@@ -206,11 +205,10 @@ def test_criterion_7_property_suites():
     # d-matrix unitarity and composition, tolerance 1e-11
     worst = 0.0
     for twice_l in range(1, 31):
-        l = twice_l / 2.0
         b1, b2 = rng.uniform(0.1, 3.0, 2)
-        d1 = small_d_matrices(l, [b1])[0]
-        d2 = small_d_matrices(l, [b2])[0]
-        d12 = small_d_matrices(l, [b1 + b2])[0]
+        d1 = small_d_matrices(twice_l + 1, [b1])[0]
+        d2 = small_d_matrices(twice_l + 1, [b2])[0]
+        d12 = small_d_matrices(twice_l + 1, [b1 + b2])[0]
         worst = max(
             worst,
             float(np.abs(d1 @ d1.T - np.eye(twice_l + 1)).max()),
@@ -231,11 +229,11 @@ def test_criterion_7_property_suites():
 
         u1 = unit(*rng.normal(size=3))
         u2 = unit(*rng.normal(size=3))
-        coherent = build_elliptic(EllipticSpec(n, u1, u2))
+        coherent = build_elliptic(n, u1, u2)
         worst_disp = max(worst_disp, abs(dispersion_sum(coherent) - 2.0 * (n - 1)))
 
-        s1 = build_elliptic(EllipticSpec(n, neg(u1), u1))
-        s2 = build_elliptic(EllipticSpec(n, neg(u2), u2))
+        s1 = build_elliptic(n, neg(u1), u1)
+        s2 = build_elliptic(n, neg(u2), u2)
         law = math.cos(angle_between(u1, u2) / 2.0) ** (4 * (n - 1))
         worst_overlap = max(worst_overlap, abs(abs(overlap(s1, s2)) ** 2 - law))
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from rydberg_frames.angmom import MAX_J, coherent_coeffs, small_d_matrices, spin_matrices
+from rydberg_frames.angmom import MAX_J, MAX_N, coherent_coeffs, small_d_matrices, spin_matrices
 
 from cg_oracle import HalfInt, clebsch_gordan
 
@@ -125,34 +125,28 @@ def _small_d_sum(l, mp, m, beta):
 
 class TestSmallD:
     def test_stretched_element(self):
-        for j in (0.5, 1, 2.5, 7):
+        for n in (2, 3, 6, 15):  # j = 1/2, 1, 5/2, 7
             for beta in (0.0, 0.4, 1.7, 3.0):
-                assert small_d_matrices(j, [beta])[0, -1, -1] == pytest.approx(
-                    math.cos(beta / 2) ** int(4 * j / 2), abs=1e-13
+                assert small_d_matrices(n, [beta])[0, -1, -1] == pytest.approx(
+                    math.cos(beta / 2) ** (n - 1), abs=1e-13
                 )
 
     def test_legendre_oracle(self):
         betas = np.linspace(0.05, 3.1, 11)
         for l in (0, 1, 2, 5, 9):
             expected = _legendre(l, np.cos(betas))
-            got = small_d_matrices(l, betas)[:, l, l]
+            got = small_d_matrices(2 * l + 1, betas)[:, l, l]
             assert np.abs(got - expected).max() < 1e-12
 
-    def test_refuses_l_that_is_not_a_half_integer(self):
-        with pytest.raises(ValueError, match="half-integer"):
-            small_d_matrices(0.3, [0.4])
-
     def test_identity_rotation(self):
-        for l in (1, 3.5):
-            assert np.diag(small_d_matrices(l, [0.0])[0]) == pytest.approx(1.0)
+        for n in (3, 8):  # l = 1, 7/2
+            assert np.diag(small_d_matrices(n, [0.0])[0]) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("l", [1, 3.5, 8, 15])
     def test_unitarity_and_composition(self, l):
         rng = np.random.default_rng(int(2 * l))
         b1, b2 = rng.uniform(0.1, 3.0, 2)
-        d1 = small_d_matrices(l, [b1])[0]
-        d2 = small_d_matrices(l, [b2])[0]
-        d12 = small_d_matrices(l, [b1 + b2])[0]
+        d1, d2, d12 = small_d_matrices(int(2 * l) + 1, [b1, b2, b1 + b2])
         assert np.abs(d1 @ d1.T - np.eye(d1.shape[0])).max() < 1e-11
         assert np.abs(d1 @ d2 - d12).max() < 1e-11
 
@@ -160,8 +154,8 @@ class TestSmallD:
     def test_stack_matches_scalar_sum(self, l):
         # eigendecomposition route against the independent term-by-term sum
         betas = np.array([0.0, 0.37, 1.29, 2.6, math.pi])
-        stack = small_d_matrices(l, betas)
         tl = int(2 * l)
+        stack = small_d_matrices(tl + 1, betas)
         for bi, beta in enumerate(betas):
             for imp in range(tl + 1):
                 for im in range(tl + 1):
@@ -172,14 +166,14 @@ class TestSmallD:
 
     def test_scalar_element_bounded_at_l60(self):
         # the old term-by-term sum returned -1.376 for d^60_00(1)
-        d = small_d_matrices(60, [1.0])[0]
+        d = small_d_matrices(121, [1.0])[0]
         assert np.abs(d).max() <= 1.0
         assert d[60, 60] == pytest.approx(
             _legendre(60, np.array([math.cos(1.0)]))[0], abs=1e-13
         )
 
     def test_stack_owns_contiguous_real_data_at_l39(self):
-        stack = small_d_matrices(39, np.linspace(0.1, 3.0, 7))
+        stack = small_d_matrices(79, np.linspace(0.1, 3.0, 7))
         assert stack.dtype == np.float64
         assert stack.flags.c_contiguous and stack.flags.owndata
         eye = np.eye(79)
@@ -191,7 +185,7 @@ class TestSmallD:
 @given(hst.integers(0, 2 * MAX_J), hst.floats(0.0, math.pi), hst.floats(0.0, math.pi))
 @example(2 * MAX_J, 1.0, 2.5)
 def test_small_d_up_to_max_j(twice_l, b1, b2):
-    d1, d2, d12 = small_d_matrices(twice_l / 2, [b1, b2, b1 + b2])
+    d1, d2, d12 = small_d_matrices(twice_l + 1, [b1, b2, b1 + b2])
     assert np.abs(d1 @ d1.T - np.eye(twice_l + 1)).max() <= 1e-12
     assert np.abs(d1).max() <= 1.0 + 1e-12
     assert np.abs(d1 @ d2 - d12).max() <= 1e-12
@@ -199,16 +193,16 @@ def test_small_d_up_to_max_j(twice_l, b1, b2):
 
 class TestWignerD:
     def test_identity_is_delta(self):
-        for l in (1, 2.5):
-            d = small_d_matrices(l, [0.0])[0]
+        for n in (3, 6):  # l = 1, 5/2
+            d = small_d_matrices(n, [0.0])[0]
             assert np.abs(d - np.eye(len(d))).max() <= 1e-14
 
     def test_row_sum_unitarity(self):
         rng = np.random.default_rng(7)
-        for l in (1, 3, 6.5):
+        for n in (3, 7, 14):  # l = 1, 3, 13/2
             psi, theta, phi = rng.uniform(0.1, 3.0, 3)
-            m = np.arange(int(2 * l) + 1) - l
-            big_d = (np.exp(-1j * m * psi)[:, None] * small_d_matrices(l, [theta])[0]
+            m = np.arange(n) - (n - 1) / 2
+            big_d = (np.exp(-1j * m * psi)[:, None] * small_d_matrices(n, [theta])[0]
                      * np.exp(-1j * m * phi)[None, :])
             assert (np.abs(big_d) ** 2).sum(axis=1) == pytest.approx(1.0, abs=1e-12)
 
@@ -220,7 +214,7 @@ class TestWignerD:
             theta, phi = rng.uniform(0.1, 3.0), rng.uniform(0, 2 * math.pi)
             tj = int(2 * j)
             m_vals = np.arange(tj + 1) - j
-            column = np.exp(-1j * m_vals * phi) * small_d_matrices(j, [theta])[0][:, -1]
+            column = np.exp(-1j * m_vals * phi) * small_d_matrices(tj + 1, [theta])[0][:, -1]
             for im in range(tj + 1):
                 m = im - j
                 binom = math.comb(tj, im)
@@ -243,13 +237,13 @@ def test_spin_matrices_algebra(n):
 
 class TestCoherentCoeffs:
     def test_spin_range(self):
-        assert coherent_coeffs(MAX_J, 0.3, 0.1).shape == (2 * MAX_J + 1,)
-        for j in (MAX_J + 0.5, 124.5, -0.5, 0.3):
+        assert coherent_coeffs(MAX_N, 0.3, 0.1).shape == (MAX_N,)
+        for n in (MAX_N + 1, 250, 0):
             with pytest.raises(ValueError):
-                coherent_coeffs(j, 0.3, 0.1)
+                coherent_coeffs(n, 0.3, 0.1)
 
     def test_fiducial_at_north_pole(self):
-        c = coherent_coeffs(3, 0.0, 0.0)
+        c = coherent_coeffs(7, 0.0, 0.0)
         expected = np.zeros(7)
         expected[-1] = 1.0
         assert np.allclose(c, expected, atol=1e-15)
@@ -257,25 +251,25 @@ class TestCoherentCoeffs:
     def test_norm_on_grid(self):
         thetas = np.linspace(0, math.pi, 20)
         phis = np.linspace(0, 2 * math.pi, 20, endpoint=False)
-        for j in (0.5, 3, 10.5, 25):
+        for n in (2, 7, 22, 51):  # j = 1/2, 3, 21/2, 25
             worst = max(
                 abs(np.vdot(c, c).real - 1.0)
                 for theta in thetas
                 for phi in phis
-                for c in [coherent_coeffs(j, theta, phi)]
+                for c in [coherent_coeffs(n, theta, phi)]
             )
             assert worst < 1e-13
 
     def test_overlap_law(self):
         rng = np.random.default_rng(9)
-        for j in (1, 4.5, 12):
+        for n in (3, 10, 25):  # j = 1, 9/2, 12
             for _ in range(5):
                 t1, t2 = rng.uniform(0, math.pi, 2)
                 p1, p2 = rng.uniform(0, 2 * math.pi, 2)
-                c1 = coherent_coeffs(j, t1, p1)
-                c2 = coherent_coeffs(j, t2, p2)
+                c1 = coherent_coeffs(n, t1, p1)
+                c2 = coherent_coeffs(n, t2, p2)
                 u1 = np.array([math.sin(t1) * math.cos(p1), math.sin(t1) * math.sin(p1), math.cos(t1)])
                 u2 = np.array([math.sin(t2) * math.cos(p2), math.sin(t2) * math.sin(p2), math.cos(t2)])
                 chi = math.acos(max(-1.0, min(1.0, float(u1 @ u2))))
-                law = math.cos(chi / 2) ** int(4 * j)
+                law = math.cos(chi / 2) ** (2 * (n - 1))
                 assert abs(np.vdot(c1, c2)) ** 2 == pytest.approx(law, abs=1e-11)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -68,6 +69,32 @@ def test_table2_passes_and_is_deterministic(tmp_path):
 def test_rerun_is_byte_identical(argv, tmp_path):
     # the two commands whose fidelities go through the covariant fiducial
     rerun_bytes(argv, tmp_path)
+
+
+# Full sha256 of outputs that cannot move with the last bit of a libm call:
+# CSV reports print 10 significant digits, and the Stark state is an exact
+# closed form. Elliptic state dumps print every bit and are not pinned.
+_PINNED = {
+    "table1": (["table1"],
+               "5e218ebdf7bda91c9ccbba8ad480e254c48a552cc46a94d98e6996227c7e1cd4"),
+    "table2": (["table2"],
+               "a6a03aea9f8786cb677ef009726bd24129519206b4e6ceb8841fdf9117903e74"),
+    "table3": (["table3", "--n-list", "5", "--ecc-grid", "0.3,0.5,0.7"],
+               "d9cfaf4c03e09bd041cc7f1b413c6252290ef1d7fb73f949147e02b93612ca88"),
+    "so4": (["so4", "--samples", "20000", "--seed", "3"],
+            "76777697b355a1bbd4b7b8e49c2016fa5a797ffba0de621458b9ea2a2626b039"),
+    "ortho": (["ortho", "--n-list", "5", "--samples", "100000"],
+              "036db0ea095dabe76237357f63583950dbb0a2034bbc2f54ef78045b5e78e683"),
+    "stark": (["state", "--kind", "stark", "--n", "8"],
+              "0c7884bd726ed32effecdb36541153782d9e2e8f9a8a53ab3f98eafefd9a8365"),
+}
+
+
+@pytest.mark.parametrize("argv, digest", list(_PINNED.values()), ids=list(_PINNED))
+def test_output_bytes_are_pinned(argv, digest, tmp_path):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_table2_json_format():

@@ -21,7 +21,6 @@ from rydberg_frames.povm_so3 import (
     two_axis_eta,
 )
 from rydberg_frames.states import (
-    EllipticSpec,
     build_elliptic,
     circular_state,
     extreme_stark,
@@ -90,7 +89,7 @@ def _t_stack(a, fid, rule: QuadratureRule) -> np.ndarray:
     for l in range(a.n):
         a_l, b_l = block(a.table, l), block(fid, l)
         outer = math.sqrt(2 * l + 1) * np.conj(a_l)[:, None] * b_l[None, :]
-        t[:, L - l : L + l + 1, L - l : L + l + 1] += small_d_matrices(l, betas) * outer
+        t[:, L - l : L + l + 1, L - l : L + l + 1] += small_d_matrices(2 * l + 1, betas) * outer
     return t
 
 
@@ -195,7 +194,7 @@ class TestClosedFormMoments:
         directions = [unit(*rng.normal(size=3)) for _ in range(2)]
         states = [
             alice_two_axis_state(n, 0.7),
-            build_elliptic(EllipticSpec(n, *directions)),
+            build_elliptic(n, *directions),
             random_wavefunction(n, rng),
         ]
         rule = QuadratureRule.for_shell(n)
@@ -210,7 +209,7 @@ class TestClosedFormMoments:
         directions = [unit(*rng.normal(size=3)) for _ in range(2)]
         rule = QuadratureRule.for_shell(n)
         for a in (alice_two_axis_state(n, 0.3), alice_two_axis_state(n, 0.7),
-                  build_elliptic(EllipticSpec(n, *directions))):
+                  build_elliptic(n, *directions)):
             closed = _haar_moments(a)
             assert np.abs(np.subtract(closed, beta_grid_moments(a, rule))).max() <= 1e-12
 
@@ -412,7 +411,7 @@ class TestCompleteness:
     def test_large_shells(self, n):
         rng = np.random.default_rng(n)
         directions = [unit(*rng.normal(size=3)) for _ in range(2)]
-        for wf in (alice_two_axis_state(n, 0.7), build_elliptic(EllipticSpec(n, *directions)),
+        for wf in (alice_two_axis_state(n, 0.7), build_elliptic(n, *directions),
                    random_wavefunction(n, rng)):
             assert povm_completeness_deviation(wf) <= 1e-12
 

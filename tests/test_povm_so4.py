@@ -197,7 +197,7 @@ def stark_set_grid(n):
     vectors = np.zeros((n_theta * n_phi, n * n), dtype=complex)
     for l in range(n):
         m_vals = np.arange(-l, l + 1)
-        d_col = small_d_matrices(l, thetas)[:, :, l]  # d^l_{m,0}(theta)
+        d_col = small_d_matrices(2 * l + 1, thetas)[:, :, l]  # d^l_{m,0}(theta)
         phase = np.exp(-1j * np.outer(phis, m_vals))
         amp = c_l[l] * np.einsum("tm,pm->tpm", d_col, phase).reshape(-1, 2 * l + 1)
         vectors[:, l * l : (l + 1) ** 2] = amp
@@ -233,7 +233,7 @@ def so4_povm_completeness_grid(n):
     factors = []
     for u in (X_AXIS, Y_AXIS):
         theta_u, phi_u = u.spherical()
-        c = coherent_coeffs(j, theta_u, phi_u)
+        c = coherent_coeffs(n, theta_u, phi_u)
         n_beta, n_ang = n, 2 * n + 2
         x, w_beta = np.polynomial.legendre.leggauss(n_beta)
         betas = np.arccos(x)
@@ -241,7 +241,7 @@ def so4_povm_completeness_grid(n):
         m_vals = np.arange(n) - j
         phase_psi = np.exp(-1j * np.outer(angles, m_vals))  # rows psi, cols m'
         phase_phi = np.exp(-1j * np.outer(m_vals, angles))  # rows m, cols phi
-        d_stack = small_d_matrices(j, betas)
+        d_stack = small_d_matrices(n, betas)
         factor = np.zeros((n, n), dtype=complex)
         for b in range(n_beta):
             rotated = d_stack[b] @ (c[:, None] * phase_phi)  # (m', phi)

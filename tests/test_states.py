@@ -10,7 +10,6 @@ from rydberg_frames.angmom import MAX_N
 from rydberg_frames.geometry import EulerAngles, UnitVector, X_AXIS, Y_AXIS, Z_AXIS
 from rydberg_frames.povm_so3 import povm_completeness_deviation
 from rydberg_frames.states import (
-    EllipticSpec,
     WaveFunction,
     build_elliptic,
     circular_state,
@@ -36,13 +35,13 @@ def random_direction(rng):
 class TestConstruction:
     def test_aligned_directions_give_circular(self):
         for n in (2, 5, 9):
-            wf = build_elliptic(EllipticSpec(n, Z_AXIS, Z_AXIS))
+            wf = build_elliptic(n, Z_AXIS, Z_AXIS)
             assert abs(wf.table[n - 1, -1]) == pytest.approx(1.0, abs=1e-12)
             assert abs(overlap(wf, circular_state(n))) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_opposite_directions_give_maximal_k(self):
         for n in (2, 3, 7):
-            wf = build_elliptic(EllipticSpec(n, neg(Z_AXIS), Z_AXIS))
+            wf = build_elliptic(n, neg(Z_AXIS), Z_AXIS)
             stark = extreme_stark(n)
             assert abs(overlap(wf, stark)) ** 2 == pytest.approx(1.0, abs=1e-12)
             j = (n - 1) / 2
@@ -82,12 +81,12 @@ class TestConstruction:
     def test_build_output_normalized(self):
         rng = np.random.default_rng(4)
         for _ in range(5):
-            spec = EllipticSpec(6, random_direction(rng), random_direction(rng))
-            assert build_elliptic(spec).norm() == pytest.approx(1.0, abs=1e-12)
+            wf = build_elliptic(6, random_direction(rng), random_direction(rng))
+            assert wf.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_product_state_factors(self):
         # a unit-norm table of rank one: the outer product of two unit spinors
-        singular = np.linalg.svd(product_amplitudes(EllipticSpec(5, X_AXIS, Y_AXIS)))[1]
+        singular = np.linalg.svd(product_amplitudes(5, X_AXIS, Y_AXIS))[1]
         assert singular[0] == pytest.approx(1.0, abs=1e-13)
         assert np.abs(singular[1:]).max() < 1e-13
 
@@ -109,7 +108,7 @@ class TestConstruction:
             with pytest.raises(ValueError, match="MAX_N"):
                 WaveFunction(n, table)
         with pytest.raises(ValueError):
-            build_elliptic(EllipticSpec(MAX_N + 1, X_AXIS, Y_AXIS))
+            build_elliptic(MAX_N + 1, X_AXIS, Y_AXIS)
 
 
 def racah_column(n, tm1, tm2):
@@ -184,10 +183,9 @@ class TestExpectations:
         rng = np.random.default_rng(11)
         for n in (4, 9):
             for _ in range(3):
-                spec = EllipticSpec(n, random_direction(rng), random_direction(rng))
-                wf = build_elliptic(spec)
-                lvec, kvec = lk_moments(wf)[:2]
-                u1, u2 = spec.u1.as_array(), spec.u2.as_array()
+                d1, d2 = random_direction(rng), random_direction(rng)
+                lvec, kvec = lk_moments(build_elliptic(n, d1, d2))[:2]
+                u1, u2 = d1.as_array(), d2.as_array()
                 k, ell = u2 - u1, u1 + u2  # lengths 2 sin(zeta), 2 cos(zeta)
                 w = np.cross(ell, k)
                 assert kvec @ k == pytest.approx((n - 1) * (k @ k) / 2, abs=1e-10)
@@ -197,10 +195,9 @@ class TestExpectations:
 
     def test_mean_vectors_parallel_to_frame(self):
         rng = np.random.default_rng(12)
-        spec = EllipticSpec(7, random_direction(rng), random_direction(rng))
-        wf = build_elliptic(spec)
-        lvec, kvec = lk_moments(wf)[:2]
-        u1, u2 = spec.u1.as_array(), spec.u2.as_array()
+        d1, d2 = random_direction(rng), random_direction(rng)
+        lvec, kvec = lk_moments(build_elliptic(7, d1, d2))[:2]
+        u1, u2 = d1.as_array(), d2.as_array()
         assert np.linalg.norm(np.cross(kvec, u2 - u1)) < 1e-10
         assert np.linalg.norm(np.cross(lvec, u1 + u2)) < 1e-10
 
@@ -212,18 +209,18 @@ class TestExpectations:
 
     def test_product_state_route_agrees_with_coupled(self):
         rng = np.random.default_rng(24)
-        spec = EllipticSpec(7, random_direction(rng), random_direction(rng))
-        l_prod, k_prod = lk_moments(product_amplitudes(spec))[:2]
-        l_wf, k_wf = lk_moments(build_elliptic(spec))[:2]
+        args = (7, random_direction(rng), random_direction(rng))
+        l_prod, k_prod = lk_moments(product_amplitudes(*args))[:2]
+        l_wf, k_wf = lk_moments(build_elliptic(*args))[:2]
         assert np.allclose(l_prod, l_wf, atol=1e-10)
         assert np.allclose(k_prod, k_wf, atol=1e-10)
 
     def test_dispersion_coherent(self):
         rng = np.random.default_rng(13)
         for n in (2, 5, 11, 64):
-            spec = EllipticSpec(n, random_direction(rng), random_direction(rng))
-            assert dispersion_sum(build_elliptic(spec)) == pytest.approx(2.0 * (n - 1), abs=1e-9)
-            assert dispersion_sum(product_amplitudes(spec)) == pytest.approx(2.0 * (n - 1), abs=1e-9)
+            args = (n, random_direction(rng), random_direction(rng))
+            assert dispersion_sum(build_elliptic(*args)) == pytest.approx(2.0 * (n - 1), abs=1e-9)
+            assert dispersion_sum(product_amplitudes(*args)) == pytest.approx(2.0 * (n - 1), abs=1e-9)
 
     def test_dispersion_n2_circular(self):
         assert dispersion_sum(circular_state(2)) == pytest.approx(2.0, abs=1e-12)
@@ -261,8 +258,8 @@ class TestOverlapAndRotation:
         n = 6
         for _ in range(5):
             u1, u2 = random_direction(rng), random_direction(rng)
-            s1 = build_elliptic(EllipticSpec(n, neg(u1), u1))
-            s2 = build_elliptic(EllipticSpec(n, neg(u2), u2))
+            s1 = build_elliptic(n, neg(u1), u1)
+            s2 = build_elliptic(n, neg(u2), u2)
             chi = angle_between(u1, u2)
             law = math.cos(chi / 2) ** (4 * (n - 1))
             assert abs(overlap(s1, s2)) ** 2 == pytest.approx(law, abs=1e-11)
@@ -279,11 +276,12 @@ class TestOverlapAndRotation:
 
     def test_rotate_preserves_block_norms(self):
         rng = np.random.default_rng(19)
-        wf = random_wavefunction(7, rng)
-        rotated = rotate(wf, EulerAngles(1.3, 0.9, 5.1))
-        for l in range(7):
-            before, after = block(wf.table, l), block(rotated.table, l)
-            assert np.linalg.norm(after) == pytest.approx(np.linalg.norm(before), abs=1e-12)
+        for n in (5, MAX_N):
+            wf = random_wavefunction(n, rng)
+            rotated = rotate(wf, EulerAngles(1.3, 0.9, 5.1))
+            for l in range(n):
+                before, after = block(wf.table, l), block(rotated.table, l)
+                assert np.linalg.norm(after) == pytest.approx(np.linalg.norm(before), abs=1e-12)
 
     def test_rotated_maximal_k_equals_built(self):
         # U(phi, theta, 0) |K, z> = |-u> (x) |u> for u along (theta, phi)
@@ -291,18 +289,19 @@ class TestOverlapAndRotation:
         theta, phi = 0.8, 2.2
         rotated = rotate(extreme_stark(n), EulerAngles(phi, theta, 0.0))
         u = UnitVector.from_spherical(theta, phi)
-        built = build_elliptic(EllipticSpec(n, neg(u), u))
+        built = build_elliptic(n, neg(u), u)
         assert abs(overlap(rotated, built)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_rotation_composition_matches_classical(self):
         rng = np.random.default_rng(20)
-        wf = random_wavefunction(5, rng)
         a1 = EulerAngles(0.7, 1.1, 2.9)
         a2 = EulerAngles(4.0, 0.4, 1.8)
         combined = matrix_to_euler(euler_matrix(a1) @ euler_matrix(a2))
-        two_step = rotate(rotate(wf, a2), a1)
-        one_step = rotate(wf, combined)
-        assert np.abs(two_step.table - one_step.table).max() < 1e-11
+        for n in (5, MAX_N):
+            wf = random_wavefunction(n, rng)
+            two_step = rotate(rotate(wf, a2), a1)
+            one_step = rotate(wf, combined)
+            assert np.abs(two_step.table - one_step.table).max() < 1e-11, n
 
 
 class TestSerialization:
@@ -360,6 +359,6 @@ _DIRECTION = hst.tuples(*[hst.floats(-1.0, 1.0)] * 3).filter(
 @given(hst.integers(2, MAX_N), _DIRECTION, _DIRECTION)
 @example(MAX_N, (0.3, -0.5, 0.8), (-0.2, 0.9, 0.1))
 def test_coherent_states_up_to_max_n(n, v1, v2):
-    wf = build_elliptic(EllipticSpec(n, unit(*v1), unit(*v2)))
+    wf = build_elliptic(n, unit(*v1), unit(*v2))
     assert povm_completeness_deviation(wf) <= 1e-12
     assert abs(dispersion_sum(wf) - 2.0 * (n - 1)) <= 1e-12 * n * n
