@@ -1,9 +1,9 @@
 """Direction transmission with coherent states of the hydrogenic n-shell.
 
-Construction of circular, maximal-K, and general two-direction coherent
-states, rotation-covariant measurement fidelities for one and two axes,
-eccentricity optimization, product-measurement sampling, and the
-orthogonalization error gain.
+The modules are the API; import names from them: angmom (spin kernels),
+geometry (directions), states (shell coherent states), povm_so3 (covariant
+measurement), povm_so4 (product measurement and sampling), ortho
+(orthogonalization gain) and cli (the command-line front end).
 """
 
 import os
@@ -13,31 +13,3 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
-
-from .angmom import coherent_coeffs, small_d_matrices
-from .geometry import EulerAngles, UnitVector, X_AXIS, Y_AXIS, Z_AXIS
-from .ortho import GainReport, gain_factor
-from .povm_so3 import (
-    QuadratureRule,
-    alice_two_axis_state,
-    bob_fiducial,
-    cos_omega_xy,
-    cos_omega_z,
-    m0_overlap_matrix,
-    optimal_m0_state,
-    optimize_eccentricity,
-)
-from .povm_so4 import (
-    OutcomeBatch,
-    philox_rng,
-    sample_outcome_batch,
-    so4_infidelity,
-)
-from .states import (
-    WaveFunction,
-    build_elliptic,
-    circular_state,
-    extreme_stark,
-    lk_moments,
-    product_amplitudes,
-)
