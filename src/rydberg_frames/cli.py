@@ -3,9 +3,11 @@
 Every command is deterministic given its configuration and seed, and writes
 either CSV with a '#'-prefixed metadata header or the same content as JSON.
 Exit codes: 0 when all reproduction deviations are inside the declared
-tolerances, 1 on a tolerance failure, 2 on usage errors. Every usage error,
-a bad flag value as much as an unreadable tolerance file or an output path
-that cannot be written, goes out through the parser: one stderr line.
+tolerances, 1 on a tolerance failure, 2 on usage errors, 3 when a forked
+worker of the Monte Carlo path dies (the OOM killer, a signal). Every usage
+error, a bad flag value as much as an unreadable tolerance file or an output
+path that cannot be written, goes out through the parser: one stderr line. A
+dead worker is one stderr line too, and a partly written `so4` dump is removed.
 """
 
 from __future__ import annotations
@@ -363,6 +365,15 @@ def main(argv=None) -> int:
                          columns, rows, args.format, args.out)
         except OSError as exc:
             parser.error(f"cannot write the output: {exc}")
+        except RuntimeError as exc:
+            # a dead worker breaks its pool; the pool's module loaded the
+            # exception class, which an import of the CLI does not
+            from concurrent.futures import BrokenExecutor
+
+            if not isinstance(exc, BrokenExecutor):
+                raise
+            print(f"{parser.prog}: error: a worker process died: {exc}", file=sys.stderr)
+            return 3
     except SystemExit as exc:  # every usage error leaves through _Parser.error
         return exc.code
     return 0 if all(row[-1] for row in rows if row[-1] is not None) else 1

@@ -15,7 +15,8 @@ in every API. `_segments` splits the seed's stream into its four segments by
 Philox skip-ahead (Salmon et al., SC11, 2011), so the bits are those of one
 pass over the stream. `ordered_map` runs the dump's blocks and `ortho`'s
 shells on forked workers, one per usable CPU, and returns the results in
-order: no output byte depends on the CPUs.
+order: no output byte depends on the CPUs. The dump's `%.12g` text is rendered
+in numpy, in fixed fields with no string per cell (`_cell_slots`).
 
 The diagnostic, that rotated maximal-K projectors alone do not resolve the
 identity, is a Haar integral of D-functions and is given in closed form
@@ -25,8 +26,10 @@ product POVM, on explicit grids as oracles.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +40,30 @@ from .states import extreme_stark
 # so no (3, count) array and no Python floats of the whole batch exist at once.
 _DUMP_BLOCK_ROWS = 65536
 _DUMP_HEADER = b"sample,chi1,chi2,cos_chi1,cos_chi2\r\n"
-_DUMP_ROW = b"%d,%.12g,%.12g,%.12g,%.12g\r\n"
+
+# The dump's text is assembled in 2-byte slots, the first character in the low
+# byte, so every pair of characters is one table lookup. A NUL byte is no
+# character; a rendered block drops them. A cell takes 10 slots: "," and its
+# sign, the leading digit and ".", seven pairs of decimals, the last decimal and
+# a NUL. The widest `%.12g` cell, "-1.23456789012e-308", fits its 19 bytes.
+_SLOT = np.dtype("<u2")
+_CELL_SLOTS = 10
+_CELL_BYTES = 2 * _CELL_SLOTS - 1
+
+
+def _digit_pairs() -> np.ndarray:
+    """The slots of the digit pairs "00" .. "99": entry p is the pair p with its
+    trailing zeros as NUL, for the last pair of a cell, and entry 100 + p is the
+    pair p whole."""
+    whole = [(48 + p // 10) | (48 + p % 10) << 8 for p in range(100)]
+    trimmed = [w if p % 10 else 48 + p // 10 if p else 0 for p, w in enumerate(whole)]
+    return np.array(trimmed + whole, _SLOT)
+
+
+_DIGIT_PAIRS = _digit_pairs()
+# exact powers of ten, by the decade index i = e + 4 of a cell 10^e <= |x| < 10^(e+1)
+_MANTISSA_SCALE = np.array([float(10**k) for k in range(15, 10, -1)])  # 10^(11 - e)
+_DECIMAL_SHIFT = np.array([float(10**k) for k in range(5)])  # 10^(4 + e)
 
 
 def philox_rng(seed: int) -> np.random.Generator:
@@ -140,6 +166,74 @@ def ordered_map(fn, items):
         _inherited = None
 
 
+def _cell_slots(cells: np.ndarray, out: np.ndarray) -> None:
+    """Write "," and the `%.12g` text of each double of `cells` into its
+    `_CELL_SLOTS` slots, out[..., :], with no string per cell.
+
+    The fast path takes 1e-4 <= |x| < 10, where `%.12g` prints 15 decimals or
+    fewer, with no exponent. The decade e of 10^e <= |x| < 10^(e+1) is found by
+    comparison with the doubles 1e-3 .. 1, each just above its power of ten.
+    y = |x| 10^(11-e) is one rounding of the exact product, off by at most half
+    an ulp of y < 2^40, 6.1e-5, so where y lies more than 2e-4 from a
+    half-integer and q = rint(y) < 10^12, q is the correctly rounded 12-digit
+    mantissa, and Q = q 10^(4+e) is |x| in units of 10^-15, exact in an int64.
+    Its digits are taken by `//` with scalars, and the trailing zeros of the
+    decimals, and a bare ".", become NUL. `%` formats every other cell: a
+    rounding too close to call, a carry into the next decade, 0, subnormals,
+    nan, +-inf and |x| outside the range.
+    """
+    a = np.abs(cells)
+    fast = (a >= 1e-4) & (a < 10.0)
+    np.copyto(a, 1.0, where=~fast)  # so no step below meets nan, inf or an overflow
+    decade = (a >= 1e-3).astype(np.intp)
+    for bound in (1e-2, 1e-1, 1.0):
+        decade += a >= bound
+    y = a * _MANTISSA_SCALE.take(decade)
+    q = np.rint(y)
+    fast &= (np.abs(y - q) < 0.5 - 2e-4) & (q < 1e12)
+    decimals = (q * _DECIMAL_SHIFT.take(decade)).astype(np.int64)
+    lead = decimals // 10**15
+    decimals -= lead * 10**15
+    out[..., 0] = 44 | np.signbit(cells) * (45 << 8)  # "," and "-"
+    out[..., 1] = (48 + lead) | (decimals != 0) * (46 << 8)  # the digit and "."
+    for slot, unit in enumerate((10**13, 10**11, 10**9, 10**7, 10**5, 10**3, 10), start=2):
+        pair = decimals // unit
+        decimals -= pair * unit
+        # the remainder is the decimals after the pair: none left, trim its zeros
+        pair += (decimals != 0) * 100
+        out[..., slot] = _DIGIT_PAIRS.take(pair)
+    out[..., 9] = _DIGIT_PAIRS.take(10 * decimals)
+    slow = np.nonzero(~fast)
+    if slow[0].size:
+        text = b"".join(b"," + (b"%.12g" % x).ljust(_CELL_BYTES, b"\0")
+                        for x in cells[slow].tolist())
+        out[slow] = np.frombuffer(text, _SLOT).reshape(-1, _CELL_SLOTS)
+
+
+def _render_rows(first: int, cells: np.ndarray) -> bytes:
+    """Dump rows of the sample indices first, first + 1, ... and the four cells
+    of each row of the (rows, 4) `cells`: the bytes of
+    `b"%d,%.12g,%.12g,%.12g,%.12g\\r\\n"` row by row.
+
+    The rows are laid out in one (rows, width) block of slots and compacted by
+    dropping its NUL bytes."""
+    rows = len(cells)
+    index_slots = (len(str(first + rows - 1)) + 1) // 2
+    block = np.empty((rows, index_slots + 4 * _CELL_SLOTS + 1), _SLOT)
+    index = np.arange(first, first + rows)
+    for slot in reversed(range(index_slots)):
+        block[:, slot] = _DIGIT_PAIRS.take(100 + index % 100)
+        index //= 100
+    # the indices ascend, so the rows below 10^k are those with no digit
+    # before the kth from the right
+    chars = block.view(np.uint8)
+    for k in range(1, 2 * index_slots):
+        chars[: max(0, 10**k - first), 2 * index_slots - 1 - k] = 0
+    _cell_slots(cells, block[:, index_slots:-1].reshape(rows, 4, _CELL_SLOTS))
+    block[:, -1] = 13 | 10 << 8  # CRLF
+    return block.tobytes().translate(None, b"\0")
+
+
 @dataclass
 class OutcomeBatch:
     """Error cosines of the two transmitted directions, one pair per sample."""
@@ -151,22 +245,30 @@ class OutcomeBatch:
         """Columns (sample, chi1, chi2, cos_chi1, cos_chi2): CRLF rows with
         `%.12g` cells, the bytes `csv.writer` gives for the same cells. Blocks
         of `_DUMP_BLOCK_ROWS` rows are rendered by `ordered_map` and written in
-        order, so the bytes do not depend on the worker count."""
-        with open(path, "wb") as handle:
-            handle.write(_DUMP_HEADER)
-            starts = range(0, len(self.cos_chi1), _DUMP_BLOCK_ROWS)
-            for block in ordered_map(self._render_block, starts):
-                handle.write(block)
+        order, so the bytes do not depend on the worker count. On any exception,
+        a dead worker or a failed write among them, a partly written regular
+        file is removed before the exception goes on."""
+        handle = open(path, "wb")
+        try:
+            with handle:
+                handle.write(_DUMP_HEADER)
+                starts = range(0, len(self.cos_chi1), _DUMP_BLOCK_ROWS)
+                for block in ordered_map(self._render_block, starts):
+                    handle.write(block)
+        except BaseException:
+            # never a device, a pipe or a link, as in `--dump-samples /dev/stdout`
+            with contextlib.suppress(OSError):
+                if stat.S_ISREG(os.lstat(path).st_mode):
+                    os.remove(path)
+            raise
 
     def _render_block(self, start: int) -> bytes:
         stop = min(start + _DUMP_BLOCK_ROWS, len(self.cos_chi1))
-        cos_pair = (self.cos_chi1[start:stop], self.cos_chi2[start:stop])
-        columns = [np.arccos(np.clip(c, -1.0, 1.0)) for c in cos_pair] + list(cos_pair)
-        cells = [None] * (5 * (stop - start))
-        cells[0::5] = range(start, stop)
-        for k, column in enumerate(columns, start=1):
-            cells[k::5] = column.tolist()
-        return (_DUMP_ROW * (stop - start)) % tuple(cells)
+        cells = np.empty((stop - start, 4))
+        for k, cos_chi in enumerate((self.cos_chi1[start:stop], self.cos_chi2[start:stop])):
+            cells[:, k] = np.arccos(np.clip(cos_chi, -1.0, 1.0))
+            cells[:, k + 2] = cos_chi
+        return _render_rows(start, cells)
 
 
 def sample_outcome_batch(n: int, count: int, seed: int) -> OutcomeBatch:

@@ -4,9 +4,11 @@ Draws every sample in one pass over `philox_rng(seed)` into whole (count, 3)
 row-layout estimate arrays, by broadcast expressions frozen here, and reduces
 them as whole arrays: the values the column-major, block-streamed kernel of
 `ortho.gain_factor` must reproduce bit for bit. `so4`'s cosines have their own
-one-pass oracle, which draws them with no azimuths or vectors.
+one-pass oracle, which draws them with no azimuths or vectors, and its outcome
+dump is written row by row through `csv.writer` (`csv_writer_dump`).
 """
 
+import csv
 import math
 
 import numpy as np
@@ -70,6 +72,20 @@ def one_shot_cosines(n, count, seed):
     cos_chi1 = cosines(n, count, rng)
     rng.random(count)
     return cos_chi1, cosines(n, count, rng)
+
+
+def csv_writer_dump(batch, path):
+    """The outcome dump of `batch` written row by row through `csv.writer`, with
+    `%.12g` cells and chi taken of the whole cosine arrays: the bytes the block
+    renderer of `OutcomeBatch.write_csv` must reproduce."""
+    chi1, chi2 = (np.arccos(np.clip(c, -1.0, 1.0)) for c in (batch.cos_chi1, batch.cos_chi2))
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["sample", "chi1", "chi2", "cos_chi1", "cos_chi2"])
+        for i, (x1, x2, c1, c2) in enumerate(
+            zip(chi1, chi2, batch.cos_chi1, batch.cos_chi2)
+        ):
+            writer.writerow([i, f"{x1:.12g}", f"{x2:.12g}", f"{c1:.12g}", f"{c2:.12g}"])
 
 
 def outcome_cosines(n, v1, v2, count, seed):

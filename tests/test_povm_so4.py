@@ -10,8 +10,11 @@ from hypothesis import strategies as hst
 from rydberg_frames.angmom import MAX_N, coherent_coeffs, small_d_matrices
 from rydberg_frames.geometry import X_AXIS, Y_AXIS
 from rydberg_frames.povm_so4 import (
+    _CELL_SLOTS,
     _DUMP_BLOCK_ROWS,
-    _DUMP_ROW,
+    _SLOT,
+    _cell_slots,
+    _render_rows,
     philox_rng,
     sample_directions_about,
     sample_error_cosines,
@@ -117,29 +120,19 @@ def _csv_writer_line(index, cells):
     return buf.getvalue()
 
 
-def _csv_writer_dump(batch, path):
-    """The dump written row by row through `csv.writer` (reference writer),
-    with chi taken of the whole cosine arrays."""
-    chi1, chi2 = (np.arccos(np.clip(c, -1.0, 1.0)) for c in (batch.cos_chi1, batch.cos_chi2))
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["sample", "chi1", "chi2", "cos_chi1", "cos_chi2"])
-        for i, (x1, x2, c1, c2) in enumerate(
-            zip(chi1, chi2, batch.cos_chi1, batch.cos_chi2)
-        ):
-            writer.writerow([i, f"{x1:.12g}", f"{x2:.12g}", f"{c1:.12g}", f"{c2:.12g}"])
-
-
-@pytest.mark.parametrize("rows", [0, 1, _DUMP_BLOCK_ROWS - 1, _DUMP_BLOCK_ROWS,
-                                  _DUMP_BLOCK_ROWS + 1, 2 * _DUMP_BLOCK_ROWS + 3])
-def test_dump_bytes_match_csv_writer(tmp_path, rows):
-    batch = sample_outcome_batch(6, rows, seed=17)
-    batch.write_csv(tmp_path / "blocks.csv")
-    _csv_writer_dump(batch, tmp_path / "oracle.csv")
-    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
-
-
 B = _DUMP_BLOCK_ROWS
+
+
+# every block edge at n = 6, and the two ends of the shell range: at n = 2 the
+# cosines crowd -1 and chi pi, at MAX_N chi crowds its decade boundary 0.1
+@pytest.mark.parametrize("n, rows", [pytest.param(6, rows, id=str(rows))
+                                     for rows in (0, 1, B - 1, B, B + 1, 2 * B + 3)]
+                         + [pytest.param(n, B + 1, id=f"n{n}-{B + 1}") for n in (2, MAX_N)])
+def test_dump_bytes_match_csv_writer(tmp_path, n, rows):
+    batch = sample_outcome_batch(n, rows, seed=17)
+    batch.write_csv(tmp_path / "blocks.csv")
+    stream_oracle.csv_writer_dump(batch, tmp_path / "oracle.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 @pytest.mark.parametrize("n", [2, 5, 40, MAX_N])
@@ -168,6 +161,39 @@ def test_outcome_cosines_match_the_vector_route(n, count, v2):
         assert np.max(np.abs(batch.cos_chi2 - cos_chi2)) <= 5e-16
 
 
+def _rendered_cells(cells):
+    """The renderer's text of each double in `cells`, one bytes object per cell."""
+    out = np.full(cells.shape + (_CELL_SLOTS,), 0xFFFF, _SLOT)  # no slot may stay unwritten
+    _cell_slots(cells, out)
+    return out.tobytes().translate(None, b"\0").split(b",")[1:]
+
+
+def _ulps(x, count):
+    """The doubles within `count` ulps of the positive double x."""
+    return (np.float64(x).view(np.int64) + np.arange(-count, count + 1)).view(np.float64)
+
+
+def test_cells_match_percent_format_at_the_edges():
+    # decade boundaries, the halfway decimals of the 12th digit and their
+    # neighbours, carries into the next decade, and the values `%` formats
+    rng = np.random.default_rng(5)
+    edges = [_ulps(float(f"1e{k}"), 60) for k in range(-6, 2)]
+    for e in range(-6, 2):
+        mantissas = np.concatenate([rng.integers(10**11, 10**12, 400), [10**11, 10**12 - 1]])
+        for m in mantissas:
+            edges.append(_ulps(float(f"{m}.5e{e - 11}"), 2))
+    edges.append(np.array([0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+                           1e-300, 1.5e-5, 9.9999999999995e-5, 9.99999999999949, 1e12,
+                           999999999999.5, 123456789012345.0, 1e300, 1.7976931348623157e308,
+                           math.nan, math.inf]))
+    edges.append(rng.uniform(0.0, math.pi, 20000))
+    edges.append(rng.integers(0, 2**63, 20000).view(np.float64))  # any bit pattern
+    cells = np.concatenate(edges)
+    cells = np.concatenate([cells, -cells])
+    assert _rendered_cells(cells) == [b"%.12g" % x for x in cells.tolist()]
+    assert _rendered_cells(cells.reshape(-1, 2)) == _rendered_cells(cells)
+
+
 _CELLS = hst.floats(allow_nan=True, allow_infinity=True)
 
 
@@ -178,7 +204,7 @@ _CELLS = hst.floats(allow_nan=True, allow_infinity=True)
 @example(3, math.nan, math.inf, -math.inf, 0.1)
 def test_dump_row_format_matches_csv_writer(index, x1, x2, c1, c2):
     cells = (x1, x2, c1, c2)
-    line = (_DUMP_ROW % (index, *cells)).decode("ascii")
+    line = _render_rows(index, np.array([cells])).decode("ascii")
     assert line == _csv_writer_line(index, [np.float64(c) for c in cells])
 
 

@@ -10,9 +10,9 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from rydberg_frames import povm_so4
+from rydberg_frames import ortho, povm_so4
 from rydberg_frames.cli import main
-from rydberg_frames.povm_so4 import _DUMP_BLOCK_ROWS, ordered_map, sample_outcome_batch
+from rydberg_frames.povm_so4 import _DUMP_BLOCK_ROWS, OutcomeBatch, ordered_map, sample_outcome_batch
 
 REAL_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
@@ -71,6 +71,65 @@ def test_dead_worker_raises(monkeypatch):
     set_cpus(monkeypatch, 2)
     with pytest.raises(BrokenProcessPool):
         list(ordered_map(lambda item: os._exit(1), [0, 1]))
+
+
+def _die(*args):
+    os._exit(1)
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("argv", [["so4", "--samples", str(_DUMP_BLOCK_ROWS + 1)],
+                                  ["ortho", "--n-list", "5,10", "--samples", "100000"]],
+                         ids=["so4", "ortho"])
+def test_dead_worker_exits_3_in_one_line(tmp_path, monkeypatch, capsys, argv):
+    # a worker killed mid-run (the OOM killer, a signal) is neither a tolerance
+    # failure nor a traceback, and leaves no partial dump
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(OutcomeBatch, "_render_block", _die)
+    monkeypatch.setattr(ortho, "gain_factor", _die)
+    dump = tmp_path / "dump.csv"
+    extra = ["--dump-samples", str(dump)] if argv[0] == "so4" else []
+    assert main(argv + extra + ["--out", str(tmp_path / "report.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "worker process died" in err
+    assert not dump.exists() and not (tmp_path / "report.csv").exists()
+
+
+def _fail_second_block(monkeypatch):
+    """No fork: the dump's second block fails after the first is written."""
+    set_cpus(monkeypatch, 1)
+    real = OutcomeBatch._render_block
+
+    def render(self, start):
+        if start:
+            raise OSError(28, "No space left on device")
+        return real(self, start)
+
+    monkeypatch.setattr(OutcomeBatch, "_render_block", render)
+
+
+@pytest.mark.parametrize("link", [False, True], ids=["file", "symlink"])
+def test_failed_dump_is_removed(tmp_path, monkeypatch, link):
+    _fail_second_block(monkeypatch)
+    batch = sample_outcome_batch(6, _DUMP_BLOCK_ROWS + 1, seed=1)
+    path = target = tmp_path / "dump.csv"
+    if link:  # a dump written through a link is left in place, and the link with it
+        target = tmp_path / "target.csv"
+        target.touch()
+        path.symlink_to(target)
+    with pytest.raises(OSError, match="No space left"):
+        batch.write_csv(path)
+    assert path.is_symlink() == link
+    assert target.exists() == link
+
+
+def test_failed_dump_write_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    _fail_second_block(monkeypatch)
+    dump = tmp_path / "dump.csv"
+    assert main(["so4", "--samples", str(_DUMP_BLOCK_ROWS + 1), "--dump-samples", str(dump),
+                 "--out", str(tmp_path / "report.csv")]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not dump.exists()
 
 
 class StubExecutor:
