@@ -43,9 +43,11 @@ def _orthogonalize_rows(r_x, r_y, x_rows=slice(None), y_rows=slice(None), out=No
     Writes each input as cos(Omega/2) b + sin(Omega/2) q in the orthonormal
     in-plane basis (bisector b, difference direction q) and moves both to the
     45 degree positions, so outputs are exactly perpendicular and each input
-    travels |Omega - pi/2| / 2. b and q are normalized in `out` (fresh if None)
-    by (v0 v0 + v1 v1) + v2 v2, the sum `np.linalg.norm` forms over a (rows, 3)
-    row. Only components `x_rows` of new_x and `y_rows` of new_y are formed.
+    travels |Omega - pi/2| / 2. b and q are formed in `out` (fresh if None)
+    and normalized by (v0 v0 + v1 v1) + v2 v2, the sum `np.linalg.norm` forms
+    over a (rows, 3) row. Only components `x_rows` of new_x and `y_rows` of
+    new_y are formed, both all rows or one row each, and only those rows of b
+    and q are divided.
     """
     b, q = np.empty((2,) + r_x.shape) if out is None else out
     np.add(r_x, r_y, out=b)
@@ -55,7 +57,9 @@ def _orthogonalize_rows(r_x, r_y, x_rows=slice(None), y_rows=slice(None), out=No
         np.sqrt(norm, out=norm)
         if np.any(norm < 1e-12):
             raise ValueError("cannot orthogonalize parallel or antiparallel estimates")
-        v /= norm
+        v[x_rows] /= norm
+        if y_rows != x_rows:
+            v[y_rows] /= norm
     half = 1.0 / math.sqrt(2.0)
     return (b[x_rows] + q[x_rows]) * half, (b[y_rows] - q[y_rows]) * half
 

@@ -14,9 +14,13 @@ and uses numpy's counter-based 64-bit Philox generator with an explicit seed
 in every API. `_segments` splits the seed's stream into its four segments by
 Philox skip-ahead (Salmon et al., SC11, 2011), so the bits are those of one
 pass over the stream. `ordered_map` runs the dump's blocks and `ortho`'s
-shells on forked workers, one per usable CPU, and returns the results in
-order: no output byte depends on the CPUs. The dump's `%.12g` text is rendered
-in numpy, in fixed fields with no string per cell (`_cell_slots`).
+shells on forked workers, one per usable CPU, with at most two items per
+worker in flight, and returns the results in order: no output byte depends on
+the CPUs. The dump's `%.12g` text is rendered in numpy, in fixed fields of
+4-byte words with no string per cell: the decimals go as four 4-digit groups,
+one lookup each in a table built on first use (`_cell_words`). The workers
+render each block into a slot of a ring in shared memory and return only its
+byte count, so no rendered byte is pickled.
 
 The diagnostic, that rotated maximal-K projectors alone do not resolve the
 identity, is a Haar integral of D-functions and is given in closed form
@@ -27,10 +31,11 @@ product POVM, on explicit grids as oracles.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import stat
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,29 +46,39 @@ from .states import extreme_stark
 _DUMP_BLOCK_ROWS = 65536
 _DUMP_HEADER = b"sample,chi1,chi2,cos_chi1,cos_chi2\r\n"
 
-# The dump's text is assembled in 2-byte slots, the first character in the low
-# byte, so every pair of characters is one table lookup. A NUL byte is no
-# character; a rendered block drops them. A cell takes 10 slots: "," and its
-# sign, the leading digit and ".", seven pairs of decimals, the last decimal and
-# a NUL. The widest `%.12g` cell, "-1.23456789012e-308", fits its 19 bytes.
-_SLOT = np.dtype("<u2")
-_CELL_SLOTS = 10
-_CELL_BYTES = 2 * _CELL_SLOTS - 1
+# The dump's text is assembled in 4-byte words, the first character in the low
+# byte, so every group of four digits is one table lookup. A NUL byte is no
+# character; a rendered block drops them. A cell takes 5 words: "," and its
+# sign, the leading digit and "."; then four groups of decimals, the 15 of a
+# `%.12g` cell and a 16th that is always 0, so always a NUL. The widest `%.12g`
+# cell, "-1.23456789012e-308", fits its 19 bytes.
+_WORD = np.dtype("<u4")
+_CELL_WORDS = 5
+_CELL_BYTES = 4 * _CELL_WORDS - 1
+# A block is rendered this many rows at a time, so its temporaries stay in cache.
+_CHUNK_ROWS = 4096
 
 
-def _digit_pairs() -> np.ndarray:
-    """The slots of the digit pairs "00" .. "99": entry p is the pair p with its
-    trailing zeros as NUL, for the last pair of a cell, and entry 100 + p is the
-    pair p whole."""
-    whole = [(48 + p // 10) | (48 + p % 10) << 8 for p in range(100)]
-    trimmed = [w if p % 10 else 48 + p // 10 if p else 0 for p, w in enumerate(whole)]
-    return np.array(trimmed + whole, _SLOT)
+@functools.cache
+def _digit_groups() -> np.ndarray:
+    """The words of the digit groups "0000" .. "9999", built on first use: entry
+    g is the group g with its trailing zeros as NUL, for the last group of a
+    cell, and entry 10000 + g is the group g whole."""
+    g = np.arange(10000, dtype=np.uint32)
+    whole = np.zeros_like(g)
+    trimmed = np.zeros_like(g)
+    for k in range(4):  # the kth character from the left, in byte k
+        char = (48 + g // 10 ** (3 - k) % 10) << 8 * k
+        whole |= char
+        trimmed |= char * (g % 10 ** (4 - k) != 0)
+    table = np.concatenate([trimmed, whole])
+    table.flags.writeable = False  # one array serves every caller
+    return table
 
 
-_DIGIT_PAIRS = _digit_pairs()
 # exact powers of ten, by the decade index i = e + 4 of a cell 10^e <= |x| < 10^(e+1)
 _MANTISSA_SCALE = np.array([float(10**k) for k in range(15, 10, -1)])  # 10^(11 - e)
-_DECIMAL_SHIFT = np.array([float(10**k) for k in range(5)])  # 10^(4 + e)
+_DECIMAL_SHIFT = np.array([float(10**k) for k in range(1, 6)])  # 10^(5 + e)
 
 
 def philox_rng(seed: int) -> np.random.Generator:
@@ -94,14 +109,16 @@ def so4_infidelity(n: int) -> float:
     return 1.0 / (n + 1.0)
 
 
-def sample_error_cosines(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """cos(chi) draws from the density ~ cos^{2(n-1)}(chi/2) on the sphere.
+def sample_error_cosines(n: int, count: int, rng: np.random.Generator,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """cos(chi) draws from the density ~ cos^{2(n-1)}(chi/2) on the sphere,
+    into `out` (a fresh array if None).
 
     Inverse CDF on s = sin^2(chi/2): the density is n (1-s)^(n-1) ds, so
     s = 1 - (1-U)^(1/n) with U uniform. Runs in place in the draw's buffer,
     with the ufuncs and so the bits of 1.0 - 2.0 * (1.0 - (1.0 - U) ** (1.0 / n)).
     """
-    out = rng.random(count)
+    out = rng.random(count, out=out)
     np.subtract(1.0, out, out=out)
     out **= 1.0 / n
     np.subtract(1.0, out, out=out)
@@ -119,16 +136,21 @@ def sample_directions_about(n: int, axis: int, count: int,
     (one generator passed twice draws the cosines first). In the frame
     (axis, e1 = axis x z, axis x e1) the rows are (cos chi, -sin chi cos az,
     -sin chi sin az) about x and (sin chi cos az, cos chi, -sin chi sin az)
-    about y, each a contiguous row.
+    about y, each a contiguous row. The signs of the frame are taken by
+    sin chi, as -(a b) and a (-b) are the same double.
     """
-    out[axis] = sample_error_cosines(n, count, cos_rng)
-    sin_chi = np.sqrt(np.clip(1.0 - out[axis] ** 2, 0.0, None))
+    cos_chi = sample_error_cosines(n, count, cos_rng, out[axis])
+    sin_chi = np.square(cos_chi)  # |cos chi| <= 1, so 1 - cos^2 >= 0
+    np.subtract(1.0, sin_chi, out=sin_chi)
+    np.sqrt(sin_chi, out=sin_chi)
     azimuth = azimuth_rng.uniform(0.0, 2.0 * math.pi, count)
-    np.cos(azimuth, out=out[1 - axis])
-    out[1 - axis] *= sin_chi
-    np.multiply(np.sin(azimuth, out=azimuth), sin_chi, out=out[2])
     # e1 is -y about x and +x about y; axis x e1 is -z about both
-    np.negative(out[axis + 1 :], out=out[axis + 1 :])
+    if axis == 0:
+        np.negative(sin_chi, out=sin_chi)
+    np.multiply(np.cos(azimuth, out=out[1 - axis]), sin_chi, out=out[1 - axis])
+    if axis == 1:
+        np.negative(sin_chi, out=sin_chi)
+    np.multiply(np.sin(azimuth, out=azimuth), sin_chi, out=out[2])
     return out
 
 
@@ -139,36 +161,53 @@ def _call_inherited(item):
     return _inherited(item)
 
 
-def ordered_map(fn, items):
+def _window(count: int) -> int:
+    """How many of `count` items `ordered_map` keeps in flight: two per worker,
+    on min(usable CPUs, count) workers, or one where it is plain `map`."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, count)
+    return 2 * workers if workers > 1 and hasattr(os, "fork") else 1
+
+
+def ordered_map(fn, items, window=None):
     """Yield fn(item) for each item, in order, on min(usable CPUs, items) workers.
 
-    The workers are forked, so fn and the arrays it reads reach them by
-    inheritance; only the items and the results are pickled. Fork is safe here
-    because the package starts no thread and keeps BLAS on one. With one worker,
-    or where the platform cannot fork, this is plain `map`.
+    At most `window` items are in flight, `_window(len(items))` if None, on
+    window // 2 workers: item k + window is submitted only after the consumer
+    has taken result k, so results never pile up, and whatever result k names
+    (a slot of `write_csv`'s ring, which passes its own window) is free for
+    item k + window. The workers are forked, so fn and the arrays it reads
+    reach them by inheritance; only the items and the results are pickled. Fork
+    is safe here because the package starts no thread and keeps BLAS on one.
+    With one worker, or where the platform cannot fork, this is plain `map`.
     """
     global _inherited
     items = list(items)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(cpus, len(items))
-    if workers <= 1 or not hasattr(os, "fork"):
+    window = window or _window(len(items))
+    if window == 1:
         yield from map(fn, items)
         return
     # imported here, so an import of the package does not pay for them
+    from collections import deque
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
     _inherited = fn
     try:
-        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-            yield from pool.map(_call_inherited, items)
+        with ProcessPoolExecutor(window // 2, mp_context=get_context("fork")) as pool:
+            pending = deque(pool.submit(_call_inherited, item) for item in items[:window])
+            for item in items[window:]:
+                yield pending.popleft().result()
+                pending.append(pool.submit(_call_inherited, item))
+            while pending:
+                yield pending.popleft().result()
     finally:
         _inherited = None
 
 
-def _cell_slots(cells: np.ndarray, out: np.ndarray) -> None:
+def _cell_words(cells: np.ndarray, out: np.ndarray) -> None:
     """Write "," and the `%.12g` text of each double of `cells` into its
-    `_CELL_SLOTS` slots, out[..., :], with no string per cell.
+    `_CELL_WORDS` words, out[..., :], with no string per cell.
 
     The fast path takes 1e-4 <= |x| < 10, where `%.12g` prints 15 decimals or
     fewer, with no exponent. The decade e of 10^e <= |x| < 10^(e+1) is found by
@@ -176,9 +215,13 @@ def _cell_slots(cells: np.ndarray, out: np.ndarray) -> None:
     y = |x| 10^(11-e) is one rounding of the exact product, off by at most half
     an ulp of y < 2^40, 6.1e-5, so where y lies more than 2e-4 from a
     half-integer and q = rint(y) < 10^12, q is the correctly rounded 12-digit
-    mantissa, and Q = q 10^(4+e) is |x| in units of 10^-15, exact in an int64.
-    Its digits are taken by `//` with scalars, and the trailing zeros of the
-    decimals, and a bare ".", become NUL. `%` formats every other cell: a
+    mantissa. Q = q 10^(5+e), |x| in units of 10^-16, is exact in a double
+    (q 5^(5+e) < 2^52), and so is its split Q = 10^8 top + low: Q is a
+    multiple of 10, so Q / 10^8 lies at least 10^-7 below the next integer,
+    more than half an ulp of top < 10^9, and floor gives top. The leading digit
+    is top // 10^8, and the 16 decimals, the last always 0, are four groups of
+    four digits, one table lookup each (`_digit_groups`); the trailing zeros of
+    the decimals, and a bare ".", become NUL. `%` formats every other cell: a
     rounding too close to call, a carry into the next decade, 0, subnormals,
     nan, +-inf and |x| outside the range.
     """
@@ -191,23 +234,35 @@ def _cell_slots(cells: np.ndarray, out: np.ndarray) -> None:
     y = a * _MANTISSA_SCALE.take(decade)
     q = np.rint(y)
     fast &= (np.abs(y - q) < 0.5 - 2e-4) & (q < 1e12)
-    decimals = (q * _DECIMAL_SHIFT.take(decade)).astype(np.int64)
-    lead = decimals // 10**15
-    decimals -= lead * 10**15
-    out[..., 0] = 44 | np.signbit(cells) * (45 << 8)  # "," and "-"
-    out[..., 1] = (48 + lead) | (decimals != 0) * (46 << 8)  # the digit and "."
-    for slot, unit in enumerate((10**13, 10**11, 10**9, 10**7, 10**5, 10**3, 10), start=2):
-        pair = decimals // unit
-        decimals -= pair * unit
-        # the remainder is the decimals after the pair: none left, trim its zeros
-        pair += (decimals != 0) * 100
-        out[..., slot] = _DIGIT_PAIRS.take(pair)
-    out[..., 9] = _DIGIT_PAIRS.take(10 * decimals)
+    q *= _DECIMAL_SHIFT.take(decade)
+    top = np.floor(q / 1e8)
+    low = (q - top * 1e8).astype(np.uint32)  # decimals 9 .. 16
+    top = top.astype(np.uint32)
+    lead = top // 10**8
+    top -= lead * np.uint32(10**8)  # decimals 1 .. 8
+    first = top // 10**4
+    second = top - first * np.uint32(10**4)
+    third = low // 10**4
+    fourth = low - third * np.uint32(10**4)
+    # a group is whole (+10000) where a nonzero decimal follows it
+    whole = np.uint32(10000)
+    third += (fourth != 0) * whole
+    second += (third != 0) * whole
+    first += (second != 0) * whole
+    groups = _digit_groups()
+    for word, group in enumerate((first, second, third, fourth), start=1):
+        out[..., word] = groups.take(group)
+    # ",", the sign, the leading digit, and "." where any decimal is not 0
+    lead <<= 16
+    lead |= np.uint32(44 | 48 << 16)
+    lead |= np.signbit(cells) * np.uint32(45 << 8)
+    lead |= (first != 0) * np.uint32(46 << 24)
+    out[..., 0] = lead
     slow = np.nonzero(~fast)
     if slow[0].size:
         text = b"".join(b"," + (b"%.12g" % x).ljust(_CELL_BYTES, b"\0")
                         for x in cells[slow].tolist())
-        out[slow] = np.frombuffer(text, _SLOT).reshape(-1, _CELL_SLOTS)
+        out[slow] = np.frombuffer(text, _WORD).reshape(-1, _CELL_WORDS)
 
 
 def _render_rows(first: int, cells: np.ndarray) -> bytes:
@@ -215,21 +270,22 @@ def _render_rows(first: int, cells: np.ndarray) -> bytes:
     of each row of the (rows, 4) `cells`: the bytes of
     `b"%d,%.12g,%.12g,%.12g,%.12g\\r\\n"` row by row.
 
-    The rows are laid out in one (rows, width) block of slots and compacted by
+    The rows are laid out in one (rows, width) block of words and compacted by
     dropping its NUL bytes."""
     rows = len(cells)
-    index_slots = (len(str(first + rows - 1)) + 1) // 2
-    block = np.empty((rows, index_slots + 4 * _CELL_SLOTS + 1), _SLOT)
+    index_words = (len(str(first + rows - 1)) + 3) // 4
+    block = np.empty((rows, index_words + 4 * _CELL_WORDS + 1), _WORD)
+    groups = _digit_groups()
     index = np.arange(first, first + rows)
-    for slot in reversed(range(index_slots)):
-        block[:, slot] = _DIGIT_PAIRS.take(100 + index % 100)
-        index //= 100
+    for word in reversed(range(index_words)):
+        index, group = np.divmod(index, 10000)
+        block[:, word] = groups.take(group + 10000)
     # the indices ascend, so the rows below 10^k are those with no digit
     # before the kth from the right
     chars = block.view(np.uint8)
-    for k in range(1, 2 * index_slots):
-        chars[: max(0, 10**k - first), 2 * index_slots - 1 - k] = 0
-    _cell_slots(cells, block[:, index_slots:-1].reshape(rows, 4, _CELL_SLOTS))
+    for k in range(1, 4 * index_words):
+        chars[: max(0, 10**k - first), 4 * index_words - 1 - k] = 0
+    _cell_words(cells, block[:, index_words:-1].reshape(rows, 4, _CELL_WORDS))
     block[:, -1] = 13 | 10 << 8  # CRLF
     return block.tobytes().translate(None, b"\0")
 
@@ -240,35 +296,61 @@ class OutcomeBatch:
 
     cos_chi1: np.ndarray
     cos_chi2: np.ndarray
+    # while `write_csv` runs: its ring of block slots in shared memory
+    _ring: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def write_csv(self, path):
         """Columns (sample, chi1, chi2, cos_chi1, cos_chi2): CRLF rows with
-        `%.12g` cells, the bytes `csv.writer` gives for the same cells. Blocks
-        of `_DUMP_BLOCK_ROWS` rows are rendered by `ordered_map` and written in
-        order, so the bytes do not depend on the worker count. On any exception,
-        a dead worker or a failed write among them, a partly written regular
-        file is removed before the exception goes on."""
+        `%.12g` cells, the bytes `csv.writer` gives for the same cells.
+
+        `ordered_map` renders the blocks of `_DUMP_BLOCK_ROWS` rows, block k
+        into slot k mod window of a ring in one anonymous shared mapping made
+        before the fork, where window is the number of blocks it keeps in
+        flight. A worker returns only the byte count, and the blocks are
+        written from their slots in order: no rendered byte is pickled, the
+        ring holds at most window blocks, and the bytes do not depend on the
+        worker count. On any exception, a dead worker or a failed write among
+        them, a partly written regular file is removed before the exception
+        goes on."""
+        import mmap  # imported here, so an import of the package does not pay for it
+
         handle = open(path, "wb")
         try:
             with handle:
                 handle.write(_DUMP_HEADER)
-                starts = range(0, len(self.cos_chi1), _DUMP_BLOCK_ROWS)
-                for block in ordered_map(self._render_block, starts):
-                    handle.write(block)
+                rows = len(self.cos_chi1)
+                starts = range(0, rows, _DUMP_BLOCK_ROWS)
+                window = _window(len(starts))
+                # no row is longer than its index, four cells and CRLF
+                slot = _DUMP_BLOCK_ROWS * (len(str(rows)) + 4 * (_CELL_BYTES + 1) + 2)
+                self._ring = np.frombuffer(mmap.mmap(-1, window * slot), np.uint8).reshape(window, slot)
+                for k, size in enumerate(ordered_map(self._render_block, starts, window)):
+                    handle.write(self._ring[k % window, :size])
         except BaseException:
             # never a device, a pipe or a link, as in `--dump-samples /dev/stdout`
             with contextlib.suppress(OSError):
                 if stat.S_ISREG(os.lstat(path).st_mode):
                     os.remove(path)
             raise
+        finally:
+            self._ring = None
 
-    def _render_block(self, start: int) -> bytes:
+    def _render_block(self, start: int) -> int:
+        """Render the block of rows from `start` into its slot of the ring, a
+        chunk of `_CHUNK_ROWS` rows at a time, and return its byte count."""
         stop = min(start + _DUMP_BLOCK_ROWS, len(self.cos_chi1))
-        cells = np.empty((stop - start, 4))
-        for k, cos_chi in enumerate((self.cos_chi1[start:stop], self.cos_chi2[start:stop])):
-            cells[:, k] = np.arccos(np.clip(cos_chi, -1.0, 1.0))
-            cells[:, k + 2] = cos_chi
-        return _render_rows(start, cells)
+        slot = self._ring[start // _DUMP_BLOCK_ROWS % len(self._ring)]
+        size = 0
+        for first in range(start, stop, _CHUNK_ROWS):
+            last = min(first + _CHUNK_ROWS, stop)
+            cells = np.empty((last - first, 4))
+            for k, cos_chi in enumerate((self.cos_chi1[first:last], self.cos_chi2[first:last])):
+                cells[:, k] = np.arccos(np.clip(cos_chi, -1.0, 1.0))
+                cells[:, k + 2] = cos_chi
+            text = _render_rows(first, cells)
+            slot[size : size + len(text)] = np.frombuffer(text, np.uint8)
+            size += len(text)
+        return size
 
 
 def sample_outcome_batch(n: int, count: int, seed: int) -> OutcomeBatch:

@@ -10,10 +10,11 @@ from hypothesis import strategies as hst
 from rydberg_frames.angmom import MAX_N, coherent_coeffs, small_d_matrices
 from rydberg_frames.geometry import X_AXIS, Y_AXIS
 from rydberg_frames.povm_so4 import (
-    _CELL_SLOTS,
+    _CELL_WORDS,
     _DUMP_BLOCK_ROWS,
-    _SLOT,
-    _cell_slots,
+    _WORD,
+    _cell_words,
+    _digit_groups,
     _render_rows,
     philox_rng,
     sample_directions_about,
@@ -163,9 +164,18 @@ def test_outcome_cosines_match_the_vector_route(n, count, v2):
 
 def _rendered_cells(cells):
     """The renderer's text of each double in `cells`, one bytes object per cell."""
-    out = np.full(cells.shape + (_CELL_SLOTS,), 0xFFFF, _SLOT)  # no slot may stay unwritten
-    _cell_slots(cells, out)
+    out = np.full(cells.shape + (_CELL_WORDS,), 0xFFFFFFFF, _WORD)  # no word may stay unwritten
+    _cell_words(cells, out)
     return out.tobytes().translate(None, b"\0").split(b",")[1:]
+
+
+def test_digit_groups_are_the_groups_whole_and_trimmed():
+    table = _digit_groups().tobytes()
+    assert len(table) == 4 * 20000
+    for g in range(10000):
+        text = b"%04d" % g
+        assert table[4 * (10000 + g) : 4 * (10001 + g)] == text
+        assert table[4 * g : 4 * (g + 1)] == text.rstrip(b"0").ljust(4, b"\0")
 
 
 def _ulps(x, count):

@@ -14,6 +14,8 @@ from rydberg_frames import ortho, povm_so4
 from rydberg_frames.cli import main
 from rydberg_frames.povm_so4 import _DUMP_BLOCK_ROWS, OutcomeBatch, ordered_map, sample_outcome_batch
 
+import stream_oracle
+
 REAL_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
@@ -50,6 +52,22 @@ def test_dump_bytes_do_not_depend_on_cpus(tmp_path, monkeypatch, executors):
         dumps.append(path.read_bytes())
     assert dumps[0] == dumps[1]
     assert executors == [2]
+
+
+@needs_two_cpus
+def test_dump_cycles_through_the_ring(tmp_path, monkeypatch, executors):
+    # 21 blocks of 1000 rows, each rendered in chunks of 300, on two workers:
+    # four slots, so every slot is written five or six times
+    monkeypatch.setattr(povm_so4, "_DUMP_BLOCK_ROWS", 1000)
+    monkeypatch.setattr(povm_so4, "_CHUNK_ROWS", 300)
+    set_cpus(monkeypatch, 2)
+    assert povm_so4._window(21) == 4
+    batch = sample_outcome_batch(6, 20 * 1000 + 7, seed=23)
+    batch.write_csv(tmp_path / "ring.csv")
+    stream_oracle.csv_writer_dump(batch, tmp_path / "oracle.csv")
+    assert (tmp_path / "ring.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    assert executors == [2]
+    assert batch._ring is None
 
 
 @needs_two_cpus
@@ -133,10 +151,13 @@ def test_failed_dump_write_is_a_usage_error(tmp_path, monkeypatch, capsys):
 
 
 class StubExecutor:
-    """Stands in for the process pool: records its size and maps in-process."""
+    """Stands in for the process pool: records its size, runs each item when it
+    is submitted, and fails if more than two items per worker are in flight."""
 
     def __init__(self, built, max_workers, mp_context):
         built.append((max_workers, mp_context.get_start_method()))
+        self.window = 2 * max_workers
+        self.outstanding = 0
 
     def __enter__(self):
         return self
@@ -144,8 +165,19 @@ class StubExecutor:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn, item):
+        assert self.outstanding < self.window
+        self.outstanding += 1
+        return StubFuture(self, fn(item))
+
+
+class StubFuture:
+    def __init__(self, pool, value):
+        self.pool, self.value = pool, value
+
+    def result(self):
+        self.pool.outstanding -= 1
+        return self.value
 
 
 @pytest.fixture
@@ -163,6 +195,22 @@ def test_worker_count_is_min_of_cpus_and_items(monkeypatch, stub_executors, cpus
     assert list(ordered_map(lambda item: 10 * item, range(items))) == [10 * i for i in range(items)]
     assert stub_executors == ([] if workers is None else [(workers, "fork")])
     assert povm_so4._inherited is None
+
+
+def test_item_k_plus_window_waits_for_result_k(monkeypatch, stub_executors):
+    set_cpus(monkeypatch, 2)
+    log = []
+
+    def run(item):
+        log.append(("run", item))
+        return item
+
+    for result in ordered_map(run, range(10)):
+        log.append(("take", result))
+    assert [entry for entry in log if entry[0] == "take"] == [("take", k) for k in range(10)]
+    for k in range(6):  # window 4
+        assert log.index(("run", k + 4)) > log.index(("take", k))
+    assert stub_executors == [(2, "fork")]
 
 
 def test_no_fork_maps_in_process(monkeypatch, stub_executors):
