@@ -23,11 +23,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from . import ortho as ortho_mod
-from . import povm_so3 as p3
-from . import povm_so4 as p4
 from . import reference_values as ref
-from . import states as st
 from .angmom import MAX_N, MAX_SAMPLES
 from .geometry import UnitVector
 
@@ -92,9 +88,13 @@ def write_report(meta: dict, columns, rows, fmt: str, out_path):
 
 # ---------------------------------------------------------------------------
 # Commands. Each takes the parsed flags and its tolerance section and returns
-# (meta, columns, rows); the last cell of a row is its verdict, or None.
+# (meta, columns, rows); the last cell of a row is its verdict, or None. Each
+# imports the modules it runs, so no command loads (or compiles) the others';
+# calls go through the module objects, whose attributes perfbench's tracer wraps.
 
 def cmd_table1(args, tol: dict):
+    from . import povm_so3 as p3, states as st
+
     columns = ["n", "axis", "e", "e_ref", "e_dev", "eta", "eta_ref", "eta_dev", "ok"]
     rows = []
     for n in sorted(ref.SINGLE_AXIS):
@@ -118,6 +118,8 @@ def cmd_table2(args, tol: dict):
     The printed coefficient rows are truncated to four decimals, so computed
     values are compared against the midpoint of the truncation interval.
     """
+    from . import povm_so3 as p3, states as st
+
     columns = ["row", "l", "value", "reference", "abs_dev", "ok"]
     rows = []
     stark = [abs(c) for c in st.extreme_stark(10).m0_amplitudes()]
@@ -142,6 +144,8 @@ def cmd_table2(args, tol: dict):
 
 
 def cmd_table3(args, tol: dict):
+    from . import povm_so3 as p3
+
     columns = ["kind", "n", "e", "eta", "e_ref", "e_dev", "eta_ref", "eta_dev",
                "optimal_ref", "ok"]
     rows = []
@@ -165,6 +169,8 @@ def cmd_table3(args, tol: dict):
 
 
 def cmd_so4(args, tol: dict):
+    from . import povm_so4 as p4
+
     n, samples = args.n, args.samples
     columns = ["axis", "infidelity_closed", "infidelity_mc", "stderr", "pull_sigma", "ok"]
     closed = p4.so4_infidelity(n)
@@ -192,6 +198,8 @@ def cmd_so4(args, tol: dict):
 
 
 def cmd_ortho(args, tol: dict):
+    from . import ortho as ortho_mod, povm_so4 as p4
+
     samples, seed = args.samples, args.seed
     columns = ["n", "samples", "g", "g_new", "ratio", "stderr",
                "g_expected", "g_pull_sigma", "ratio_ok", "ok"]
@@ -220,11 +228,13 @@ def _mean_stderr_of_g(n, samples):
 
 
 def _state(args):
-    if args.kind == "circular":
-        return st.circular_state(args.n)
-    if args.kind == "stark":
-        return st.extreme_stark(args.n)
-    return p3.alice_two_axis_state(args.n, args.e)
+    from . import states as st
+
+    if args.kind == "elliptic":
+        from . import povm_so3 as p3
+
+        return p3.alice_two_axis_state(args.n, args.e)
+    return st.circular_state(args.n) if args.kind == "circular" else st.extreme_stark(args.n)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +368,7 @@ def main(argv=None) -> int:
                 parser.error(f"cannot load tolerances: {exc}")
         try:
             if args.command == "state":
-                _write_text(json.dumps(_state(args).to_json_dict(), indent=2) + "\n", args.out)
+                _write_text(_state(args).to_json(), args.out)
                 return 0
             meta, columns, rows = args.run(args, tol[args.command])
             write_report({"command": args.command, "version": __version__, **meta},

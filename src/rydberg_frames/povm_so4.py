@@ -22,10 +22,10 @@ one lookup each in a table built on first use (`_cell_words`). The workers
 render each block into a slot of a ring in shared memory and return only its
 byte count, so no rendered byte is pickled.
 
-The diagnostic, that rotated maximal-K projectors alone do not resolve the
-identity, is a Haar integral of D-functions and is given in closed form
-(`stark_block_constants`). The tests integrate it, and the completeness of the
-product POVM, on explicit grids as oracles.
+The tests check the completeness of the product POVM on explicit grids, and
+the diagnostic that rotated maximal-K projectors alone do not resolve the
+identity: its closed-form block constants live with them
+(`tests/stark_blocks.py`), since no command computes them.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ import stat
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .states import extreme_stark
 
 # The Monte Carlo path draws, reduces and renders this many samples at a time,
 # so no (3, count) array and no Python floats of the whole batch exist at once.
@@ -361,20 +359,3 @@ def sample_outcome_batch(n: int, count: int, seed: int) -> OutcomeBatch:
     return OutcomeBatch(sample_error_cosines(n, count, cos_1),
                         sample_error_cosines(n, count, cos_2))
 
-
-# ---------------------------------------------------------------------------
-# Diagnostic: the rotated maximal-K projectors do not resolve the identity.
-
-def stark_block_constants(n: int) -> np.ndarray:
-    """Block constants of the direction average of rotated maximal-K projectors.
-
-    B = integral over the sphere of |K,u><K,u| dOmega. The l-block of |K,u> is
-    C_l D^l_{m0}(phi, theta, 0), with C_l the m=0 amplitude of the maximal-K
-    state, so Schur orthogonality (Edmonds, eq. 4.6.2) makes B block-diagonal
-    over l, exactly zero off the blocks, with block l equal to
-    4 pi C_l^2 / (2l+1) times the identity. The constants differ with l, so B
-    is not a multiple of the identity and the rotated Stark family cannot
-    resolve it by Schur weighting alone.
-    """
-    c_l = extreme_stark(n).m0_amplitudes().real
-    return 4.0 * math.pi * c_l**2 / (2 * np.arange(n) + 1)

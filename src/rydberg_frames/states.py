@@ -60,13 +60,20 @@ class WaveFunction:
         """The a_{l0} column of the table (a view), one complex amplitude per l."""
         return self.table[:, self.n - 1]
 
-    def to_json_dict(self) -> dict:
-        entries = []
-        for l in range(self.n):
-            for m in range(-l, l + 1):
-                c = self.table[l, self.n - 1 + m]
-                entries.append({"l": l, "m": m, "re": float(c.real), "im": float(c.imag)})
-        return {"n": self.n, "entries": entries}
+    def to_json(self) -> str:
+        """The JSON text {n, entries: [{l, m, re, im}]}, entries by l then m.
+
+        The bytes of `json.dumps(..., indent=2) + "\\n"`, built in one pass:
+        json writes a finite float as its repr, and the norm check refuses NaN
+        and inf, so every entry is finite.
+        """
+        n = self.n
+        re, im = self.table.real.tolist(), self.table.imag.tolist()
+        entries = ",\n".join(
+            f'    {{\n      "l": {l},\n      "m": {m},\n'
+            f'      "re": {re[l][n - 1 + m]!r},\n      "im": {im[l][n - 1 + m]!r}\n    }}'
+            for l in range(n) for m in range(-l, l + 1))
+        return f'{{\n  "n": {n},\n  "entries": [\n{entries}\n  ]\n}}\n'
 
 
 # n^3 doubles per shell, 8 MB at n = MAX_N; commands walk their shells one at a time

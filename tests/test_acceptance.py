@@ -23,11 +23,7 @@ from rydberg_frames.povm_so3 import (
     optimize_eccentricity,
     povm_completeness_deviation,
 )
-from rydberg_frames.povm_so4 import (
-    philox_rng,
-    sample_error_cosines,
-    stark_block_constants,
-)
+from rydberg_frames.povm_so4 import philox_rng, sample_error_cosines
 from rydberg_frames.states import (
     build_elliptic,
     circular_state,
@@ -41,6 +37,7 @@ from rydberg_frames.states import (
 
 from rotation_oracle import angle_between, neg, unit
 from shell_table import random_wavefunction
+from stark_blocks import stark_block_constants
 
 STARK_PRINTED_N10 = [0.3162, 0.4954, 0.5222, 0.4534, 0.3365,
                      0.2148, 0.1167, 0.0526, 0.0186, 0.0045]

@@ -71,9 +71,11 @@ def test_rerun_is_byte_identical(argv, tmp_path):
     rerun_bytes(argv, tmp_path)
 
 
-# Full sha256 of outputs that cannot move with the last bit of a libm call:
-# CSV reports print 10 significant digits, and the Stark state is an exact
-# closed form. Elliptic state dumps print every bit and are not pinned.
+# Full sha256 of the outputs. CSV reports print 10 significant digits, and the
+# Stark and circular states are exact closed forms. The elliptic state dumps
+# print every bit of an eigensolve and of libm calls, so another LAPACK or libm
+# may move their last digits; they hold the JSON renderer to the bytes that
+# json.dumps(..., indent=2) wrote for them, up to the largest shell.
 _PINNED = {
     "table1": (["table1"],
                "5e218ebdf7bda91c9ccbba8ad480e254c48a552cc46a94d98e6996227c7e1cd4"),
@@ -87,6 +89,14 @@ _PINNED = {
               "036db0ea095dabe76237357f63583950dbb0a2034bbc2f54ef78045b5e78e683"),
     "stark": (["state", "--kind", "stark", "--n", "8"],
               "0c7884bd726ed32effecdb36541153782d9e2e8f9a8a53ab3f98eafefd9a8365"),
+    "elliptic50": (["state", "--kind", "elliptic", "--n", "50", "--e", "0.7"],
+                   "0e2b8b7a7ba6af0b627ccad08c3bba2cfe0ff1edb5c4a9b4de6b8271879d3ba5"),
+    "elliptic101": (["state", "--kind", "elliptic", "--n", "101", "--e", "0.3"],
+                    "6aa6a668ca1063041134f76a2c4f50108324c2680067afda4e451c3a05008cad"),
+    "stark101": (["state", "--kind", "stark", "--n", "101"],
+                 "0b2c2c8d5989bf811cecf182c15150b2422743050f258823d8750eef120382ca"),
+    "circular5": (["state", "--kind", "circular", "--n", "5"],
+                  "eaab2abbb56ba834b860613043489c98ba593498855f81b363a4a393daa65cb0"),
 }
 
 
@@ -209,14 +219,48 @@ def test_state_elliptic_requires_e():
     assert payload["n"] == 5
 
 
-def run_cli_process(argv):
-    """Run the CLI in a fresh interpreter; returns (exit code, stderr text)."""
+def child_env():
+    """The environment of a fresh interpreter that imports this package."""
     env = dict(os.environ)
     src = str(Path(rydberg_frames.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_cli_process(argv):
+    """Run the CLI in a fresh interpreter; returns (exit code, stderr text)."""
     proc = subprocess.run([sys.executable, "-m", "rydberg_frames", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=child_env(), timeout=120)
     return proc.returncode, proc.stderr
+
+
+# Runs the CLI and prints its exit code and the package modules it loaded.
+_LOADED_PROBE = (
+    "import sys\n"
+    "from rydberg_frames.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(code, *sorted(m for m in sys.modules if m.startswith('rydberg_frames.')))\n"
+)
+_MONTE_CARLO = {"povm_so4", "ortho"}
+
+
+@pytest.mark.parametrize("argv, loaded, absent", [
+    (["state", "--kind", "elliptic", "--n", "5", "--e", "0.7"], {"states", "povm_so3"},
+     _MONTE_CARLO),
+    (["state", "--kind", "stark", "--n", "5"], {"states"}, {"povm_so3", *_MONTE_CARLO}),
+    (["table1"], {"states", "povm_so3"}, _MONTE_CARLO),
+    (["table2"], {"states", "povm_so3"}, _MONTE_CARLO),
+    (["table3", "--n-list", "5"], {"povm_so3"}, _MONTE_CARLO),
+    (["so4", "--samples", "20000"], {"povm_so4"}, {"povm_so3", "ortho", "states"}),
+], ids=["state-elliptic", "state-stark", "table1", "table2", "table3", "so4"])
+def test_each_command_loads_only_its_modules(argv, loaded, absent, tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _LOADED_PROBE, *argv, "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=child_env(), timeout=120, check=True)
+    code, *names = proc.stdout.split()
+    modules = {name.removeprefix("rydberg_frames.") for name in names}
+    assert code == "0"
+    assert loaded <= modules
+    assert not absent & modules
 
 
 def assert_usage_error(argv):

@@ -21,12 +21,12 @@ from rydberg_frames.povm_so4 import (
     sample_error_cosines,
     sample_outcome_batch,
     so4_infidelity,
-    stark_block_constants,
 )
 from rydberg_frames.states import extreme_stark
 
 import stream_oracle
 from rotation_oracle import unit
+from stark_blocks import stark_block_constants
 
 
 def _cos_chi_moments(n):

@@ -8,7 +8,7 @@ from hypothesis import strategies as hst
 
 from rydberg_frames.angmom import MAX_N
 from rydberg_frames.geometry import EulerAngles, UnitVector, X_AXIS, Y_AXIS, Z_AXIS
-from rydberg_frames.povm_so3 import povm_completeness_deviation
+from rydberg_frames.povm_so3 import alice_two_axis_state, povm_completeness_deviation
 from rydberg_frames.states import (
     WaveFunction,
     build_elliptic,
@@ -304,20 +304,55 @@ class TestOverlapAndRotation:
             assert np.abs(two_step.table - one_step.table).max() < 1e-11, n
 
 
+def json_oracle(wf):
+    """The state's JSON text by the standard library encoder."""
+    n = wf.n
+    entries = [{"l": l, "m": m, "re": float(wf.table[l, n - 1 + m].real),
+                "im": float(wf.table[l, n - 1 + m].imag)}
+               for l in range(n) for m in range(-l, l + 1)]
+    return json.dumps({"n": n, "entries": entries}, indent=2) + "\n"
+
+
 class TestSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(22)
         wf = random_wavefunction(5, rng)
-        data = json.loads(json.dumps(wf.to_json_dict()))
+        data = json.loads(wf.to_json())
+        assert data["n"] == 5
         for e in data["entries"]:
             assert complex(e["re"], e["im"]) == wf.table[e["l"], 4 + e["m"]]
 
     def test_entries_sorted_and_complete(self):
         wf = extreme_stark(3)
-        entries = wf.to_json_dict()["entries"]
+        entries = json.loads(wf.to_json())["entries"]
         keys = [(e["l"], e["m"]) for e in entries]
         assert keys == sorted(keys)
         assert len(entries) == 9  # all (l, m) pairs of the n=3 shell
+
+    @pytest.mark.parametrize("kind", [circular_state, extreme_stark], ids=["circular", "stark"])
+    def test_to_json_matches_json_module_at_every_n(self, kind):
+        for n in range(2, MAX_N + 1):
+            wf = kind(n)
+            assert wf.to_json() == json_oracle(wf), n
+
+    @pytest.mark.parametrize("e", [0.0, 0.3, 0.7, 1.0])
+    def test_to_json_matches_json_module_elliptic(self, e):
+        for n in (2, 3, 8, 50, MAX_N):
+            wf = alice_two_axis_state(n, e)
+            assert wf.to_json() == json_oracle(wf), n
+
+    def test_to_json_matches_json_module_on_exponent_reprs(self):
+        # signed zeros, the smallest subnormal and reprs with an exponent
+        table = np.zeros((2, 3), dtype=complex)
+        table[0, 1] = complex(-0.0, -math.sqrt(1.0 - 1e-12))
+        table[1, 0] = complex(5e-324, 1e-300)
+        table[1, 1] = complex(1e-07, -0.0)
+        table[1, 2] = complex(-1e-07, 0.0)
+        wf = WaveFunction(2, table)
+        text = wf.to_json()
+        assert text == json_oracle(wf)
+        for token in ('"re": -0.0', '"re": 5e-324', '"im": 1e-300', '"re": 1e-07', '"im": -0.0'):
+            assert token in text
 
     def test_product_amplitude_round_trip(self):
         rng = np.random.default_rng(23)
