@@ -1,13 +1,11 @@
-"""Angular momentum kernels: spin-j matrices, Wigner small-d stacks, coherent states.
+"""Angular momentum kernels: the spin-j ladder and spin coherent states.
 
-The spin-j matrices J_x, J_y, J_z over |j m> are built from one ladder,
-<m+1| J+ |m> = sqrt((j-m)(j+m+1)) (`ladder_factors`); `states` applies them
-to the two-spin amplitude table and couples the two spins with them
-(`states.coupling_tensor`). d-matrices d(beta) = exp(-i J_y beta) of the
-active z-y-z convention U(psi, theta, phi) = exp(-i J_z psi)
-exp(-i J_y theta) exp(-i J_z phi) come from one kernel, the
-eigendecomposition of that J_y (`small_d_matrices`). The coherent-state
-coefficients use a log-factorial table built once at import time.
+The one ladder <m+1| J+ |m> = sqrt((j-m)(j+m+1)) (`ladder_factors`) is what
+`states.coupling_tensor` couples the two spins of a shell with. The
+coherent-state coefficients use a log-factorial table built once at import
+time. No command computes a spin matrix or a Wigner d-matrix: the rotations
+and the L/K moments that check the states are test oracles
+(`tests/rotation_oracle.py`, `tests/shell_table.py`).
 
 Every kernel names its spin j by the dimension n = 2j + 1 of the
 representation, an integer, so half-odd spins need no special form. No
@@ -19,7 +17,6 @@ safe to call concurrently.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -46,13 +43,6 @@ def ladder_factors(n: int) -> np.ndarray:
     return np.sqrt((j - m) * (j + m + 1.0))
 
 
-def spin_matrices(n: int):
-    """Jx, Jy, Jz of spin j = (n-1)/2 over |j m>, m ascending."""
-    jplus = np.diag(ladder_factors(n), -1)
-    jz = np.diag(np.arange(n) - (n - 1) / 2.0)
-    return (jplus + jplus.T) / 2.0, (jplus - jplus.T) / 2j, jz
-
-
 def coherent_coeffs(n: int, theta: float, phi: float) -> np.ndarray:
     """Coefficients of the spin-j = (n-1)/2 coherent state along (theta, phi).
 
@@ -72,27 +62,3 @@ def coherent_coeffs(n: int, theta: float, phi: float) -> np.ndarray:
     mag = np.exp(log_binom) * np.power(c, idx) * np.power(s, tj - idx)
     m_values = idx - tj / 2.0
     return mag * np.exp(-1j * m_values * phi)
-
-
-@lru_cache(maxsize=None)
-def _jy_eig(n: int):
-    eigvals, eigvecs = np.linalg.eigh(spin_matrices(n)[1])
-    eigvals.setflags(write=False)
-    eigvecs.setflags(write=False)
-    return eigvals, eigvecs
-
-
-def small_d_matrices(n: int, betas) -> np.ndarray:
-    """Stack of full d^j(beta) matrices of spin j = (n-1)/2, shape (len(betas), n, n).
-
-    Computed as exp(-i beta J_y) = V exp(-i beta Lambda) V^H through the
-    eigendecomposition of J_y, one batched matrix product for all betas; it
-    stays accurate at every j, where the term-by-term sum loses all digits
-    by j = 60. Rows index mp, columns m, both ascending from -j. The result
-    is a C-contiguous float64 array that owns its data (the imaginary part
-    vanishes), so holding it does not keep the complex product alive.
-    """
-    eigvals, eigvecs = _jy_eig(n)
-    phases = np.exp(-1j * np.outer(np.asarray(betas, dtype=float), eigvals))
-    stack = (eigvecs * phases[:, None, :]) @ eigvecs.conj().T
-    return np.ascontiguousarray(stack.real)

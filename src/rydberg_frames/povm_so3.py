@@ -177,36 +177,18 @@ def cos_omega_xy(a: WaveFunction):
     return 0.5 * (sum_xy + diff_xy), 0.5 * (sum_xy - diff_xy)
 
 
-def povm_completeness_deviation(a: WaveFunction) -> float:
-    """|integral of |<A|U|B>|^2 dU - 1|; zero when the POVM resolves the identity."""
-    total, _, _, _ = _haar_moments(a)
-    return abs(total - 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Closed form for m=0 states and the optimal one-axis signal.
-
-def _m0_coupling(n: int) -> np.ndarray:
-    """l / sqrt(4 l^2 - 1) for l = 1 .. n-1: the m=0 coupling of blocks l-1 and l."""
-    l = np.arange(1, n)
-    return l / np.sqrt(4.0 * l**2 - 1.0)
-
 
 def m0_overlap_matrix(n: int) -> np.ndarray:
     """Symmetric tridiagonal matrix with entries A_{l,l-1} = l / sqrt(4 l^2 - 1).
 
-    For any m=0 signal, <cos omega_z> = sum_{lk} A_{lk} |a_{l0}| |a_{k0}|.
+    For any m=0 signal, <cos omega_z> = sum_{lk} A_{lk} |a_{l0}| |a_{k0}|;
+    A_{l,l-1} is the m=0 coupling of the blocks l-1 and l.
     """
-    coupling = _m0_coupling(n)
+    l = np.arange(1, n)
+    coupling = l / np.sqrt(4.0 * l**2 - 1.0)
     return np.diag(coupling, 1) + np.diag(coupling, -1)
-
-
-def cos_omega_z_m0(a0) -> float:
-    """Closed-form <cos omega_z> for a normalized m=0 amplitude column."""
-    x = np.abs(np.asarray(a0, dtype=complex))
-    if not abs(np.linalg.norm(x) - 1.0) <= 1e-8:  # also refuses NaN
-        raise ValueError("m=0 amplitudes are not normalized")
-    return float(2.0 * np.sum(_m0_coupling(len(x)) * x[1:] * x[:-1]))
 
 
 def optimal_m0_state(n: int) -> np.ndarray:

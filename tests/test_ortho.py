@@ -3,18 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from rydberg_frames.geometry import UnitVector, X_AXIS, Y_AXIS, Z_AXIS
+from rydberg_frames.geometry import UnitVector
 from rydberg_frames.ortho import _orthogonalize_rows, gain_factor
 from rydberg_frames.povm_so4 import _DUMP_BLOCK_ROWS, philox_rng, sample_directions_about
 
 import stream_oracle
-from rotation_oracle import angle_between, neg, unit
+from rotation_oracle import X_AXIS, Y_AXIS, Z_AXIS, angle_between, as_array, neg, unit
 
 
 def orthogonalize(r_x, r_y):
     """One estimate pair through `_orthogonalize_rows`, as (3, 1) columns."""
-    new_x, new_y = _orthogonalize_rows(r_x.as_array()[:, None], r_y.as_array()[:, None])
-    return UnitVector.from_array(new_x[:, 0]), UnitVector.from_array(new_y[:, 0])
+    new_x, new_y = _orthogonalize_rows(as_array(r_x)[:, None], as_array(r_y)[:, None])
+    return UnitVector(*new_x[:, 0]), UnitVector(*new_y[:, 0])
 
 
 def sample_columns(n, count, seed):
@@ -46,11 +46,11 @@ class TestOrthogonalize:
             a = unit(*rng.normal(size=3))
             b = unit(*rng.normal(size=3))
             na, nb = orthogonalize(a, b)
-            assert abs(na.as_array() @ nb.as_array()) < 1e-12
-            normal = np.cross(a.as_array(), b.as_array())
+            assert abs(as_array(na) @ as_array(nb)) < 1e-12
+            normal = np.cross(as_array(a), as_array(b))
             normal /= np.linalg.norm(normal)
-            assert abs(na.as_array() @ normal) < 1e-12
-            assert abs(nb.as_array() @ normal) < 1e-12
+            assert abs(as_array(na) @ normal) < 1e-12
+            assert abs(as_array(nb) @ normal) < 1e-12
 
     def test_moves_exactly_half_the_defect(self):
         rng = np.random.default_rng(1)
@@ -93,7 +93,7 @@ def test_orthogonalize_rows_bit_identical_to_expression(center):
     # the components picked out with given buffers are its columns
     rng = philox_rng(31)
     rows_x = stream_oracle.directions(10, center, 50000, rng)
-    e1 = UnitVector.from_array(stream_oracle.frame(center)[1])
+    e1 = UnitVector(*stream_oracle.frame(center)[1])
     rows_y = stream_oracle.directions(10, e1, 50000, rng)
     expected_x, expected_y = stream_oracle.orthogonalize(rows_x, rows_y)
     r_x, r_y = np.ascontiguousarray(rows_x.T), np.ascontiguousarray(rows_y.T)

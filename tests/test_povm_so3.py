@@ -3,8 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from rydberg_frames.angmom import small_d_matrices
-from rydberg_frames.geometry import EulerAngles, Y_AXIS
 from rydberg_frames.povm_so3 import (
     QuadratureRule,
     _cg_series,
@@ -13,24 +11,22 @@ from rydberg_frames.povm_so3 import (
     bob_fiducial,
     cos_omega_xy,
     cos_omega_z,
-    cos_omega_z_m0,
     m0_overlap_matrix,
     optimal_m0_state,
     optimize_eccentricity,
-    povm_completeness_deviation,
     two_axis_eta,
 )
-from rydberg_frames.states import (
-    build_elliptic,
-    circular_state,
-    extreme_stark,
-    lk_moments,
-    overlap,
-    rotate,
-)
+from rydberg_frames.states import build_elliptic, circular_state, extreme_stark
 from cg_oracle import clebsch_gordan
-from rotation_oracle import euler_matrix, unit
-from shell_table import block, random_m0_state, random_wavefunction
+from rotation_oracle import Y_AXIS, EulerAngles, euler_matrix, rotate, small_d_matrices, unit
+from shell_table import (
+    block,
+    cos_omega_z_m0,
+    lk_moments,
+    povm_completeness_deviation,
+    random_m0_state,
+    random_wavefunction,
+)
 
 
 def beta_nodes(rule: QuadratureRule):
@@ -327,7 +323,7 @@ class TestTwoAxis:
         wf = alice_two_axis_state(n, 0.0)
         theta, phi = Y_AXIS.spherical()
         target = rotate(circular_state(n), EulerAngles(phi, theta, 0.0))
-        assert abs(overlap(wf, target)) ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(wf.table, target.table)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_eccentricity_range(self):
         with pytest.raises(ValueError):

@@ -7,25 +7,39 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from rydberg_frames.angmom import MAX_N
-from rydberg_frames.geometry import EulerAngles, UnitVector, X_AXIS, Y_AXIS, Z_AXIS
-from rydberg_frames.povm_so3 import alice_two_axis_state, povm_completeness_deviation
+from rydberg_frames.geometry import UnitVector
+from rydberg_frames.povm_so3 import alice_two_axis_state
 from rydberg_frames.states import (
     WaveFunction,
     build_elliptic,
     circular_state,
     coupling_tensor,
-    dispersion_sum,
     extreme_stark,
     from_product_amplitudes,
-    lk_moments,
-    overlap,
     product_amplitudes,
-    rotate,
-    to_product_amplitudes,
 )
 from cg_oracle import HalfInt, clebsch_gordan
-from rotation_oracle import angle_between, euler_matrix, matrix_to_euler, neg, unit
-from shell_table import block, random_wavefunction
+from rotation_oracle import (
+    X_AXIS,
+    Y_AXIS,
+    Z_AXIS,
+    EulerAngles,
+    angle_between,
+    as_array,
+    euler_matrix,
+    matrix_to_euler,
+    neg,
+    rotate,
+    unit,
+)
+from shell_table import (
+    block,
+    dispersion_sum,
+    lk_moments,
+    povm_completeness_deviation,
+    random_wavefunction,
+    to_product_amplitudes,
+)
 
 
 def random_direction(rng):
@@ -37,13 +51,14 @@ class TestConstruction:
         for n in (2, 5, 9):
             wf = build_elliptic(n, Z_AXIS, Z_AXIS)
             assert abs(wf.table[n - 1, -1]) == pytest.approx(1.0, abs=1e-12)
-            assert abs(overlap(wf, circular_state(n))) ** 2 == pytest.approx(1.0, abs=1e-12)
+            circular = circular_state(n)
+            assert abs(np.vdot(wf.table, circular.table)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_opposite_directions_give_maximal_k(self):
         for n in (2, 3, 7):
             wf = build_elliptic(n, neg(Z_AXIS), Z_AXIS)
             stark = extreme_stark(n)
-            assert abs(overlap(wf, stark)) ** 2 == pytest.approx(1.0, abs=1e-12)
+            assert abs(np.vdot(wf.table, stark.table)) ** 2 == pytest.approx(1.0, abs=1e-12)
             j = (n - 1) / 2
             for l in range(n):
                 assert wf.table[l, n - 1].real == pytest.approx(
@@ -185,7 +200,7 @@ class TestExpectations:
             for _ in range(3):
                 d1, d2 = random_direction(rng), random_direction(rng)
                 lvec, kvec = lk_moments(build_elliptic(n, d1, d2))[:2]
-                u1, u2 = d1.as_array(), d2.as_array()
+                u1, u2 = as_array(d1), as_array(d2)
                 k, ell = u2 - u1, u1 + u2  # lengths 2 sin(zeta), 2 cos(zeta)
                 w = np.cross(ell, k)
                 assert kvec @ k == pytest.approx((n - 1) * (k @ k) / 2, abs=1e-10)
@@ -197,7 +212,7 @@ class TestExpectations:
         rng = np.random.default_rng(12)
         d1, d2 = random_direction(rng), random_direction(rng)
         lvec, kvec = lk_moments(build_elliptic(7, d1, d2))[:2]
-        u1, u2 = d1.as_array(), d2.as_array()
+        u1, u2 = as_array(d1), as_array(d2)
         assert np.linalg.norm(np.cross(kvec, u2 - u1)) < 1e-10
         assert np.linalg.norm(np.cross(lvec, u1 + u2)) < 1e-10
 
@@ -251,7 +266,7 @@ class TestOverlapAndRotation:
     def test_self_overlap(self):
         rng = np.random.default_rng(16)
         wf = random_wavefunction(5, rng)
-        assert overlap(wf, wf).real == pytest.approx(1.0, abs=1e-12)
+        assert np.vdot(wf.table, wf.table).real == pytest.approx(1.0, abs=1e-12)
 
     def test_maximal_k_overlap_law(self):
         rng = np.random.default_rng(17)
@@ -262,17 +277,17 @@ class TestOverlapAndRotation:
             s2 = build_elliptic(n, neg(u2), u2)
             chi = angle_between(u1, u2)
             law = math.cos(chi / 2) ** (4 * (n - 1))
-            assert abs(overlap(s1, s2)) ** 2 == pytest.approx(law, abs=1e-11)
+            assert abs(np.vdot(s1.table, s2.table)) ** 2 == pytest.approx(law, abs=1e-11)
 
     def test_shell_mismatch(self):
         with pytest.raises(ValueError):
-            overlap(circular_state(3), circular_state(4))
+            np.vdot(circular_state(3).table, circular_state(4).table)
 
     def test_rotate_identity(self):
         rng = np.random.default_rng(18)
         wf = random_wavefunction(6, rng)
         rotated = rotate(wf, EulerAngles(0.0, 0.0, 0.0))
-        assert abs(overlap(wf, rotated)) ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(wf.table, rotated.table)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_rotate_preserves_block_norms(self):
         rng = np.random.default_rng(19)
@@ -290,7 +305,7 @@ class TestOverlapAndRotation:
         rotated = rotate(extreme_stark(n), EulerAngles(phi, theta, 0.0))
         u = UnitVector.from_spherical(theta, phi)
         built = build_elliptic(n, neg(u), u)
-        assert abs(overlap(rotated, built)) ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(rotated.table, built.table)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_rotation_composition_matches_classical(self):
         rng = np.random.default_rng(20)
@@ -358,7 +373,7 @@ class TestSerialization:
         rng = np.random.default_rng(23)
         wf = random_wavefunction(6, rng)
         back = from_product_amplitudes(6, to_product_amplitudes(wf))
-        assert abs(overlap(wf, back)) ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(wf.table, back.table)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_product_amplitudes_leave_exact_zeros_outside_the_triangle(self):
         # the shear sums only zero tensor entries there, so no rounding residue
