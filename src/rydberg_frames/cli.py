@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from . import reference_values as ref
 from .angmom import MAX_N, MAX_SAMPLES
-from .geometry import UnitVector
+from .geometry import UnitVector, two_axis_eta
 
 _QUADRATURE_NOTE = "n_beta=2n Gauss-Legendre in cos(beta); n_alpha=n_gamma=4n+4 equispaced"
 
@@ -151,7 +151,7 @@ def cmd_table3(args, tol: dict):
     rows = []
     for n in args.n_list:
         for e in args.ecc_grid:
-            eta = p3.two_axis_eta(*p3.cos_omega_xy(p3.alice_two_axis_state(n, e)))
+            eta = two_axis_eta(*p3.cos_omega_xy(p3.alice_two_axis_state(n, e)))
             rows.append(["curve", n, e, eta, None, None, None, None, None, None])
         e_opt, eta_min = p3.optimize_eccentricity(n, "two_axes")
         reference = ref.TWO_AXIS.get(n)

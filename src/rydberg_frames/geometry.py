@@ -1,4 +1,5 @@
-"""Unit vectors: the directions the commands transmit, in Cartesian and spherical form."""
+"""Unit vectors: the directions the commands transmit, in Cartesian and spherical
+form, and the per-axis error measure of a transmitted pair of axes."""
 
 from __future__ import annotations
 
@@ -33,3 +34,8 @@ class UnitVector:
             return theta, 0.0
         phi = math.atan2(self.y, self.x) % TWO_PI
         return theta, phi
+
+
+def two_axis_eta(cos_x, cos_y):
+    """Mean square error per axis, 1/4 (1 - cos omega_x) + 1/4 (1 - cos omega_y)."""
+    return 0.25 * (1.0 - cos_x) + 0.25 * (1.0 - cos_y)

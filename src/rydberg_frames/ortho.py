@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm_so3 import two_axis_eta
+from .geometry import two_axis_eta
 from .povm_so4 import _DUMP_BLOCK_ROWS, _segments, sample_directions_about
 
 

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .states import WaveFunction, build_elliptic
-from .geometry import UnitVector
+from .geometry import UnitVector, two_axis_eta
 
 _ZERO_BLOCK = 1e-12
 
@@ -46,11 +46,6 @@ class QuadratureRule:
     @classmethod
     def for_shell(cls, n: int) -> "QuadratureRule":
         return cls(2 * n, 4 * n + 4, 4 * n + 4)
-
-
-def two_axis_eta(cos_x, cos_y):
-    """Mean square error per axis, 1/4 (1 - cos omega_x) + 1/4 (1 - cos omega_y)."""
-    return 0.25 * (1.0 - cos_x) + 0.25 * (1.0 - cos_y)
 
 
 def bob_fiducial(a: WaveFunction) -> np.ndarray:
@@ -116,20 +111,19 @@ def _cg_series(n: int):
     return cg, weights
 
 
-def _x_sums(u: np.ndarray, cg: np.ndarray) -> np.ndarray:
-    """X[dL + 1, q + 1, l] = sum_m conj(u_{l,m}) u_{l+dL, m+q} <l m; 1 q | l+dL m+q>."""
+def _x_sums(u: np.ndarray, cg: np.ndarray, q: int) -> np.ndarray:
+    """X[dL + 1, l] = sum_m conj(u_{l,m}) u_{l+dL, m+q} <l m; 1 q | l+dL m+q>."""
     n = u.shape[0] - 2
     base = np.conj(u[1 : n + 1, 1 : 2 * n])
-    x = np.empty((3, 3, n), dtype=complex)
+    x = np.empty((3, n), dtype=complex)
     for dL in (-1, 0, 1):
-        for q in (-1, 0, 1):
-            shifted = u[1 + dL : n + 1 + dL, 1 + q : 2 * n + q]
-            x[dL + 1, q + 1] = (base * shifted * cg[dL + 1, q + 1]).sum(axis=1)
+        shifted = u[1 + dL : n + 1 + dL, 1 + q : 2 * n + q]
+        x[dL + 1] = (base * shifted * cg[dL + 1, q + 1]).sum(axis=1)
     return x
 
 
-def _haar_moments(a: WaveFunction):
-    """Haar averages of |<A|U|B>|^2 times 1, cos(beta), R_xx + R_yy and R_xx - R_yy.
+def _haar_moments(a: WaveFunction, q: int, qps) -> list:
+    """Haar averages of |<A|U|B>|^2 Re D^1_{q q'}(U), one for each q' in qps.
 
     |B> = sum_l sqrt(2l+1) b_l is Bob's fiducial, with b_l the unit rows of
     `bob_fiducial(a)`. The Clebsch-Gordan series
@@ -139,10 +133,10 @@ def _haar_moments(a: WaveFunction):
         <|<A|U|B>|^2 f> = sum_l sum_{L = l-1, l, l+1} sqrt((2l+1)/(2L+1))
                           X^a_{lL}(q) conj(X^b_{lL}(q')),
 
-    exactly and without quadrature. The axis weights are cos(beta) = D^1_00,
+    exactly and without quadrature; only the X-sums of q and of each q' are
+    formed. The axis weights are cos(beta) = D^1_00,
     R_xx + R_yy = (1 + cos beta) cos(alpha + gamma) = 2 Re D^1_11 and
-    R_xx - R_yy = -(1 - cos beta) cos(alpha - gamma) = -2 Re D^1_{1,-1};
-    the plain average is sum_l |a_l|^2 |b_l|^2.
+    R_xx - R_yy = -(1 - cos beta) cos(alpha - gamma) = -2 Re D^1_{1,-1}.
     """
     n = a.n
     cg, weights = _cg_series(n)
@@ -151,19 +145,13 @@ def _haar_moments(a: WaveFunction):
     u[0, 1:-1, 1:-1] = a.table
     u[1, 1:-1, 1:-1] = bob_fiducial(a)
     ua, ub = u
-    xa, xb = _x_sums(ua, cg), _x_sums(ub, cg)
-
-    def moment(q, qp):
-        return np.sum(weights * xa[:, q + 1] * np.conj(xb[:, qp + 1])).real
-
-    total = float((np.abs(ua) ** 2).sum(axis=1) @ (np.abs(ub) ** 2).sum(axis=1))
-    return total, float(moment(0, 0)), float(2.0 * moment(1, 1)), float(-2.0 * moment(1, -1))
+    xa = _x_sums(ua, cg, q)
+    return [float(np.sum(weights * xa * np.conj(_x_sums(ub, cg, qp))).real) for qp in qps]
 
 
 def cos_omega_z(a: WaveFunction) -> float:
     """Mean error cosine <cos omega_z> for transmitting the z axis with state a."""
-    _, mom_z, _, _ = _haar_moments(a)
-    return mom_z
+    return _haar_moments(a, 0, (0,))[0]
 
 
 def cos_omega_xy(a: WaveFunction):
@@ -173,7 +161,8 @@ def cos_omega_xy(a: WaveFunction):
     over the error distribution, formed from the moments of their sum and
     their difference.
     """
-    _, _, sum_xy, diff_xy = _haar_moments(a)
+    same, opposite = _haar_moments(a, 1, (1, -1))
+    sum_xy, diff_xy = 2.0 * same, -2.0 * opposite
     return 0.5 * (sum_xy + diff_xy), 0.5 * (sum_xy - diff_xy)
 
 

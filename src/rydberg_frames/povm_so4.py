@@ -35,7 +35,7 @@ import functools
 import math
 import os
 import stat
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,21 +167,21 @@ def _window(count: int) -> int:
     return 2 * workers if workers > 1 and hasattr(os, "fork") else 1
 
 
-def ordered_map(fn, items, window=None):
+def ordered_map(fn, items):
     """Yield fn(item) for each item, in order, on min(usable CPUs, items) workers.
 
-    At most `window` items are in flight, `_window(len(items))` if None, on
-    window // 2 workers: item k + window is submitted only after the consumer
-    has taken result k, so results never pile up, and whatever result k names
-    (a slot of `write_csv`'s ring, which passes its own window) is free for
-    item k + window. The workers are forked, so fn and the arrays it reads
-    reach them by inheritance; only the items and the results are pickled. Fork
-    is safe here because the package starts no thread and keeps BLAS on one.
+    At most window = `_window(len(items))` items are in flight, on window // 2
+    workers: item k + window is submitted only after the consumer has taken
+    result k, so results never pile up, and whatever result k names (a slot of
+    `write_csv`'s ring, sized by the same `_window`) is free for item
+    k + window. The workers are forked, so fn and the arrays it reads reach
+    them by inheritance; only the items and the results are pickled. Fork is
+    safe here because the package starts no thread and keeps BLAS on one.
     With one worker, or where the platform cannot fork, this is plain `map`.
     """
     global _inherited
     items = list(items)
-    window = window or _window(len(items))
+    window = _window(len(items))
     if window == 1:
         yield from map(fn, items)
         return
@@ -294,8 +294,6 @@ class OutcomeBatch:
 
     cos_chi1: np.ndarray
     cos_chi2: np.ndarray
-    # while `write_csv` runs: its ring of block slots in shared memory
-    _ring: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def write_csv(self, path):
         """Columns (sample, chi1, chi2, cos_chi1, cos_chi2): CRLF rows with
@@ -303,11 +301,11 @@ class OutcomeBatch:
 
         `ordered_map` renders the blocks of `_DUMP_BLOCK_ROWS` rows, block k
         into slot k mod window of a ring in one anonymous shared mapping made
-        before the fork, where window is the number of blocks it keeps in
-        flight. A worker returns only the byte count, and the blocks are
-        written from their slots in order: no rendered byte is pickled, the
-        ring holds at most window blocks, and the bytes do not depend on the
-        worker count. On any exception, a dead worker or a failed write among
+        before the fork and handed to the renderer, where window is
+        `_window(blocks)`, the number of blocks it keeps in flight. A worker
+        returns only the byte count, and the blocks are written from their
+        slots in order: no rendered byte is pickled, the ring holds at most
+        window blocks, and the bytes do not depend on the worker count. On any exception, a dead worker or a failed write among
         them, a partly written regular file is removed before the exception
         goes on."""
         import mmap  # imported here, so an import of the package does not pay for it
@@ -321,23 +319,22 @@ class OutcomeBatch:
                 window = _window(len(starts))
                 # no row is longer than its index, four cells and CRLF
                 slot = _DUMP_BLOCK_ROWS * (len(str(rows)) + 4 * (_CELL_BYTES + 1) + 2)
-                self._ring = np.frombuffer(mmap.mmap(-1, window * slot), np.uint8).reshape(window, slot)
-                for k, size in enumerate(ordered_map(self._render_block, starts, window)):
-                    handle.write(self._ring[k % window, :size])
+                ring = np.frombuffer(mmap.mmap(-1, window * slot), np.uint8).reshape(window, slot)
+                render = functools.partial(self._render_block, ring)
+                for k, size in enumerate(ordered_map(render, starts)):
+                    handle.write(ring[k % window, :size])
         except BaseException:
             # never a device, a pipe or a link, as in `--dump-samples /dev/stdout`
             with contextlib.suppress(OSError):
                 if stat.S_ISREG(os.lstat(path).st_mode):
                     os.remove(path)
             raise
-        finally:
-            self._ring = None
 
-    def _render_block(self, start: int) -> int:
-        """Render the block of rows from `start` into its slot of the ring, a
+    def _render_block(self, ring: np.ndarray, start: int) -> int:
+        """Render the block of rows from `start` into its slot of `ring`, a
         chunk of `_CHUNK_ROWS` rows at a time, and return its byte count."""
         stop = min(start + _DUMP_BLOCK_ROWS, len(self.cos_chi1))
-        slot = self._ring[start // _DUMP_BLOCK_ROWS % len(self._ring)]
+        slot = ring[start // _DUMP_BLOCK_ROWS % len(ring)]
         size = 0
         for first in range(start, stop, _CHUNK_ROWS):
             last = min(first + _CHUNK_ROWS, stop)

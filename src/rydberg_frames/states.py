@@ -6,11 +6,12 @@ j = (n-1)/2 that generate the shell give the angular momentum L = J1 + J2 and
 the scaled Runge-Lenz vector K = J2 - J1. In the two-spin picture a state is
 one amplitude table psi[j+m1, j+m2], and an elliptic state is the product of
 two spin-j coherent states, psi = c1 (x) c2, coupled into the |l m> table by
-the Clebsch-Gordan tensor. The commands write these tables (`state`) or
-evaluate them through the closed-form fidelities of `povm_so3`; no command
-rotates a state or forms an L or K moment. The rotation covariance and the
-minimal L and K dispersions are checked by the test oracles
-(`tests/rotation_oracle.py`, `tests/shell_table.py`).
+the Clebsch-Gordan tensor one m1 slice at a time, with no n^3 temporary. The
+commands write these tables (`state`) or evaluate them through the
+closed-form fidelities of `povm_so3`; no command rotates a state or forms an
+L or K moment. The rotation covariance and the minimal L and K dispersions
+are checked by the test oracles (`tests/rotation_oracle.py`,
+`tests/shell_table.py`).
 """
 
 from __future__ import annotations
@@ -128,13 +129,14 @@ def coupling_tensor(n: int) -> np.ndarray:
 
 def from_product_amplitudes(n: int, psi: np.ndarray) -> WaveFunction:
     """Couple a two-spin amplitude table psi[j+m1, j+m2] into the |l m> table."""
-    weighted = coupling_tensor(n) * psi[None, :, :]
-    # shear row i1 right by i1, so column i1 + i2 = m + (n-1) collects all
-    # m1 + m2 = m; the pad column keeps wrapped entries out of the sums
-    sheared = np.zeros((n, n, 2 * n), dtype=complex)
-    sheared[:, :, :n] = weighted
-    sheared = sheared.reshape(n, 2 * n * n)[:, : n * (2 * n - 1)]
-    return WaveFunction(n, sheared.reshape(n, n, 2 * n - 1).sum(axis=1))
+    coupling = coupling_tensor(n)
+    # column i1 + i2 = m + (n-1) collects all m1 + m2 = m. The i1 slices are
+    # added in ascending order onto zeros, one n x n product at a time;
+    # starting from slice 0 instead would keep some -0.0 that zeros turn to 0.0
+    table = np.zeros((n, 2 * n - 1), dtype=complex)
+    for i1 in range(n):
+        table[:, i1 : i1 + n] += coupling[:, i1, :] * psi[i1]
+    return WaveFunction(n, table)
 
 
 def product_amplitudes(n: int, u1: UnitVector, u2: UnitVector) -> np.ndarray:

@@ -4,7 +4,7 @@ and the two-spin, L/K and measurement observables that only the tests evaluate."
 import numpy as np
 
 from rydberg_frames.angmom import ladder_factors
-from rydberg_frames.povm_so3 import _haar_moments, m0_overlap_matrix
+from rydberg_frames.povm_so3 import _haar_moments, bob_fiducial, m0_overlap_matrix
 from rydberg_frames.states import WaveFunction, coupling_tensor
 
 
@@ -39,7 +39,7 @@ def spin_matrices(n: int):
 
 def to_product_amplitudes(state: WaveFunction) -> np.ndarray:
     """Two-spin table psi[j+m1, j+m2] of a shell state: SO(4) as SO(3) x SO(3)."""
-    # the inverse of the shear in `from_product_amplitudes`: read at column i1 + i2
+    # the inverse of `from_product_amplitudes`: a[l, m1 + m2] sits at column i1 + i2
     n = state.n
     total = np.add.outer(np.arange(n), np.arange(n))
     return (coupling_tensor(n) * state.table[:, total]).sum(axis=0)
@@ -76,7 +76,19 @@ def cos_omega_z_m0(a0) -> float:
     return float(2.0 * np.sum(np.diagonal(m0_overlap_matrix(len(x)), 1) * x[1:] * x[:-1]))
 
 
+def haar_total(a: WaveFunction) -> float:
+    """Haar average of |<A|U|B>|^2 over Bob's fiducial: sum_l |a_l|^2 |b_l|^2."""
+    return float((np.abs(a.table) ** 2).sum(axis=1) @ (np.abs(bob_fiducial(a)) ** 2).sum(axis=1))
+
+
+def haar_moments(a: WaveFunction):
+    """Haar averages of |<A|U|B>|^2 times 1, cos(beta), R_xx + R_yy and R_xx - R_yy:
+    the plain total here, the weighted three from `povm_so3._haar_moments`."""
+    (mom_z,) = _haar_moments(a, 0, (0,))
+    same, opposite = _haar_moments(a, 1, (1, -1))
+    return haar_total(a), mom_z, 2.0 * same, -2.0 * opposite
+
+
 def povm_completeness_deviation(a: WaveFunction) -> float:
     """|integral |<A|U|B>|^2 dU - 1|: zero when the optimal method's POVM resolves the identity."""
-    total, _, _, _ = _haar_moments(a)
-    return abs(total - 1.0)
+    return abs(haar_total(a) - 1.0)

@@ -83,6 +83,11 @@ _PINNED = {
                "a6a03aea9f8786cb677ef009726bd24129519206b4e6ceb8841fdf9117903e74"),
     "table3": (["table3", "--n-list", "5", "--ecc-grid", "0.3,0.5,0.7"],
                "d9cfaf4c03e09bd041cc7f1b413c6252290ef1d7fb73f949147e02b93612ca88"),
+    # the benchmark's large shell, and one curve point and optimum at MAX_N
+    "table3n40": (["table3", "--n-list", "40"],
+                  "0be517da94cd9c4cccdd6fe46ff5b6816dfaeb58513ace41d9e221654f57dee3"),
+    "table3n101": (["table3", "--n-list", "101", "--ecc-grid", "0.5"],
+                   "e522c92db5b2b4fad24c01afb2887ab828a503dd00d63b6f7949c68e92765f4f"),
     "so4": (["so4", "--samples", "20000", "--seed", "3"],
             "76777697b355a1bbd4b7b8e49c2016fa5a797ffba0de621458b9ea2a2626b039"),
     "ortho": (["ortho", "--n-list", "5", "--samples", "100000"],
@@ -252,7 +257,8 @@ _MONTE_CARLO = {"povm_so4", "ortho"}
     (["table2"], {"states", "povm_so3"}, _MONTE_CARLO),
     (["table3", "--n-list", "5"], {"povm_so3"}, _MONTE_CARLO),
     (["so4", "--samples", "20000"], {"povm_so4"}, {"povm_so3", "ortho", "states"}),
-], ids=["state-elliptic", "state-stark", "table1", "table2", "table3", "so4"])
+    (["ortho", "--n-list", "5", "--samples", "100000"], _MONTE_CARLO, {"povm_so3", "states"}),
+], ids=["state-elliptic", "state-stark", "table1", "table2", "table3", "so4", "ortho"])
 def test_each_command_loads_only_its_modules(argv, loaded, absent, tmp_path):
     proc = subprocess.run([sys.executable, "-c", _LOADED_PROBE, *argv, "--out", str(tmp_path / "o")],
                           capture_output=True, text=True, env=child_env(), timeout=120, check=True)

@@ -1,4 +1,4 @@
-"""Heap guards for the streamed Monte Carlo path.
+"""Heap guards for the streamed Monte Carlo path and the largest shell state.
 
 numpy reports its array buffers to tracemalloc, so the traced peak counts the
 arrays alive at once. Whole-batch (3, count) estimate arrays take 48 B per
@@ -7,9 +7,12 @@ sample for each direction pair and fail these bounds.
 
 import tracemalloc
 
+from rydberg_frames.angmom import MAX_N
 from rydberg_frames.cli import main
 from rydberg_frames.ortho import gain_factor
+from rydberg_frames.povm_so3 import alice_two_axis_state
 from rydberg_frames.povm_so4 import sample_outcome_batch
+from rydberg_frames.states import coupling_tensor
 
 COUNT = 600000
 SLACK = 16 * 2**20  # the blocks in flight and the interpreter's own allocations
@@ -48,3 +51,14 @@ def test_so4_command_keeps_24_bytes_per_sample(tmp_path):
     peak, status = traced_peak(main, ["so4", "--samples", str(COUNT), "--out", out])
     assert status == 0
     assert peak <= 24 * COUNT + 2 * 2**20
+
+
+def test_elliptic_state_at_max_n_keeps_a_few_tables():
+    # the (n, 2n-1) complex table, one n x n slice product at a time and the
+    # norm check's temporaries: about three tables, 0.97 MB at n = 101. An
+    # n^3 complex temporary of the coupling tensor (16 MB there) fails this.
+    n = MAX_N
+    coupling_tensor(n)  # the cached tensor is not part of one state's build
+    peak, state = traced_peak(alice_two_axis_state, n, 0.3)
+    assert state.n == n
+    assert peak <= 4 * n * (2 * n - 1) * 16

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from rydberg_frames.geometry import two_axis_eta
 from rydberg_frames.povm_so3 import (
     QuadratureRule,
     _cg_series,
-    _haar_moments,
     alice_two_axis_state,
     bob_fiducial,
     cos_omega_xy,
@@ -14,7 +14,6 @@ from rydberg_frames.povm_so3 import (
     m0_overlap_matrix,
     optimal_m0_state,
     optimize_eccentricity,
-    two_axis_eta,
 )
 from rydberg_frames.states import build_elliptic, circular_state, extreme_stark
 from cg_oracle import clebsch_gordan
@@ -22,6 +21,7 @@ from rotation_oracle import Y_AXIS, EulerAngles, euler_matrix, rotate, small_d_m
 from shell_table import (
     block,
     cos_omega_z_m0,
+    haar_moments,
     lk_moments,
     povm_completeness_deviation,
     random_m0_state,
@@ -90,7 +90,7 @@ def _t_stack(a, fid, rule: QuadratureRule) -> np.ndarray:
 
 
 def beta_grid_moments(a, rule: QuadratureRule):
-    """Oracle for _haar_moments: Gauss-Legendre in beta over the T-stack.
+    """Oracle for haar_moments: Gauss-Legendre in beta over the T-stack.
 
     The alpha and gamma averages are taken by Fourier orthogonality:
     |<A|U|B>|^2 averages to sum |T[b]|^2, its product with e^{i(alpha + gamma)}
@@ -195,7 +195,7 @@ class TestClosedFormMoments:
         ]
         rule = QuadratureRule.for_shell(n)
         for a in states:
-            closed = _haar_moments(a)
+            closed = haar_moments(a)
             grid = self.grid_moments(a, rule)
             assert np.abs(np.subtract(closed, grid)).max() <= 1e-14
 
@@ -206,7 +206,7 @@ class TestClosedFormMoments:
         rule = QuadratureRule.for_shell(n)
         for a in (alice_two_axis_state(n, 0.3), alice_two_axis_state(n, 0.7),
                   build_elliptic(n, *directions)):
-            closed = _haar_moments(a)
+            closed = haar_moments(a)
             assert np.abs(np.subtract(closed, beta_grid_moments(a, rule))).max() <= 1e-12
 
 
