@@ -20,8 +20,6 @@ import math
 import sys
 from importlib import resources
 
-import numpy as np
-
 from . import __version__
 from . import reference_values as ref
 from .angmom import MAX_N, MAX_SAMPLES
@@ -178,15 +176,14 @@ def cmd_so4(args, tol: dict):
     if samples > 0:
         # count by keyword: perfbench's tracer reads it by name
         batch = p4.sample_outcome_batch(n, count=samples, seed=args.seed)
+        # each block is drawn, reduced and rendered where it runs, so no array
+        # of the whole batch exists: in the dump's workers, or else in-process
         if args.dump_samples:
-            batch.write_csv(args.dump_samples)
-        for axis, cos_chi in (("1", batch.cos_chi1), ("2", batch.cos_chi2)):
-            # the dump is written, so the errors 0.5 * (1.0 - cos_chi) take the
-            # cosines' own buffer: the same two ufuncs, so the same bits
-            per_sample = np.subtract(1.0, cos_chi, out=cos_chi)
-            per_sample *= 0.5
-            mc = float(per_sample.mean())
-            stderr = float(per_sample.std(ddof=1)) / math.sqrt(samples)
+            means, m2s = batch.write_csv(args.dump_samples)
+        else:
+            means, m2s = batch.error_moments()
+        for axis, mc, m2 in zip(("1", "2"), means.tolist(), m2s.tolist()):
+            stderr = math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
             pull = abs(mc - closed) / stderr
             rows.append([axis, closed, mc, stderr, pull, bool(pull <= tol["sigma"])])
     else:

@@ -7,20 +7,25 @@ direction. That density integrates to one and has <cos chi> = (n-1)/(n+1),
 hence a per-direction mean square error of exactly 1/(n+1) for every n.
 
 The density is the same about every axis, so no result depends on which
-axes are sent: `so4` draws only the two error cosines (16 B per sample) and
-`ortho` draws its estimates about x and y, as the columns of (3, rows) blocks.
+axes are sent: `so4` draws only the two error cosines and `ortho` draws its
+estimates about x and y, as the columns of (3, rows) blocks. Both draw in
+blocks of `_DUMP_BLOCK_ROWS` samples: `so4`'s memory does not grow with the
+sample count, and `ortho` keeps only its per-sample errors whole (32 B per
+sample at their covariance).
 All sampling is rejection-free through the inverse CDF on s = sin^2(chi/2)
 and uses numpy's counter-based 64-bit Philox generator with an explicit seed
-in every API. `_segments` splits the seed's stream into its four segments by
-Philox skip-ahead (Salmon et al., SC11, 2011), so the bits are those of one
-pass over the stream. `ordered_map` runs the dump's blocks and `ortho`'s
-shells on forked workers, one per usable CPU, with at most two items per
-worker in flight, and returns the results in order: no output byte depends on
-the CPUs. The dump's `%.12g` text is rendered in numpy, in fixed fields of
-4-byte words with no string per cell: the decimals go as four 4-digit groups,
-one lookup each in a table built on first use (`_cell_words`). The workers
-render each block into a slot of a ring in shared memory and return only its
-byte count, so no rendered byte is pickled.
+in every API. `_stream_at` positions a generator anywhere in the seed's stream
+by Philox skip-ahead (Salmon et al., SC11, 2011), so the bits are those of one
+pass over the stream however it is split. `so4` draws, reduces and renders
+each block where it runs (`_so4_block`) and combines the blocks' partial
+moments in order. `ordered_map` runs the dump's blocks and `ortho`'s shells on
+forked workers, one per usable CPU, with at most two items per worker in
+flight, and returns the results in order: no output byte depends on the CPUs.
+The dump's `%.12g` text is rendered in numpy, in fixed fields of 4-byte words
+with no string per cell: the decimals go as four 4-digit groups, one lookup
+each in a table built on first use (`_cell_words`). The workers render each
+block into a slot of a ring in shared memory and return only its byte count
+and partial moments, so no rendered byte is pickled.
 
 The tests check the completeness of the product POVM on explicit grids, and
 the diagnostic that rotated maximal-K projectors alone do not resolve the
@@ -81,23 +86,26 @@ _DECIMAL_SHIFT = np.array([float(10**k) for k in range(1, 6)])  # 10^(5 + e)
 
 def philox_rng(seed: int) -> np.random.Generator:
     """Counter-based 64-bit generator. A command draws all its samples from the
-    one stream of its seed; `_segments` positions generators in that stream by
-    `advance`, so blocks are drawn without the doubles before them."""
+    one stream of its seed; `_stream_at` positions generators in that stream
+    by `advance`, so blocks are drawn without the doubles before them."""
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _stream_at(seed: int, offset: int) -> np.random.Generator:
+    """A generator positioned at double `offset` of the seed's stream. Each
+    Philox counter step yields four doubles, so it advances by the whole steps
+    and discards the remainder."""
+    rng = philox_rng(seed)
+    rng.bit_generator.advance(offset // 4)
+    rng.random(offset % 4)
+    return rng
 
 
 def _segments(seed: int, count: int) -> list:
     """The seed's stream as four segments of `count` doubles, one positioned
     generator each: the cosines about the first axis, their azimuths, then the
-    same two about the second. Each Philox counter step yields four doubles,
-    so a generator advances by the whole steps and discards the remainder."""
-    segments = []
-    for offset in (0, count, 2 * count, 3 * count):
-        rng = philox_rng(seed)
-        rng.bit_generator.advance(offset // 4)
-        rng.random(offset % 4)
-        segments.append(rng)
-    return segments
+    same two about the second."""
+    return [_stream_at(seed, offset) for offset in (0, count, 2 * count, 3 * count)]
 
 
 def so4_infidelity(n: int) -> float:
@@ -288,71 +296,125 @@ def _render_rows(first: int, cells: np.ndarray) -> bytes:
     return block.tobytes().translate(None, b"\0")
 
 
-@dataclass
+def _block_cosines(n: int, count: int, seed: int, start: int) -> np.ndarray:
+    """The (2, rows) error cosines of the block of samples from `start`, at most
+    `_DUMP_BLOCK_ROWS` of `count`: row 0 from segment 0 of the seed's stream and
+    row 1 from segment 2, where `ortho.gain_factor` draws its cosines about x
+    and y (`_segments`), so the bits are those of one pass."""
+    rows = min(_DUMP_BLOCK_ROWS, count - start)
+    cos_chi = np.empty((2, rows))
+    for row, offset in zip(cos_chi, (start, 2 * count + start)):
+        sample_error_cosines(n, rows, _stream_at(seed, offset), row)
+    return cos_chi
+
+
+def _so4_block(n: int, count: int, seed: int, ring: np.ndarray | None, start: int):
+    """Draw the block of samples from `start`, render its dump rows into its
+    slot of `ring` unless `ring` is None, and reduce it: (bytes rendered, rows,
+    mean, M2), the per-axis mean and sum of squared deviations of the errors
+    0.5 * (1 - cos chi).
+
+    The rows are rendered `_CHUNK_ROWS` at a time, so their temporaries stay
+    in cache. The errors take the cosines' buffer with the ufuncs of
+    0.5 * (1.0 - cos_chi), and the mean and M2 are the sums numpy's `mean` and
+    `std` form, so one block reproduces them bit for bit. They are plain
+    `add.reduce` sums: no BLAS call, so no BLAS thread, in a forked worker."""
+    cos_chi = _block_cosines(n, count, seed, start)
+    rows = cos_chi.shape[1]
+    size = 0
+    if ring is not None:
+        slot = ring[start // _DUMP_BLOCK_ROWS % len(ring)]
+        for first in range(0, rows, _CHUNK_ROWS):
+            chunk = cos_chi[:, first : first + _CHUNK_ROWS]
+            cells = np.empty((chunk.shape[1], 4))
+            for k in range(2):
+                cells[:, k] = np.arccos(np.clip(chunk[k], -1.0, 1.0))
+                cells[:, k + 2] = chunk[k]
+            text = _render_rows(start + first, cells)
+            slot[size : size + len(text)] = np.frombuffer(text, np.uint8)
+            size += len(text)
+    errors = np.subtract(1.0, cos_chi, out=cos_chi)
+    errors *= 0.5
+    mean = np.add.reduce(errors, axis=1) / rows
+    errors -= mean[:, None]
+    return size, rows, mean, np.add.reduce(np.square(errors, out=errors), axis=1)
+
+
+def _combined(partials) -> tuple:
+    """Per-axis (mean, M2) of all samples from the (rows, mean, M2) of each
+    block, combined in block order by the pairwise update of Chan, Golub &
+    LeVeque (Am. Stat. 37, 242 (1983))."""
+    total, mean, m2 = 0, np.full(2, math.nan), np.zeros(2)  # no samples, no mean
+    for rows, block_mean, block_m2 in partials:
+        if total:
+            delta = block_mean - mean
+            mean = mean + delta * (rows / (total + rows))
+            m2 = m2 + block_m2 + delta * delta * (total * rows / (total + rows))
+        else:
+            mean, m2 = block_mean, block_m2
+        total += rows
+    return mean, m2
+
+
+@dataclass(frozen=True)
 class OutcomeBatch:
-    """Error cosines of the two transmitted directions, one pair per sample."""
+    """`count` samples of shell n from the seed's stream, one pair of error
+    cosines each, as a record: every block of `_DUMP_BLOCK_ROWS` samples is
+    drawn where it is reduced and rendered (`_so4_block`), so no array of the
+    whole batch exists."""
 
-    cos_chi1: np.ndarray
-    cos_chi2: np.ndarray
+    n: int
+    count: int
+    seed: int
 
-    def write_csv(self, path):
-        """Columns (sample, chi1, chi2, cos_chi1, cos_chi2): CRLF rows with
-        `%.12g` cells, the bytes `csv.writer` gives for the same cells.
+    def error_moments(self) -> tuple:
+        """Per-axis (mean, M2) of the errors 0.5 * (1 - cos chi), the blocks
+        drawn and reduced one at a time in this process."""
+        blocks = map(functools.partial(_so4_block, self.n, self.count, self.seed, None),
+                     range(0, self.count, _DUMP_BLOCK_ROWS))
+        return _combined([partial for _, *partial in blocks])
 
-        `ordered_map` renders the blocks of `_DUMP_BLOCK_ROWS` rows, block k
-        into slot k mod window of a ring in one anonymous shared mapping made
-        before the fork and handed to the renderer, where window is
-        `_window(blocks)`, the number of blocks it keeps in flight. A worker
-        returns only the byte count, and the blocks are written from their
-        slots in order: no rendered byte is pickled, the ring holds at most
-        window blocks, and the bytes do not depend on the worker count. On any exception, a dead worker or a failed write among
-        them, a partly written regular file is removed before the exception
-        goes on."""
+    def write_csv(self, path) -> tuple:
+        """Write the outcome dump, columns (sample, chi1, chi2, cos_chi1,
+        cos_chi2): CRLF rows with `%.12g` cells, the bytes `csv.writer` gives
+        for the same cells; return `error_moments()`, reduced on the way.
+
+        `ordered_map` runs `_so4_block` on the blocks, block k rendered into
+        slot k mod window of a ring in one anonymous shared mapping made
+        before the fork, where window is `_window(blocks)`, the number of
+        blocks it keeps in flight. A worker draws its block and returns only
+        its byte count and partial moments, and the blocks are written from
+        their slots in order: no rendered byte is pickled, the ring holds at
+        most window blocks, and no byte depends on the worker count. On any
+        exception, a dead worker or a failed write among them, a partly
+        written regular file is removed before the exception goes on."""
         import mmap  # imported here, so an import of the package does not pay for it
 
         handle = open(path, "wb")
         try:
             with handle:
                 handle.write(_DUMP_HEADER)
-                rows = len(self.cos_chi1)
-                starts = range(0, rows, _DUMP_BLOCK_ROWS)
+                starts = range(0, self.count, _DUMP_BLOCK_ROWS)
                 window = _window(len(starts))
                 # no row is longer than its index, four cells and CRLF
-                slot = _DUMP_BLOCK_ROWS * (len(str(rows)) + 4 * (_CELL_BYTES + 1) + 2)
+                slot = _DUMP_BLOCK_ROWS * (len(str(self.count)) + 4 * (_CELL_BYTES + 1) + 2)
                 ring = np.frombuffer(mmap.mmap(-1, window * slot), np.uint8).reshape(window, slot)
-                render = functools.partial(self._render_block, ring)
-                for k, size in enumerate(ordered_map(render, starts)):
+                render = functools.partial(_so4_block, self.n, self.count, self.seed, ring)
+                partials = []
+                for k, (size, *partial) in enumerate(ordered_map(render, starts)):
                     handle.write(ring[k % window, :size])
+                    partials.append(partial)
         except BaseException:
             # never a device, a pipe or a link, as in `--dump-samples /dev/stdout`
             with contextlib.suppress(OSError):
                 if stat.S_ISREG(os.lstat(path).st_mode):
                     os.remove(path)
             raise
-
-    def _render_block(self, ring: np.ndarray, start: int) -> int:
-        """Render the block of rows from `start` into its slot of `ring`, a
-        chunk of `_CHUNK_ROWS` rows at a time, and return its byte count."""
-        stop = min(start + _DUMP_BLOCK_ROWS, len(self.cos_chi1))
-        slot = ring[start // _DUMP_BLOCK_ROWS % len(ring)]
-        size = 0
-        for first in range(start, stop, _CHUNK_ROWS):
-            last = min(first + _CHUNK_ROWS, stop)
-            cells = np.empty((last - first, 4))
-            for k, cos_chi in enumerate((self.cos_chi1[first:last], self.cos_chi2[first:last])):
-                cells[:, k] = np.arccos(np.clip(cos_chi, -1.0, 1.0))
-                cells[:, k + 2] = cos_chi
-            text = _render_rows(first, cells)
-            slot[size : size + len(text)] = np.frombuffer(text, np.uint8)
-            size += len(text)
-        return size
+        return _combined(partials)
 
 
 def sample_outcome_batch(n: int, count: int, seed: int) -> OutcomeBatch:
-    """Sample `count` outcome pairs and keep only their error cosines, which do
-    not depend on the transmitted axes. They are drawn where `ortho.gain_factor`
-    draws its cosines: segments 0 and 2 of `_segments(seed, count)`."""
-    cos_1, _, cos_2, _ = _segments(seed, count)
-    return OutcomeBatch(sample_error_cosines(n, count, cos_1),
-                        sample_error_cosines(n, count, cos_2))
-
+    """The batch of `count` outcome pairs of shell n from the seed's stream.
+    Nothing is drawn here: `OutcomeBatch.error_moments` and `write_csv` draw
+    the blocks where they use them."""
+    return OutcomeBatch(n, count, seed)

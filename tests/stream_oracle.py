@@ -6,6 +6,8 @@ them as whole arrays: the values the column-major, block-streamed kernel of
 `ortho.gain_factor` must reproduce bit for bit. `so4`'s cosines have their own
 one-pass oracle, which draws them with no azimuths or vectors, and its outcome
 dump is written row by row through `csv.writer` (`csv_writer_dump`).
+`block_cosines` gathers the cosines `so4` draws block by block, which no
+command keeps whole, so the tests can hold them against the oracles.
 """
 
 import csv
@@ -14,6 +16,7 @@ import math
 import numpy as np
 
 from rydberg_frames.ortho import GainReport
+from rydberg_frames import povm_so4
 from rydberg_frames.povm_so4 import philox_rng
 
 from rotation_oracle import X_AXIS, Y_AXIS, as_array
@@ -66,26 +69,34 @@ def sample_error_arrays(n, count, seed, v1=X_AXIS, v2=Y_AXIS):
 
 
 def one_shot_cosines(n, count, seed):
-    """cos_chi1 and cos_chi2 of `sample_outcome_batch` in one pass over the
-    stream: the v1 cosines, `count` skipped doubles (the azimuths about v1 in
-    `sample_error_arrays`), then the v2 cosines, each as one whole expression."""
+    """The `so4` cosines in one pass over the stream: the v1 cosines, `count`
+    skipped doubles (the azimuths about v1 in `sample_error_arrays`), then the
+    v2 cosines, each as one whole expression."""
     rng = philox_rng(seed)
     cos_chi1 = cosines(n, count, rng)
     rng.random(count)
     return cos_chi1, cosines(n, count, rng)
 
 
-def csv_writer_dump(batch, path):
-    """The outcome dump of `batch` written row by row through `csv.writer`, with
-    `%.12g` cells and chi taken of the whole cosine arrays: the bytes the block
-    renderer of `OutcomeBatch.write_csv` must reproduce."""
-    chi1, chi2 = (np.arccos(np.clip(c, -1.0, 1.0)) for c in (batch.cos_chi1, batch.cos_chi2))
+def block_cosines(n, count, seed):
+    """The (2, count) cosines `so4` draws, its blocks' `_block_cosines`
+    concatenated in order, at the block size of the moment."""
+    blocks = [povm_so4._block_cosines(n, count, seed, start)
+              for start in range(0, count, povm_so4._DUMP_BLOCK_ROWS)]
+    return np.concatenate(blocks, axis=1) if blocks else np.empty((2, 0))
+
+
+def csv_writer_dump(pair, path):
+    """The outcome dump of the two cosine arrays `pair` written row by
+    row through `csv.writer`, with `%.12g` cells and chi taken of the whole
+    arrays: the bytes the block renderer of `OutcomeBatch.write_csv` must
+    reproduce."""
+    cos_chi1, cos_chi2 = pair
+    chi1, chi2 = (np.arccos(np.clip(c, -1.0, 1.0)) for c in (cos_chi1, cos_chi2))
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["sample", "chi1", "chi2", "cos_chi1", "cos_chi2"])
-        for i, (x1, x2, c1, c2) in enumerate(
-            zip(chi1, chi2, batch.cos_chi1, batch.cos_chi2)
-        ):
+        for i, (x1, x2, c1, c2) in enumerate(zip(chi1, chi2, cos_chi1, cos_chi2)):
             writer.writerow([i, f"{x1:.12g}", f"{x2:.12g}", f"{c1:.12g}", f"{c2:.12g}"])
 
 

@@ -2,10 +2,13 @@
 
 numpy reports its array buffers to tracemalloc, so the traced peak counts the
 arrays alive at once. Whole-batch (3, count) estimate arrays take 48 B per
-sample for each direction pair and fail these bounds.
+sample for each direction pair and fail these bounds, and `so4` holds no
+array of the whole batch at all.
 """
 
 import tracemalloc
+
+import pytest
 
 from rydberg_frames.angmom import MAX_N
 from rydberg_frames.cli import main
@@ -30,8 +33,10 @@ def traced_peak(fn, *args):
 
 
 def test_outcome_batch_keeps_16_bytes_per_sample():
-    peak, batch = traced_peak(sample_outcome_batch, 10, COUNT, 1)
-    assert batch.cos_chi1.size == COUNT
+    # the batch is a record; its moments are drawn and reduced block by block
+    batch = sample_outcome_batch(10, COUNT, 1)
+    peak, (mean, m2) = traced_peak(batch.error_moments)
+    assert batch.count == COUNT and mean.shape == m2.shape == (2,)
     assert peak <= 16 * COUNT + SLACK
 
 
@@ -43,14 +48,24 @@ def test_gain_factor_keeps_48_bytes_per_sample():
 
 
 def test_so4_command_keeps_24_bytes_per_sample(tmp_path):
-    # the two cosine arrays (16 B) and the one temporary of `std` (8 B): the
-    # per-sample errors take the cosines' buffer. A copy of them (32 B per
-    # sample) exceeds this bound, so the slack is kept below 8 B per sample.
+    # the bound of whole cosine arrays (16 B) and one temporary of `std` (8 B),
+    # with slack below 8 B per sample; the blocks stay far below it
     out = str(tmp_path / "so4.csv")
     main(["so4", "--samples", "1000", "--out", out])  # imports and caches first
     peak, status = traced_peak(main, ["so4", "--samples", str(COUNT), "--out", out])
     assert status == 0
     assert peak <= 24 * COUNT + 2 * 2**20
+
+
+@pytest.mark.parametrize("samples", [COUNT, 2 * 10**6])
+def test_so4_command_heap_does_not_grow_with_samples(tmp_path, samples):
+    # one block of cosines in flight (1 MB at 65,536 samples) and the report;
+    # whole cosine arrays take 16 B per sample, 9.6 MB at the smaller count
+    out = str(tmp_path / "so4.csv")
+    main(["so4", "--samples", "1000", "--out", out])  # imports and caches first
+    peak, status = traced_peak(main, ["so4", "--samples", str(samples), "--out", out])
+    assert status == 0
+    assert peak <= 4 * 2**20
 
 
 def test_elliptic_state_at_max_n_keeps_a_few_tables():

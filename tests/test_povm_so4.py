@@ -67,9 +67,9 @@ class TestSampling:
         assert medians[2] < 0.2
 
     def test_independence(self):
-        batch = sample_outcome_batch(10, 200000, seed=5)
-        corr = np.corrcoef(batch.cos_chi1, batch.cos_chi2)[0, 1]
-        assert abs(corr) < 3.0 / math.sqrt(batch.cos_chi1.size)
+        cos_chi1, cos_chi2 = stream_oracle.block_cosines(10, 200000, seed=5)
+        corr = np.corrcoef(cos_chi1, cos_chi2)[0, 1]
+        assert abs(corr) < 3.0 / math.sqrt(cos_chi1.size)
 
     def test_non_orthogonal_marginals(self):
         # estimates drawn about x and a non-orthogonal axis, dotted with their
@@ -83,10 +83,10 @@ class TestSampling:
         assert abs(cos_chi2.mean() - mean) < 3 * se
 
     def test_seed_reproducibility(self):
-        a = sample_outcome_batch(6, 100, seed=3)
-        b = sample_outcome_batch(6, 100, seed=3)
-        assert np.array_equal(a.cos_chi1, b.cos_chi1)
-        assert np.array_equal(a.cos_chi2, b.cos_chi2)
+        a, b = (stream_oracle.block_cosines(6, 100, seed=3) for _ in range(2))
+        assert np.array_equal(a, b)
+        a, b = (sample_outcome_batch(6, 100, seed=3).error_moments() for _ in range(2))
+        assert np.array_equal(a, b)
 
     def test_csv_export(self, tmp_path):
         batch = sample_outcome_batch(5, 20, seed=1)
@@ -129,9 +129,9 @@ B = _DUMP_BLOCK_ROWS
                                      for rows in (0, 1, B - 1, B, B + 1, 2 * B + 3)]
                          + [pytest.param(n, B + 1, id=f"n{n}-{B + 1}") for n in (2, MAX_N)])
 def test_dump_bytes_match_csv_writer(tmp_path, n, rows):
-    batch = sample_outcome_batch(n, rows, seed=17)
-    batch.write_csv(tmp_path / "blocks.csv")
-    stream_oracle.csv_writer_dump(batch, tmp_path / "oracle.csv")
+    sample_outcome_batch(n, rows, seed=17).write_csv(tmp_path / "blocks.csv")
+    stream_oracle.csv_writer_dump(stream_oracle.one_shot_cosines(n, rows, seed=17),
+                                  tmp_path / "oracle.csv")
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
@@ -140,10 +140,10 @@ def test_dump_bytes_match_csv_writer(tmp_path, n, rows):
 @pytest.mark.parametrize("v2", [Y_AXIS, OBLIQUE], ids=["Y", "O"])
 def test_outcome_cosines_bit_identical_to_one_shot(n, count, v2):
     # the cosines are drawn without the axes, so they are the same for every v2
-    batch = sample_outcome_batch(n, count, seed=n)
+    blocks = stream_oracle.block_cosines(n, count, seed=n)
     cos_chi1, cos_chi2 = stream_oracle.one_shot_cosines(n, count, seed=n)
-    assert np.array_equal(batch.cos_chi1, cos_chi1)
-    assert np.array_equal(batch.cos_chi2, cos_chi2)
+    assert np.array_equal(blocks[0], cos_chi1)
+    assert np.array_equal(blocks[1], cos_chi2)
 
 
 @pytest.mark.parametrize("n", [2, 5, 40, MAX_N])
@@ -152,13 +152,42 @@ def test_outcome_cosines_bit_identical_to_one_shot(n, count, v2):
 def test_outcome_cosines_match_the_vector_route(n, count, v2):
     # the estimates dotted with their axes give back the drawn cosines: bit for
     # bit on the coordinate axes, within rounding about an oblique axis
-    batch = sample_outcome_batch(n, count, seed=n)
+    blocks = stream_oracle.block_cosines(n, count, seed=n)
     cos_chi1, cos_chi2 = stream_oracle.outcome_cosines(n, X_AXIS, v2, count, seed=n)
-    assert np.array_equal(batch.cos_chi1, cos_chi1)
+    assert np.array_equal(blocks[0], cos_chi1)
     if v2 is Y_AXIS:
-        assert np.array_equal(batch.cos_chi2, cos_chi2)
+        assert np.array_equal(blocks[1], cos_chi2)
     else:
-        assert np.max(np.abs(batch.cos_chi2 - cos_chi2)) <= 5e-16
+        assert np.max(np.abs(blocks[1] - cos_chi2)) <= 5e-16
+
+
+def _whole_array_moments(n, count, seed):
+    """numpy's mean and std(ddof=1) of each axis's errors 0.5 * (1 - cos chi),
+    taken of the whole one-shot cosine arrays."""
+    errors = [0.5 * (1.0 - c) for c in stream_oracle.one_shot_cosines(n, count, seed)]
+    return np.array([e.mean() for e in errors]), np.array([e.std(ddof=1) for e in errors])
+
+
+def _block_moments(n, count, seed):
+    """The mean and standard deviation `so4` reports, from the blocks' partials."""
+    mean, m2 = sample_outcome_batch(n, count, seed).error_moments()
+    return mean, np.sqrt(m2 / (count - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.integers(2, MAX_N), hst.integers(2, B), hst.integers(0, 2**32))
+@example(2, B, 0)
+@example(MAX_N, 2, 1)
+def test_one_block_reduces_as_numpy_bit_for_bit(n, count, seed):
+    for block, whole in zip(_block_moments(n, count, seed), _whole_array_moments(n, count, seed)):
+        assert np.array_equal(block, whole)
+
+
+@pytest.mark.parametrize("n", [2, 10, MAX_N])
+@pytest.mark.parametrize("count", [B + 1, 2 * B + 3, 10**6])
+def test_combined_blocks_reduce_as_numpy_within_rounding(n, count):
+    for block, whole in zip(_block_moments(n, count, 7), _whole_array_moments(n, count, 7)):
+        assert np.all(np.abs(block - whole) <= 1e-15 * np.abs(whole))
 
 
 def _rendered_cells(cells):

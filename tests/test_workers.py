@@ -12,7 +12,7 @@ import pytest
 
 from rydberg_frames import ortho, povm_so4
 from rydberg_frames.cli import main
-from rydberg_frames.povm_so4 import _DUMP_BLOCK_ROWS, OutcomeBatch, ordered_map, sample_outcome_batch
+from rydberg_frames.povm_so4 import _DUMP_BLOCK_ROWS, ordered_map, sample_outcome_batch
 
 import stream_oracle
 
@@ -64,10 +64,30 @@ def test_dump_cycles_through_the_ring(tmp_path, monkeypatch, executors):
     assert povm_so4._window(21) == 4
     batch = sample_outcome_batch(6, 20 * 1000 + 7, seed=23)
     batch.write_csv(tmp_path / "ring.csv")
-    stream_oracle.csv_writer_dump(batch, tmp_path / "oracle.csv")
+    stream_oracle.csv_writer_dump(stream_oracle.one_shot_cosines(6, 20 * 1000 + 7, seed=23),
+                                  tmp_path / "oracle.csv")
     assert (tmp_path / "ring.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
     assert executors == [2]
-    assert vars(batch).keys() == {"cos_chi1", "cos_chi2"}  # the ring is not kept
+    assert vars(batch).keys() == {"n", "count", "seed"}  # the ring is not kept
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_so4_report_does_not_depend_on_dump_or_cpus(tmp_path, monkeypatch, executors, fmt):
+    # the dump's blocks are reduced in the workers and the others in-process:
+    # the same partials, combined in the same order, over three blocks
+    reports = []
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        for dump in (False, True):
+            path = tmp_path / f"cpus{cpus}_{dump}.{fmt}"
+            argv = ["so4", "--samples", str(2 * _DUMP_BLOCK_ROWS + 3), "--seed", "4",
+                    "--format", fmt, "--out", str(path)]
+            extra = ["--dump-samples", str(tmp_path / "dump.csv")] if dump else []
+            assert main(argv + extra) == 0
+            reports.append(path.read_bytes())
+    assert reports[1:] == reports[:1] * 3
+    assert executors == [2]
 
 
 @needs_two_cpus
@@ -103,7 +123,7 @@ def test_dead_worker_exits_3_in_one_line(tmp_path, monkeypatch, capsys, argv):
     # a worker killed mid-run (the OOM killer, a signal) is neither a tolerance
     # failure nor a traceback, and leaves no partial dump
     set_cpus(monkeypatch, 2)
-    monkeypatch.setattr(OutcomeBatch, "_render_block", _die)
+    monkeypatch.setattr(povm_so4, "_so4_block", _die)
     monkeypatch.setattr(ortho, "gain_factor", _die)
     dump = tmp_path / "dump.csv"
     extra = ["--dump-samples", str(dump)] if argv[0] == "so4" else []
@@ -116,14 +136,14 @@ def test_dead_worker_exits_3_in_one_line(tmp_path, monkeypatch, capsys, argv):
 def _fail_second_block(monkeypatch):
     """No fork: the dump's second block fails after the first is written."""
     set_cpus(monkeypatch, 1)
-    real = OutcomeBatch._render_block
+    real = povm_so4._so4_block
 
-    def render(self, ring, start):
+    def render(n, count, seed, ring, start):
         if start:
             raise OSError(28, "No space left on device")
-        return real(self, ring, start)
+        return real(n, count, seed, ring, start)
 
-    monkeypatch.setattr(OutcomeBatch, "_render_block", render)
+    monkeypatch.setattr(povm_so4, "_so4_block", render)
 
 
 @pytest.mark.parametrize("link", [False, True], ids=["file", "symlink"])
