@@ -25,12 +25,9 @@ import numpy as np
 MAX_J = 50
 MAX_N = 2 * MAX_J + 1
 
-# Largest Monte Carlo sample count per shell. `so4` holds one 65,536-sample
-# block per process and, with a dump, a ring of rendered blocks, whatever the
-# count, so for it this bounds only the time. `ortho` peaks at 32 B per sample
-# in each worker (its errors before and after, and `np.cov`'s centered copy),
-# with one shell per worker on up to min(usable CPUs, shells) workers at once:
-# 32 B x samples x workers, about 12.8 GB for 4 shells at 10^8 samples on 4 CPUs.
+# Largest Monte Carlo sample count per shell. `so4` and `ortho` hold one
+# 65,536-sample block per process (and `so4`'s dump a ring of rendered blocks)
+# whatever the count, so this bounds only the time.
 MAX_SAMPLES = 10**8
 
 # log(k!) for k = 0 .. 2*MAX_J, for the coherent-state binomials

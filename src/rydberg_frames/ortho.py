@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import two_axis_eta
-from .povm_so4 import _DUMP_BLOCK_ROWS, _segments, sample_directions_about
+from .povm_so4 import (_DUMP_BLOCK_ROWS, _block_streams, _combined, _moments,
+                       sample_directions_about)
 
 
 @dataclass(frozen=True)
@@ -64,23 +65,20 @@ def _orthogonalize_rows(r_x, r_y, x_rows=slice(None), y_rows=slice(None), out=No
     return (b[x_rows] + q[x_rows]) * half, (b[y_rows] - q[y_rows]) * half
 
 
-def _error_pair(n: int, samples: int, seed: int) -> np.ndarray:
-    """Each sample's error (after, before) orthogonalization, by blocks in four
-    reused (3, rows) buffers freed on return. The bits are one pass over the
-    seed's stream: cosines about x, their azimuths, then the same two about y."""
-    pair = np.empty((2, samples))
-    after, before = pair
-    cos_x, azimuth_x, cos_y, azimuth_y = _segments(seed, samples)
-    buffers = np.empty((4, 3 * _DUMP_BLOCK_ROWS))
-    for start in range(0, samples, _DUMP_BLOCK_ROWS):
-        rows = min(_DUMP_BLOCK_ROWS, samples - start)
-        r_x, r_y, b, q = (buffer[: 3 * rows].reshape(3, rows) for buffer in buffers)
-        sample_directions_about(n, 0, rows, cos_x, azimuth_x, r_x)
-        sample_directions_about(n, 1, rows, cos_y, azimuth_y, r_y)
-        before[start : start + rows] = two_axis_eta(r_x[0], r_y[1])
-        new_x, new_y = _orthogonalize_rows(r_x, r_y, 0, 1, out=(b, q))
-        after[start : start + rows] = two_axis_eta(new_x, new_y)
-    return pair
+def _ortho_block(n: int, samples: int, seed: int, buffers: np.ndarray, start: int):
+    """The `_moments` of the errors (after, before) orthogonalization of the
+    block of samples from `start`, drawn from the four `_block_streams`. r_x,
+    r_y, b and q, (3, rows) each, and the (2, rows) errors take the front of
+    `buffers`, 14 * `_DUMP_BLOCK_ROWS` doubles reused by every block."""
+    rows = min(_DUMP_BLOCK_ROWS, samples - start)
+    r_x, r_y, *bq = buffers[: 12 * rows].reshape(4, 3, rows)
+    errors = buffers[12 * rows : 14 * rows].reshape(2, rows)
+    cos_x, azimuth_x, cos_y, azimuth_y = _block_streams(seed, samples, start, range(4))
+    sample_directions_about(n, 0, rows, cos_x, azimuth_x, r_x)
+    sample_directions_about(n, 1, rows, cos_y, azimuth_y, r_y)
+    errors[1] = two_axis_eta(r_x[0], r_y[1])
+    errors[0] = two_axis_eta(*_orthogonalize_rows(r_x, r_y, 0, 1, out=bq))
+    return _moments(errors)
 
 
 def gain_factor(n: int, samples: int, seed: int) -> GainReport:
@@ -89,17 +87,16 @@ def gain_factor(n: int, samples: int, seed: int) -> GainReport:
     g is 1/4 <1 - cos omega_x> + 1/4 <1 - cos omega_y> over the raw estimates,
     g_new the same after orthogonalization; the ratio carries a delta-method
     standard error. At least 1e5 samples are required for the error bars to
-    mean anything.
+    mean anything. The blocks are reduced in turn in one set of buffers.
     """
     if samples < 100000:
         raise ValueError("gain estimation requires at least 1e5 samples")
-    # after and before are kept whole: their means and covariance are pairwise
-    # sums over all samples, and would change bits if split per block
-    after, before = pair = _error_pair(n, samples, seed)
-    g = float(before.mean())
-    g_new = float(after.mean())
+    buffers = np.empty(14 * _DUMP_BLOCK_ROWS)
+    mean, m2 = _combined(_ortho_block(n, samples, seed, buffers, start)
+                         for start in range(0, samples, _DUMP_BLOCK_ROWS))
+    g_new, g = mean.tolist()
     ratio = g_new / g
-    cov = np.cov(pair)
+    cov = m2 / (samples - 1)
     var_ratio = (
         cov[0, 0] - 2.0 * ratio * cov[0, 1] + ratio * ratio * cov[1, 1]
     ) / (g * g * samples)

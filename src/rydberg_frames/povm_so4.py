@@ -9,18 +9,18 @@ hence a per-direction mean square error of exactly 1/(n+1) for every n.
 The density is the same about every axis, so no result depends on which
 axes are sent: `so4` draws only the two error cosines and `ortho` draws its
 estimates about x and y, as the columns of (3, rows) blocks. Both draw in
-blocks of `_DUMP_BLOCK_ROWS` samples: `so4`'s memory does not grow with the
-sample count, and `ortho` keeps only its per-sample errors whole (32 B per
-sample at their covariance).
+blocks of `_DUMP_BLOCK_ROWS` samples, so neither one's memory grows with the
+sample count.
 All sampling is rejection-free through the inverse CDF on s = sin^2(chi/2)
 and uses numpy's counter-based 64-bit Philox generator with an explicit seed
-in every API. `_stream_at` positions a generator anywhere in the seed's stream
-by Philox skip-ahead (Salmon et al., SC11, 2011), so the bits are those of one
-pass over the stream however it is split. `so4` draws, reduces and renders
-each block where it runs (`_so4_block`) and combines the blocks' partial
-moments in order. `ordered_map` runs the dump's blocks and `ortho`'s shells on
-forked workers, one per usable CPU, with at most two items per worker in
-flight, and returns the results in order: no output byte depends on the CPUs.
+in every API. `_block_streams` positions generators anywhere in the seed's
+stream by Philox skip-ahead (Salmon et al., SC11, 2011), so the bits are those
+of one pass over the stream however it is split. Each block is drawn, reduced
+(`_moments`) and, for `so4`'s dump, rendered where it runs, and the blocks'
+partial moments are combined in order (`_combined`). `ordered_map` runs the
+dump's blocks and `ortho`'s shells on forked workers, one per usable CPU, with
+at most two items per worker in flight, and returns the results in order: no
+output byte depends on the CPUs.
 The dump's `%.12g` text is rendered in numpy, in fixed fields of 4-byte words
 with no string per cell: the decimals go as four 4-digit groups, one lookup
 each in a table built on first use (`_cell_words`). The workers render each
@@ -101,11 +101,11 @@ def _stream_at(seed: int, offset: int) -> np.random.Generator:
     return rng
 
 
-def _segments(seed: int, count: int) -> list:
-    """The seed's stream as four segments of `count` doubles, one positioned
-    generator each: the cosines about the first axis, their azimuths, then the
-    same two about the second."""
-    return [_stream_at(seed, offset) for offset in (0, count, 2 * count, 3 * count)]
+def _block_streams(seed: int, count: int, start: int, segments) -> list:
+    """Generators at the block of samples from `start` in each of `segments`
+    of `count` doubles: the cosines about the first axis (0), their azimuths
+    (1), then the same two about the second (2, 3), at k * count + start."""
+    return [_stream_at(seed, k * count + start) for k in segments]
 
 
 def so4_infidelity(n: int) -> float:
@@ -299,26 +299,30 @@ def _render_rows(first: int, cells: np.ndarray) -> bytes:
 def _block_cosines(n: int, count: int, seed: int, start: int) -> np.ndarray:
     """The (2, rows) error cosines of the block of samples from `start`, at most
     `_DUMP_BLOCK_ROWS` of `count`: row 0 from segment 0 of the seed's stream and
-    row 1 from segment 2, where `ortho.gain_factor` draws its cosines about x
-    and y (`_segments`), so the bits are those of one pass."""
+    row 1 from segment 2, where `ortho` draws its cosines about x and y."""
     rows = min(_DUMP_BLOCK_ROWS, count - start)
     cos_chi = np.empty((2, rows))
-    for row, offset in zip(cos_chi, (start, 2 * count + start)):
-        sample_error_cosines(n, rows, _stream_at(seed, offset), row)
+    for row, rng in zip(cos_chi, _block_streams(seed, count, start, (0, 2))):
+        sample_error_cosines(n, rows, rng, row)
     return cos_chi
+
+
+def _moments(errors: np.ndarray) -> tuple:
+    """(rows, mean, M2) of the (k, rows) `errors`: each row's mean, and the
+    (k, k) sums of the products of the deviations, left in `errors`. These are
+    the plain `add.reduce` sums of numpy's `mean` and `std`, so one row gives
+    their bits, and no BLAS call starts a BLAS thread in a forked worker."""
+    rows = errors.shape[1]
+    mean = np.add.reduce(errors, axis=1) / rows
+    errors -= mean[:, None]
+    return rows, mean, np.add.reduce(errors[:, None] * errors, axis=2)
 
 
 def _so4_block(n: int, count: int, seed: int, ring: np.ndarray | None, start: int):
     """Draw the block of samples from `start`, render its dump rows into its
-    slot of `ring` unless `ring` is None, and reduce it: (bytes rendered, rows,
-    mean, M2), the per-axis mean and sum of squared deviations of the errors
-    0.5 * (1 - cos chi).
-
-    The rows are rendered `_CHUNK_ROWS` at a time, so their temporaries stay
-    in cache. The errors take the cosines' buffer with the ufuncs of
-    0.5 * (1.0 - cos_chi), and the mean and M2 are the sums numpy's `mean` and
-    `std` form, so one block reproduces them bit for bit. They are plain
-    `add.reduce` sums: no BLAS call, so no BLAS thread, in a forked worker."""
+    slot of `ring` unless `ring` is None, `_CHUNK_ROWS` at a time so their
+    temporaries stay in cache, and return the bytes rendered and the `_moments`
+    of the errors 0.5 * (1.0 - cos_chi), formed in the cosines' buffer."""
     cos_chi = _block_cosines(n, count, seed, start)
     rows = cos_chi.shape[1]
     size = 0
@@ -335,21 +339,20 @@ def _so4_block(n: int, count: int, seed: int, ring: np.ndarray | None, start: in
             size += len(text)
     errors = np.subtract(1.0, cos_chi, out=cos_chi)
     errors *= 0.5
-    mean = np.add.reduce(errors, axis=1) / rows
-    errors -= mean[:, None]
-    return size, rows, mean, np.add.reduce(np.square(errors, out=errors), axis=1)
+    return size, *_moments(errors)
 
 
 def _combined(partials) -> tuple:
-    """Per-axis (mean, M2) of all samples from the (rows, mean, M2) of each
+    """(mean, M2) of all samples of two rows from the `_moments` of each
     block, combined in block order by the pairwise update of Chan, Golub &
-    LeVeque (Am. Stat. 37, 242 (1983))."""
-    total, mean, m2 = 0, np.full(2, math.nan), np.zeros(2)  # no samples, no mean
+    LeVeque (Am. Stat. 37, 242 (1983)). M2 is the (2, 2) co-moment."""
+    total, mean, m2 = 0, np.full(2, math.nan), np.zeros((2, 2))  # no samples, no mean
     for rows, block_mean, block_m2 in partials:
         if total:
             delta = block_mean - mean
             mean = mean + delta * (rows / (total + rows))
-            m2 = m2 + block_m2 + delta * delta * (total * rows / (total + rows))
+            m2 = m2 + block_m2 + (np.multiply.outer(delta, delta)
+                                  * (total * rows / (total + rows)))
         else:
             mean, m2 = block_mean, block_m2
         total += rows
@@ -372,7 +375,8 @@ class OutcomeBatch:
         drawn and reduced one at a time in this process."""
         blocks = map(functools.partial(_so4_block, self.n, self.count, self.seed, None),
                      range(0, self.count, _DUMP_BLOCK_ROWS))
-        return _combined([partial for _, *partial in blocks])
+        mean, m2 = _combined(partial for _, *partial in blocks)
+        return mean, m2.diagonal()
 
     def write_csv(self, path) -> tuple:
         """Write the outcome dump, columns (sample, chi1, chi2, cos_chi1,
@@ -410,7 +414,8 @@ class OutcomeBatch:
                 if stat.S_ISREG(os.lstat(path).st_mode):
                     os.remove(path)
             raise
-        return _combined(partials)
+        mean, m2 = _combined(partials)
+        return mean, m2.diagonal()
 
 
 def sample_outcome_batch(n: int, count: int, seed: int) -> OutcomeBatch:

@@ -2,8 +2,9 @@
 
 Draws every sample in one pass over `philox_rng(seed)` into whole (count, 3)
 row-layout estimate arrays, by broadcast expressions frozen here, and reduces
-them as whole arrays: the values the column-major, block-streamed kernel of
-`ortho.gain_factor` must reproduce bit for bit. `so4`'s cosines have their own
+the whole error arrays by the same block partials and its own Chan update: the
+values the column-major, block-streamed kernel of `ortho.gain_factor` must
+reproduce bit for bit. `so4`'s cosines have their own
 one-pass oracle, which draws them with no azimuths or vectors, and its outcome
 dump is written row by row through `csv.writer` (`csv_writer_dump`).
 `block_cosines` gathers the cosines `so4` draws block by block, which no
@@ -107,16 +108,52 @@ def outcome_cosines(n, v1, v2, count, seed):
     return est1 @ as_array(v1), est2 @ as_array(v2)
 
 
-def gain_factor(n, samples, seed):
-    """`ortho.gain_factor` on whole arrays."""
+def error_pair(n, samples, seed):
+    """Each sample's error (after, before) orthogonalization, as a (2, samples)
+    array of whole-array expressions."""
     r_x, r_y = sample_error_arrays(n, samples, seed)
     new_x, new_y = orthogonalize(r_x, r_y)
-    before = 0.25 * (1.0 - r_x[:, 0]) + 0.25 * (1.0 - r_y[:, 1])
     after = 0.25 * (1.0 - new_x[:, 0]) + 0.25 * (1.0 - new_y[:, 1])
-    g = float(before.mean())
-    g_new = float(after.mean())
+    before = 0.25 * (1.0 - r_x[:, 0]) + 0.25 * (1.0 - r_y[:, 1])
+    return np.stack([after, before])
+
+
+def chan_combined(partials):
+    """(mean, M2) of all samples from the (rows, mean, M2) of each block, by
+    the pairwise update of Chan, Golub & LeVeque (Am. Stat. 37, 242 (1983))
+    written out per entry of the mean pair and the 2 x 2 co-moment."""
+    total = 0
+    for rows, mean, m2 in partials:
+        if total == 0:
+            total_mean, total_m2 = list(mean), [list(row) for row in m2]
+        else:
+            delta = [b - a for a, b in zip(total_mean, mean)]
+            weight = total * rows / (total + rows)
+            for i in range(2):
+                for k in range(2):
+                    total_m2[i][k] = total_m2[i][k] + m2[i][k] + delta[i] * delta[k] * weight
+            total_mean = [a + d * (rows / (total + rows)) for a, d in zip(total_mean, delta)]
+        total += rows
+    return np.array(total_mean), np.array(total_m2)
+
+
+def block_partials(pair):
+    """(rows, mean, M2) of each block of `povm_so4._DUMP_BLOCK_ROWS` columns of
+    the (2, samples) `pair`: numpy's `mean` of each row and the sums of the
+    products of the deviations."""
+    for start in range(0, pair.shape[1], povm_so4._DUMP_BLOCK_ROWS):
+        block = pair[:, start : start + povm_so4._DUMP_BLOCK_ROWS]
+        mean = block.mean(axis=1)
+        deviations = [row - m for row, m in zip(block, mean)]
+        yield block.shape[1], mean, [[(a * b).sum() for b in deviations] for a in deviations]
+
+
+def gain_factor(n, samples, seed):
+    """`ortho.gain_factor` on whole arrays, reduced by the same block partials."""
+    (g_new, g), m2 = chan_combined(block_partials(error_pair(n, samples, seed)))
+    g, g_new = float(g), float(g_new)
     ratio = g_new / g
-    cov = np.cov(np.stack([after, before]))
+    cov = m2 / (samples - 1)
     var_ratio = (
         cov[0, 0] - 2.0 * ratio * cov[0, 1] + ratio * ratio * cov[1, 1]
     ) / (g * g * samples)

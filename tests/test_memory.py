@@ -1,9 +1,10 @@
 """Heap guards for the streamed Monte Carlo path and the largest shell state.
 
 numpy reports its array buffers to tracemalloc, so the traced peak counts the
-arrays alive at once. Whole-batch (3, count) estimate arrays take 48 B per
-sample for each direction pair and fail these bounds, and `so4` holds no
-array of the whole batch at all.
+arrays alive at once. Neither `so4` nor `ortho` holds an array of the whole
+batch: both draw and reduce blocks of 65,536 samples, so their heaps do not
+grow with the sample count. Whole-batch arrays, 8 B per sample for each
+per-sample value, fail these bounds.
 """
 
 import tracemalloc
@@ -40,11 +41,14 @@ def test_outcome_batch_keeps_16_bytes_per_sample():
     assert peak <= 16 * COUNT + SLACK
 
 
-def test_gain_factor_keeps_48_bytes_per_sample():
-    # before and after (16 B), np.cov's centered copy of them (16 B) and headroom
-    peak, report = traced_peak(gain_factor, 10, COUNT, 1)
-    assert report.samples == COUNT
-    assert peak <= 48 * COUNT + SLACK
+@pytest.mark.parametrize("samples", [COUNT, 2 * 10**6])
+def test_gain_factor_heap_does_not_grow_with_samples(samples):
+    # one buffer set of 14 doubles per block row (7.3 MB) and the block's
+    # temporaries, 9 MiB; whole errors before and after take 16 B per sample,
+    # 32 MB at the larger count
+    peak, report = traced_peak(gain_factor, 10, samples, 1)
+    assert report.samples == samples
+    assert peak <= 16 * 2**20
 
 
 def test_so4_command_keeps_24_bytes_per_sample(tmp_path):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from rydberg_frames.geometry import UnitVector
-from rydberg_frames.ortho import _orthogonalize_rows, gain_factor
-from rydberg_frames.povm_so4 import _DUMP_BLOCK_ROWS, philox_rng, sample_directions_about
+from rydberg_frames.angmom import MAX_N
+from rydberg_frames.ortho import _orthogonalize_rows, _ortho_block, gain_factor
+from rydberg_frames.povm_so4 import (_DUMP_BLOCK_ROWS, _combined, philox_rng,
+                                     sample_directions_about)
 
 import stream_oracle
 from rotation_oracle import X_AXIS, Y_AXIS, Z_AXIS, angle_between, as_array, neg, unit
@@ -174,5 +176,22 @@ B = _DUMP_BLOCK_ROWS
 @pytest.mark.parametrize("n", [2, 5, 40, 101])
 @pytest.mark.parametrize("samples", [100003, 2 * B - 1, 2 * B, 2 * B + 1, 2 * B + 3])
 def test_gain_factor_bit_identical_to_one_shot(n, samples):
-    # gain_factor needs 1e5 samples, so the block edges are tested at 2B +- 1
+    # gain_factor needs 1e5 samples, so the block edges are tested at 2B +- 1;
+    # the oracle draws whole arrays and reduces them by the same block partials
     assert gain_factor(n, samples, seed=n) == stream_oracle.gain_factor(n, samples, seed=n)
+
+
+@pytest.mark.parametrize("n", [2, 10, MAX_N])
+@pytest.mark.parametrize("samples", [2 * B + 3, 10**6])
+def test_combined_gain_reduces_as_numpy_within_rounding(n, samples):
+    buffers = np.empty(14 * B)  # the buffer set of one gain_factor call
+    mean, m2 = _combined(_ortho_block(n, samples, 7, buffers, start)
+                         for start in range(0, samples, B))
+    pair = stream_oracle.error_pair(n, samples, seed=7)
+    whole_mean = pair.mean(axis=1)
+    deviations = pair - whole_mean[:, None]
+    # numpy's pairwise sums over the whole arrays, the sums `std` forms; np.cov
+    # sums by a BLAS dot, up to 2.4e-15 off an extended-precision sum here
+    whole_m2 = (deviations[:, None] * deviations).sum(axis=2)
+    for block, whole in ((mean, whole_mean), (m2, whole_m2)):
+        assert np.all(np.abs(block - whole) <= 1e-15 * np.abs(whole))
