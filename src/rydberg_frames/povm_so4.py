@@ -8,7 +8,8 @@ hence a per-direction mean square error of exactly 1/(n+1) for every n.
 
 The density is the same about every axis, so no result depends on which
 axes are sent: `so4` draws only the two error cosines and `ortho` draws its
-estimates about x and y, as the columns of (3, rows) blocks. Both draw in
+estimates about x and y, as the columns of (3, rows) blocks, with azimuths
+in [-pi, pi) from -e1 whose sines are taken from their cosines. Both draw in
 blocks of `_DUMP_BLOCK_ROWS` samples, so neither one's memory grows with the
 sample count.
 All sampling is rejection-free through the inverse CDF on s = sin^2(chi/2)
@@ -138,25 +139,26 @@ def sample_directions_about(n: int, axis: int, count: int,
     """Estimates of coordinate axis `axis` (0 = x, 1 = y) with the per-axis
     error density, drawn into the columns of the C-contiguous (3, count) `out`.
 
-    The error cosines come from `cos_rng` and the azimuths from `azimuth_rng`
-    (one generator passed twice draws the cosines first). In the frame
-    (axis, e1 = axis x z, axis x e1) the rows are (cos chi, -sin chi cos az,
-    -sin chi sin az) about x and (sin chi cos az, cos chi, -sin chi sin az)
-    about y, each a contiguous row. The signs of the frame are taken by
-    sin chi, as -(a b) and a (-b) are the same double.
+    The error cosines come from `cos_rng` and the azimuths az in [-pi, pi)
+    from `azimuth_rng` (one generator passed twice draws the cosines first).
+    az is measured from -e1 in the frame (axis, e1 = axis x z, axis x e1), so
+    the rows are (cos chi, sin chi cos az, sin chi sin az) about x and
+    (-sin chi cos az, cos chi, sin chi sin az) about y, each a contiguous row.
+    sin az is copysign(sqrt((1 - cos az)(1 + cos az)), az), its sign on sin chi.
     """
     cos_chi = sample_error_cosines(n, count, cos_rng, out[axis])
     sin_chi = np.square(cos_chi)  # |cos chi| <= 1, so 1 - cos^2 >= 0
     np.subtract(1.0, sin_chi, out=sin_chi)
     np.sqrt(sin_chi, out=sin_chi)
-    azimuth = azimuth_rng.uniform(0.0, 2.0 * math.pi, count)
-    # e1 is -y about x and +x about y; axis x e1 is -z about both
-    if axis == 0:
-        np.negative(sin_chi, out=sin_chi)
-    np.multiply(np.cos(azimuth, out=out[1 - axis]), sin_chi, out=out[1 - axis])
+    azimuth = azimuth_rng.uniform(-math.pi, math.pi, count)
+    cos_az = np.cos(azimuth, out=out[2])
+    np.multiply(cos_az, sin_chi, out=out[1 - axis])
     if axis == 1:
-        np.negative(sin_chi, out=sin_chi)
-    np.multiply(np.sin(azimuth, out=azimuth), sin_chi, out=out[2])
+        np.negative(out[0], out=out[0])
+    np.copysign(sin_chi, azimuth, out=sin_chi)
+    sin_az = np.add(1.0, cos_az, out=azimuth)
+    sin_az *= np.subtract(1.0, cos_az, out=cos_az)
+    np.multiply(np.sqrt(sin_az, out=sin_az), sin_chi, out=out[2])
     return out
 
 
@@ -308,14 +310,17 @@ def _block_cosines(n: int, count: int, seed: int, start: int) -> np.ndarray:
 
 
 def _moments(errors: np.ndarray) -> tuple:
-    """(rows, mean, M2) of the (k, rows) `errors`: each row's mean, and the
-    (k, k) sums of the products of the deviations, left in `errors`. These are
-    the plain `add.reduce` sums of numpy's `mean` and `std`, so one row gives
-    their bits, and no BLAS call starts a BLAS thread in a forked worker."""
+    """(rows, mean, M2) of the (2, rows) `errors`: each row's mean, and the
+    (2, 2) sums of the products of the deviations, their squares left in
+    `errors`. These are the plain `add.reduce` sums of numpy's `mean` and `std`,
+    so one row gives their bits, and no BLAS call starts a BLAS thread."""
     rows = errors.shape[1]
     mean = np.add.reduce(errors, axis=1) / rows
     errors -= mean[:, None]
-    return rows, mean, np.add.reduce(errors[:, None] * errors, axis=2)
+    cross = np.add.reduce(errors[0] * errors[1])
+    m2 = np.diag(np.add.reduce(np.square(errors, out=errors), axis=1))
+    m2[0, 1] = m2[1, 0] = cross
+    return rows, mean, m2
 
 
 def _so4_block(n: int, count: int, seed: int, ring: np.ndarray | None, start: int):

@@ -41,15 +41,18 @@ def frame(center):
 
 def directions(n, center, count, rng):
     """(count, 3) estimates about `center` as one broadcast expression: the
-    cosines, then the azimuths, from one generator."""
+    cosines, then the azimuths in [-pi, pi), from one generator. The azimuth
+    is measured from -e1, and its sine is taken from its cosine."""
     cos_chi = cosines(n, count, rng)
     sin_chi = np.sqrt(np.clip(1.0 - cos_chi**2, 0.0, None))
-    azimuth = rng.uniform(0.0, 2.0 * math.pi, count)
+    azimuth = rng.uniform(-math.pi, math.pi, count)
+    cos_az = np.cos(azimuth)
     c, e1, e2 = frame(center)
     return (
         cos_chi[:, None] * c[None, :]
-        + (sin_chi * np.cos(azimuth))[:, None] * e1[None, :]
-        + (sin_chi * np.sin(azimuth))[:, None] * e2[None, :]
+        + (sin_chi * cos_az)[:, None] * -e1[None, :]
+        + (sin_chi * np.copysign(np.sqrt((1.0 - cos_az) * (1.0 + cos_az)), azimuth))[:, None]
+        * -e2[None, :]
     )
 
 

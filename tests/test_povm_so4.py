@@ -113,6 +113,37 @@ def test_directions_bit_identical_to_expression(axis):
     assert np.array_equal(out, expected.T)
 
 
+@pytest.mark.parametrize("n", [2, 10, MAX_N])
+@pytest.mark.parametrize("axis", [0, 1], ids="XY")
+def test_directions_match_the_sin_cos_route(n, axis):
+    # the sampler against the route it replaced, written out here: np.cos and
+    # np.sin of azimuths phi in [0, 2 pi) measured from e1, over 10^6 draws in
+    # 8 chunks. Shifting the azimuth by the double pi moves a component by at
+    # most 3.4e-16, and a cos az within 1 ulp moves sqrt((1 - c)(1 + c)) by
+    # at most 2.2e-16 / |sin az|; that component's error is bounded in this
+    # scaled form, since its largest absolute value comes from whichever
+    # draw lies nearest 0 or pi (1.7e-11 to 5.9e-11 over seeds at n = 2)
+    center, e1, e2 = stream_oracle.frame((X_AXIS, Y_AXIS)[axis])
+    cos_rng, azimuth_rng, ref_cos, ref_azimuth, replay = (
+        philox_rng(seed) for seed in (n, n + 1, n, n + 1, n + 1))
+    rows = 125000
+    out = np.empty((3, rows))
+    for _ in range(8):
+        sample_directions_about(n, axis, rows, cos_rng, azimuth_rng, out)
+        cos_chi = stream_oracle.cosines(n, rows, ref_cos)
+        sin_chi = np.sqrt(1.0 - cos_chi**2)
+        phi = ref_azimuth.uniform(0.0, 2.0 * math.pi, rows)
+        sin_phi = np.sin(phi)
+        ref = (np.outer(center, cos_chi) + np.outer(e1, sin_chi * np.cos(phi))
+               + np.outer(e2, sin_chi * sin_phi))
+        assert np.max(np.abs(np.sqrt(np.sum(out * out, axis=0)) - 1.0)) <= 1e-15
+        assert np.max(np.abs(out[:2] - ref[:2])) <= 1e-15  # cos chi and sin chi cos az
+        assert np.all(np.abs(out[2] - ref[2]) * np.abs(sin_phi) <= 6.7e-16 * sin_chi)
+        # the sine takes the sign of its azimuth in [-pi, pi)
+        assert np.array_equal(np.signbit(out[2]),
+                              np.signbit(replay.uniform(-math.pi, math.pi, rows)))
+
+
 def _csv_writer_line(index, cells):
     """One dump line as `csv.writer` renders it (reference for the bytes format)."""
     buf = io.StringIO(newline="")
