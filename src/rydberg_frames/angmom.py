@@ -1,11 +1,12 @@
 """Angular momentum kernels: the spin-j ladder and spin coherent states.
 
 The one ladder <m+1| J+ |m> = sqrt((j-m)(j+m+1)) (`ladder_factors`) is what
-`states.coupling_tensor` couples the two spins of a shell with. The
-coherent-state coefficients use a log-factorial table built once at import
-time. No command computes a spin matrix or a Wigner d-matrix: the rotations
-and the L/K moments that check the states are test oracles
-(`tests/rotation_oracle.py`, `tests/shell_table.py`).
+`states.coupling_tensor` couples the two spins of a shell with, one block
+per total projection. The coherent-state coefficients are formed from exact
+integer binomials and running products, so their bits do not depend on which
+SIMD loops numpy dispatches to. No command computes a spin matrix or a Wigner
+d-matrix: the rotations and the L/K moments that check the states are test
+oracles (`tests/rotation_oracle.py`, `tests/shell_table.py`).
 
 Every kernel names its spin j by the dimension n = 2j + 1 of the
 representation, an integer, so half-odd spins need no special form. No
@@ -30,10 +31,6 @@ MAX_N = 2 * MAX_J + 1
 # whatever the count, so this bounds only the time.
 MAX_SAMPLES = 10**8
 
-# log(k!) for k = 0 .. 2*MAX_J, for the coherent-state binomials
-_LOG_FACT = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 2 * MAX_J + 1)))))
-
-
 def ladder_factors(n: int) -> np.ndarray:
     """<m+1| J+ |m> = sqrt((j-m)(j+m+1)) of spin j = (n-1)/2, m = -j .. j-1."""
     j = (n - 1) / 2.0
@@ -53,10 +50,12 @@ def coherent_coeffs(n: int, theta: float, phi: float) -> np.ndarray:
     if not 1 <= n <= MAX_N:
         raise ValueError(f"dimension {n} outside [1, MAX_N = {MAX_N}]")
     tj = n - 1
-    idx = np.arange(n)  # j + m
-    log_binom = 0.5 * (_LOG_FACT[tj] - _LOG_FACT[idx] - _LOG_FACT[tj - idx])
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    mag = np.exp(log_binom) * np.power(c, idx) * np.power(s, tj - idx)
-    m_values = idx - tj / 2.0
+    # the correctly rounded root of each exact binomial, and the powers by
+    # running products: IEEE sqrt and multiply, whose bits no SIMD target of
+    # numpy changes (its float exp, log and power loops differ between targets)
+    root_binom = np.sqrt([float(math.comb(tj, k)) for k in range(n)])
+    cos_pow = np.cumprod(np.append(1.0, np.full(tj, math.cos(theta / 2.0))))
+    sin_pow = np.cumprod(np.append(1.0, np.full(tj, math.sin(theta / 2.0))))
+    mag = root_binom * cos_pow * sin_pow[::-1]
+    m_values = np.arange(n) - tj / 2.0
     return mag * np.exp(-1j * m_values * phi)

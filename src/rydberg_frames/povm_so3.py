@@ -29,8 +29,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .states import WaveFunction, build_elliptic
-from .geometry import UnitVector, two_axis_eta
+from .angmom import coherent_coeffs
+from .states import WaveFunction, from_product_amplitudes
+from .geometry import two_axis_eta
 
 _ZERO_BLOCK = 1e-12
 
@@ -58,16 +59,13 @@ def bob_fiducial(a: WaveFunction) -> np.ndarray:
     stored here.
     """
     n = a.n
-    fid = np.zeros_like(a.table)
-    for l in range(n):
-        row = a.table[l, n - 1 - l : n + l]
-        # np.linalg.norm's own arithmetic, so every fidelity keeps its bits,
-        # without its per-call overhead (2n calls per optimizer step)
-        norm = np.sqrt(row.real @ row.real + row.imag @ row.imag)
-        if norm < _ZERO_BLOCK:
-            fid[l, n - 1] = 1.0
-        else:
-            fid[l, n - 1 - l : n + l] = row / norm
+    # each row norm by one reduction over the whole row, whose zeros outside
+    # |m| <= l add nothing: no BLAS dot product, and no loop over l
+    norm = np.sqrt(np.add.reduce(np.square(a.table.real) + np.square(a.table.imag), axis=1))
+    empty = norm < _ZERO_BLOCK
+    fid = a.table / np.where(empty, 1.0, norm)[:, None]
+    fid[empty] = 0.0
+    fid[empty, n - 1] = 1.0
     return fid
 
 
@@ -202,14 +200,15 @@ def alice_two_axis_state(n: int, e: float) -> WaveFunction:
 
     The two coherent directions lie in the xy plane at azimuths pi/2 + zeta and
     pi/2 - zeta with zeta = arcsin(e), symmetric about y, so that
-    <K> = (n-1) e x and <L> = (n-1) sqrt(1-e^2) y.
+    <K> = (n-1) e x and <L> = (n-1) sqrt(1-e^2) y. The two spin coherent
+    states at those angles are coupled straight from their product.
     """
     if not 0.0 <= e <= 1.0:
         raise ValueError(f"eccentricity must lie in [0, 1], got {e}")
     zeta = math.asin(e)
-    u1 = UnitVector.from_spherical(math.pi / 2.0, math.pi / 2.0 + zeta)
-    u2 = UnitVector.from_spherical(math.pi / 2.0, math.pi / 2.0 - zeta)
-    return build_elliptic(n, u1, u2)
+    c1 = coherent_coeffs(n, math.pi / 2.0, math.pi / 2.0 + zeta)
+    c2 = coherent_coeffs(n, math.pi / 2.0, math.pi / 2.0 - zeta)
+    return from_product_amplitudes(n, np.outer(c1, c2))
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -6,8 +6,9 @@ j = (n-1)/2 that generate the shell give the angular momentum L = J1 + J2 and
 the scaled Runge-Lenz vector K = J2 - J1. In the two-spin picture a state is
 one amplitude table psi[j+m1, j+m2], and an elliptic state is the product of
 two spin-j coherent states, psi = c1 (x) c2, coupled into the |l m> table by
-the Clebsch-Gordan tensor one m1 slice at a time, with no n^3 temporary. The
-commands write these tables (`state`) or evaluate them through the
+the Clebsch-Gordan coefficients, which are nonzero only where m1 + m2 = M:
+each column M of the table is one real block applied to one antidiagonal of
+psi. The commands write these tables (`state`) or evaluate them through the
 closed-form fidelities of `povm_so3`; no command rotates a state or forms an
 L or K moment. The rotation covariance and the minimal L and K dispersions
 are checked by the test oracles (`tests/rotation_oracle.py`,
@@ -22,8 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angmom import MAX_N, coherent_coeffs, ladder_factors
-from .geometry import UnitVector
+from .angmom import MAX_N, ladder_factors
 
 _NORM_TOL = 1e-8
 
@@ -77,10 +77,15 @@ class WaveFunction:
         return f'{{\n  "n": {n},\n  "entries": [\n{entries}\n  ]\n}}\n'
 
 
-# n^3 doubles per shell, 8 MB at n = MAX_N; commands walk their shells one at a time
+# about 2n^3/3 doubles per shell, 5.5 MB at n = MAX_N; commands walk their
+# shells one at a time
 @lru_cache(maxsize=4)
-def coupling_tensor(n: int) -> np.ndarray:
-    """C^{jj l}_{m1 m2, m1+m2} for j = (n-1)/2, indexed [l, j+m1, j+m2].
+def coupling_tensor(n: int) -> tuple:
+    """C^{jj l}_{m1 m2 M} for j = (n-1)/2, as one read-only real block per M.
+
+    blocks[n-1+M], M = 1-n .. n-1, has rows l = |M| .. n-1 and columns m1
+    ascending over the m1 with |M - m1| <= j: row l is |l M> in the basis
+    |m1, M-m1>. Each block is square and orthogonal.
 
     Built one total projection M >= 0 at a time: in the |m1, M-m1> basis the
     coupled L^2 = J1^2 + J2^2 + 2 J1z J2z + J1+ J2- + J1- J2+ is a real
@@ -91,14 +96,15 @@ def coupling_tensor(n: int) -> np.ndarray:
     The highest-weight state |M M> has entries of sign (-1)^(j-m1), so its
     alternating sum is positive. Every other |l M> takes the sign that makes
     its overlap with L- |l M+1> positive, an overlap of magnitude
-    sqrt((l+M+1)(l-M)) >= 1. Negative M follows from
-    C(-m1, -m2) = (-1)^(2j-l) C(m1, m2). The exact Racah sum
-    (`tests/cg_oracle.py`) is the test oracle, not part of the build.
+    sqrt((l+M+1)(l-M)) >= 1. The block of -M follows from
+    C(-m1, -m2) = (-1)^(2j-l) C(m1, m2), its columns reversed. The exact Racah
+    sum (`tests/cg_oracle.py`) is the test oracle, not part of the build.
     """
     j = (n - 1) / 2.0
     m = np.arange(n) - j
     ladder = np.append(ladder_factors(n), 0.0)  # <m+1| J+ |m> at index j+m
-    out = np.zeros((n, n, n))
+    parity = (-1.0) ** (n - 1 - np.arange(n))
+    blocks = [None] * (2 * n - 1)
     above = np.zeros((n, n + 1))  # [l, j+m1] amplitudes of |l M+1>
     for big_m in range(n - 1, -1, -1):
         i1 = np.arange(big_m, n)
@@ -111,48 +117,37 @@ def coupling_tensor(n: int) -> np.ndarray:
             + np.diag(coupling, -1)
         )
         ls = np.arange(big_m, n)
-        vecs = np.linalg.eigh(block)[1].T  # row k is l = M + k
+        # row k is l = M + k, stored by rows for the reductions over m1
+        vecs = np.ascontiguousarray(np.linalg.eigh(block)[1].T)
         # L- = J1- + J2- applied to |l M+1>
         lowered = (ladder[i1] * above[ls[:, None], i1 + 1]
                    + ladder[i2] * above[ls[:, None], i1])
         signs = np.sign(np.einsum("la,la->l", vecs, lowered))
         signs[0] = np.sign(vecs[0] @ (-1.0) ** (n - 1 - i1))
         vecs *= signs[:, None]
-        out[ls[:, None], i1[None, :], i2[None, :]] = vecs
         above[ls[:, None], i1[None, :]] = vecs
-    lower = np.add.outer(np.arange(n), np.arange(n)) < n - 1
-    parity = (-1.0) ** (n - 1 - np.arange(n))
-    out[:, lower] = parity[:, None] * out[:, ::-1, ::-1][:, lower]
-    out.setflags(write=False)
-    return out
+        blocks[n - 1 + big_m] = vecs
+        if big_m:
+            blocks[n - 1 - big_m] = parity[big_m:, None] * vecs[:, ::-1]
+    for block in blocks:
+        block.setflags(write=False)
+    return tuple(blocks)
 
 
 def from_product_amplitudes(n: int, psi: np.ndarray) -> WaveFunction:
-    """Couple a two-spin amplitude table psi[j+m1, j+m2] into the |l m> table."""
-    coupling = coupling_tensor(n)
-    # column i1 + i2 = m + (n-1) collects all m1 + m2 = m. The i1 slices are
-    # added in ascending order onto zeros, one n x n product at a time;
-    # starting from slice 0 instead would keep some -0.0 that zeros turn to 0.0
-    table = np.zeros((n, 2 * n - 1), dtype=complex)
-    for i1 in range(n):
-        table[:, i1 : i1 + n] += coupling[:, i1, :] * psi[i1]
-    return WaveFunction(n, table)
+    """Couple a two-spin amplitude table psi[j+m1, j+m2] into the |l m> table.
 
-
-def product_amplitudes(n: int, u1: UnitVector, u2: UnitVector) -> np.ndarray:
-    """Two-spin amplitude table c1 (x) c2 of the coherent state for (u1, u2)."""
-    c1 = coherent_coeffs(n, *u1.spherical())
-    c2 = coherent_coeffs(n, *u2.spherical())
-    return np.outer(c1, c2)
-
-
-def build_elliptic(n: int, u1: UnitVector, u2: UnitVector) -> WaveFunction:
-    """Shell coherent state for directions (u1, u2), expanded over |l m>.
-
-    Coefficients are a_{lm} = sum over m1+m2=m of
-    D^j_{m1}(theta1, phi1) D^j_{m2}(theta2, phi2) C^{jj l}_{m1 m2 m}.
+    Column M takes the antidiagonal m1 + m2 = M of psi, m1 ascending, through
+    the block of M: one reduction per M and no BLAS call, so the bits do not
+    depend on the BLAS build. Entries with |M| > l are never written.
     """
-    return from_product_amplitudes(n, product_amplitudes(n, u1, u2))
+    blocks = coupling_tensor(n)
+    flipped = psi[:, ::-1]  # [j+m1, j-m2]: its diagonal -M holds m1 + m2 = M
+    table = np.zeros((n, 2 * n - 1), dtype=complex)
+    for big_m in range(1 - n, n):
+        table[abs(big_m):, n - 1 + big_m] = np.add.reduce(
+            blocks[n - 1 + big_m] * flipped.diagonal(-big_m), axis=1)
+    return WaveFunction(n, table)
 
 
 def circular_state(n: int) -> WaveFunction:

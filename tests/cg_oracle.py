@@ -2,12 +2,40 @@
 
 `states.coupling_tensor` builds whole coupling tables by an eigensolve and
 `states.extreme_stark` uses the closed form of one column; both are checked
-against this term-by-term sum in exact rational arithmetic.
+against this term-by-term sum in exact rational arithmetic. The dense cube of
+the coupling blocks, and the coupling of a two-spin table slice by slice
+through it, are the tests' view of the same coefficients by (m1, m2).
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
+
+from rydberg_frames.states import WaveFunction, coupling_tensor
+
+
+@lru_cache(maxsize=4)  # 8 MB at n = MAX_N
+def dense_coupling(n: int) -> np.ndarray:
+    """C^{jj l}_{m1 m2, m1+m2} for j = (n-1)/2, indexed [l, j+m1, j+m2], from the per-M blocks."""
+    dense = np.zeros((n, n, n))
+    for big_m, block in zip(range(1 - n, n), coupling_tensor(n)):
+        i1 = np.arange(max(big_m, 0), min(n, n + big_m))  # the block's columns, m1 ascending
+        dense[abs(big_m):, i1, n - 1 + big_m - i1] = block
+    dense.setflags(write=False)
+    return dense
+
+
+def dense_from_product_amplitudes(n: int, psi: np.ndarray) -> WaveFunction:
+    """Couple psi[j+m1, j+m2] through the dense cube: its m1 slices added in
+    ascending order into the |l m> table, one n x n product at a time."""
+    coupling = dense_coupling(n)
+    table = np.zeros((n, 2 * n - 1), dtype=complex)
+    for i1 in range(n):
+        table[:, i1 : i1 + n] += coupling[:, i1, :] * psi[i1]
+    return WaveFunction(n, table)
 
 
 @dataclass(frozen=True)

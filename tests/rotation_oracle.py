@@ -1,6 +1,8 @@
 """Classical z-y-z rotation matrices, the oracle for the quantum rotations;
-the Wigner d kernel and the rotation of a shell state they check; and the
-axes and vector helpers the tests build directions with.
+the Wigner d kernel and the rotation of a shell state they check; the axes
+and vector helpers the tests build directions with; and the coherent state
+of any two directions, through their spherical angles (the commands build
+only the two-axis states, from their angles directly).
 
 All rotations are active z-y-z, U = exp(-i J_z psi) exp(-i J_y theta) exp(-i J_z phi).
 """
@@ -11,10 +13,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from rydberg_frames.geometry import TWO_PI, UnitVector
+from rydberg_frames.angmom import coherent_coeffs
+from rydberg_frames.geometry import UnitVector
 from rydberg_frames.states import WaveFunction, from_product_amplitudes
 
 from shell_table import spin_matrices, to_product_amplitudes
+
+TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,34 @@ def angle_between(a: UnitVector, b: UnitVector) -> float:
     """The angle from a to b in [0, pi], by atan2 of |a x b| and a . b."""
     cross = np.cross(as_array(a), as_array(b))
     return math.atan2(float(np.linalg.norm(cross)), a.x * b.x + a.y * b.y + a.z * b.z)
+
+
+def from_spherical(theta, phi) -> UnitVector:
+    """The direction at polar angle theta and azimuth phi."""
+    st = math.sin(theta)
+    return UnitVector(st * math.cos(phi), st * math.sin(phi), math.cos(theta))
+
+
+def spherical(v: UnitVector):
+    """Polar and azimuthal angles (theta, phi), phi in [0, 2pi); phi = 0 at the poles."""
+    theta = math.acos(min(max(v.z, -1.0), 1.0))
+    if math.hypot(v.x, v.y) < 1e-15:
+        return theta, 0.0
+    return theta, math.atan2(v.y, v.x) % TWO_PI
+
+
+def product_amplitudes(n: int, u1: UnitVector, u2: UnitVector) -> np.ndarray:
+    """Two-spin amplitude table c1 (x) c2 of the coherent state for (u1, u2)."""
+    return np.outer(coherent_coeffs(n, *spherical(u1)), coherent_coeffs(n, *spherical(u2)))
+
+
+def build_elliptic(n: int, u1: UnitVector, u2: UnitVector) -> WaveFunction:
+    """Shell coherent state for directions (u1, u2), expanded over |l m>.
+
+    Coefficients are a_{lm} = sum over m1+m2=m of
+    D^j_{m1}(theta1, phi1) D^j_{m2}(theta2, phi2) C^{jj l}_{m1 m2 m}.
+    """
+    return from_product_amplitudes(n, product_amplitudes(n, u1, u2))
 
 
 def _rotation_z(angle):

@@ -5,7 +5,9 @@ import numpy as np
 
 from rydberg_frames.angmom import ladder_factors
 from rydberg_frames.povm_so3 import _haar_moments, bob_fiducial, m0_overlap_matrix
-from rydberg_frames.states import WaveFunction, coupling_tensor
+from rydberg_frames.states import WaveFunction
+
+from cg_oracle import dense_coupling
 
 
 def block(table, l):
@@ -42,7 +44,7 @@ def to_product_amplitudes(state: WaveFunction) -> np.ndarray:
     # the inverse of `from_product_amplitudes`: a[l, m1 + m2] sits at column i1 + i2
     n = state.n
     total = np.add.outer(np.arange(n), np.arange(n))
-    return (coupling_tensor(n) * state.table[:, total]).sum(axis=0)
+    return (dense_coupling(n) * state.table[:, total]).sum(axis=0)
 
 
 def lk_moments(state):

@@ -16,9 +16,11 @@ import pytest
 from rydberg_frames.ortho import gain_factor
 from rydberg_frames.povm_so3 import cos_omega_z, optimal_m0_state, optimize_eccentricity
 from rydberg_frames.povm_so4 import philox_rng, sample_error_cosines
-from rydberg_frames.states import build_elliptic, circular_state, coupling_tensor, extreme_stark
+from rydberg_frames.states import circular_state, extreme_stark
 
-from rotation_oracle import EulerAngles, angle_between, neg, rotate, small_d_matrices, unit
+from cg_oracle import dense_coupling
+from rotation_oracle import (EulerAngles, angle_between, build_elliptic, neg, rotate,
+                             small_d_matrices, unit)
 from shell_table import (
     cos_omega_z_m0,
     dispersion_sum,
@@ -179,7 +181,7 @@ def test_criterion_7_property_suites():
     worst = 0.0
     for twice_j in range(1, 31):
         dim = twice_j + 1
-        tensor = coupling_tensor(dim)
+        tensor = dense_coupling(dim)
         total_m = np.add.outer(np.arange(dim), np.arange(dim)).ravel() - twice_j
         mat = np.array([np.where(total_m == m, tensor[l].ravel(), 0.0)
                         for l in range(dim) for m in range(-l, l + 1)]).T

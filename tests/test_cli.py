@@ -75,14 +75,17 @@ def test_rerun_is_byte_identical(argv, tmp_path):
 # Stark and circular states are exact closed forms. The elliptic state dumps
 # print every bit of an eigensolve and of libm calls, so another LAPACK or libm
 # may move their last digits; they hold the JSON renderer to the bytes that
-# json.dumps(..., indent=2) wrote for them, up to the largest shell.
+# json.dumps(..., indent=2) wrote for them, up to the largest shell. The shell
+# pins hold whether or not numpy dispatches to its AVX-512 loops (below); the
+# OpenBLAS core the coupling's eigensolve runs on still moves `table1` and the
+# elliptic states.
 _PINNED = {
     "table1": (["table1"],
-               "5e218ebdf7bda91c9ccbba8ad480e254c48a552cc46a94d98e6996227c7e1cd4"),
+               "9a2ee2aa6a3ef504fd6ba64bcc60d31c0ca9f90beac95159a4f395ad69937aef"),
     "table2": (["table2"],
                "a6a03aea9f8786cb677ef009726bd24129519206b4e6ceb8841fdf9117903e74"),
     "table3": (["table3", "--n-list", "5", "--ecc-grid", "0.3,0.5,0.7"],
-               "d9cfaf4c03e09bd041cc7f1b413c6252290ef1d7fb73f949147e02b93612ca88"),
+               "643c38eeb3883dc1b2fdfd3336fbf2f98af6b25bc88ff016aeab63557ae2704c"),
     # the benchmark's large shell, and one curve point and optimum at MAX_N
     "table3n40": (["table3", "--n-list", "40"],
                   "0be517da94cd9c4cccdd6fe46ff5b6816dfaeb58513ace41d9e221654f57dee3"),
@@ -95,9 +98,9 @@ _PINNED = {
     "stark": (["state", "--kind", "stark", "--n", "8"],
               "0c7884bd726ed32effecdb36541153782d9e2e8f9a8a53ab3f98eafefd9a8365"),
     "elliptic50": (["state", "--kind", "elliptic", "--n", "50", "--e", "0.7"],
-                   "0e2b8b7a7ba6af0b627ccad08c3bba2cfe0ff1edb5c4a9b4de6b8271879d3ba5"),
+                   "3b416aa3b5a815af5ac5e10877d5095f788f848dadc2b403f838ec26287faed5"),
     "elliptic101": (["state", "--kind", "elliptic", "--n", "101", "--e", "0.3"],
-                    "6aa6a668ca1063041134f76a2c4f50108324c2680067afda4e451c3a05008cad"),
+                    "fc3c41204ce8a8dfb58df2c7e3ba1d401276cd519d9f8da8736fa46cd03c0df1"),
     "stark101": (["state", "--kind", "stark", "--n", "101"],
                  "0b2c2c8d5989bf811cecf182c15150b2422743050f258823d8750eef120382ca"),
     "circular5": (["state", "--kind", "circular", "--n", "5"],
@@ -109,6 +112,37 @@ _PINNED = {
 def test_output_bytes_are_pinned(argv, digest, tmp_path):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _numpy_dispatch():
+    """numpy's CPU features and the SIMD targets its loops were built for."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return umath.__cpu_features__, umath.__cpu_dispatch__
+
+
+# numpy's dispatch on an AVX2 + FMA machine, set before numpy loads: every
+# AVX-512 target off ("X86_V4 AVX512_ICL AVX512_SPR" with numpy 2.4). Every pin
+# but the Monte Carlo ones, whose float power and arccos loops take AVX-512 by
+# design: the shell path runs no numpy loop whose bits depend on it
+_FEATURES, _DISPATCH = _numpy_dispatch()
+_NO_AVX512 = " ".join(t for t in _DISPATCH if t.startswith("AVX512") or t == "X86_V4")
+_SHELL_PINS = [name for name in _PINNED if name not in ("so4", "ortho")]
+
+
+@pytest.mark.skipif(not (_FEATURES.get("AVX512F") and _NO_AVX512),
+                    reason="numpy takes no AVX-512 loop here, so it already dispatches as "
+                           "the emulation would, and test_output_bytes_are_pinned checks that")
+@pytest.mark.parametrize("name", _SHELL_PINS)
+def test_shell_pins_hold_without_avx512_dispatch(name, tmp_path):
+    argv, digest = _PINNED[name]
+    out = tmp_path / "out"
+    env = dict(child_env(), NPY_DISABLE_CPU_FEATURES=_NO_AVX512)
+    subprocess.run([sys.executable, "-m", "rydberg_frames", *argv, "--out", str(out)],
+                   env=env, capture_output=True, timeout=120, check=True)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

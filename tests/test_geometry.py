@@ -5,7 +5,7 @@ import pytest
 
 from rydberg_frames.geometry import UnitVector
 
-from rotation_oracle import EulerAngles, as_array, unit
+from rotation_oracle import EulerAngles, as_array, from_spherical, spherical, unit
 
 
 def test_unit_vector_validation():
@@ -22,8 +22,8 @@ def test_spherical_round_trip():
     rng = np.random.default_rng(0)
     for _ in range(50):
         v = unit(*rng.normal(size=3))
-        theta, phi = v.spherical()
-        back = UnitVector.from_spherical(theta, phi)
+        theta, phi = spherical(v)
+        back = from_spherical(theta, phi)
         assert np.allclose(as_array(v), as_array(back), atol=1e-12)
 
 

@@ -73,11 +73,12 @@ def test_so4_command_heap_does_not_grow_with_samples(tmp_path, samples):
 
 
 def test_elliptic_state_at_max_n_keeps_a_few_tables():
-    # the (n, 2n-1) complex table, one n x n slice product at a time and the
-    # norm check's temporaries: about three tables, 0.97 MB at n = 101. An
-    # n^3 complex temporary of the coupling tensor (16 MB there) fails this.
+    # the (n, 2n-1) complex table, one block product of at most n x n per
+    # total projection M at a time and the norm check's temporaries: about
+    # three tables, 0.97 MB at n = 101. A complex temporary of all the
+    # coupling blocks at once (11 MB there) fails this.
     n = MAX_N
-    coupling_tensor(n)  # the cached tensor is not part of one state's build
+    coupling_tensor(n)  # the cached blocks are not part of one state's build
     peak, state = traced_peak(alice_two_axis_state, n, 0.3)
     assert state.n == n
     assert peak <= 4 * n * (2 * n - 1) * 16

@@ -10,7 +10,8 @@ from rydberg_frames.povm_so4 import (_DUMP_BLOCK_ROWS, _combined, philox_rng,
                                      sample_directions_about)
 
 import stream_oracle
-from rotation_oracle import X_AXIS, Y_AXIS, Z_AXIS, angle_between, as_array, neg, unit
+from rotation_oracle import (X_AXIS, Y_AXIS, Z_AXIS, angle_between, as_array, from_spherical,
+                             neg, unit)
 
 
 def orthogonalize(r_x, r_y):
@@ -30,8 +31,8 @@ def sample_columns(n, count, seed):
 
 class TestOrthogonalize:
     def test_symmetric_split_at_80_degrees(self):
-        a = UnitVector.from_spherical(math.pi / 2, 0.0)
-        b = UnitVector.from_spherical(math.pi / 2, math.radians(80.0))
+        a = from_spherical(math.pi / 2, 0.0)
+        b = from_spherical(math.pi / 2, math.radians(80.0))
         na, nb = orthogonalize(a, b)
         assert angle_between(na, nb) == pytest.approx(math.pi / 2, abs=1e-12)
         assert angle_between(na, a) == pytest.approx(math.radians(5.0), abs=1e-12)
@@ -75,8 +76,8 @@ class TestOrthogonalize:
         # with O(eps^2) remainder
         def residual(eps):
             phi1, phi2t, th1, th2 = 0.9 * eps, -0.4 * eps, 0.5 * eps, -0.7 * eps
-            r_x = UnitVector.from_spherical(math.pi / 2 + th1, phi1)
-            r_y = UnitVector.from_spherical(math.pi / 2 + th2, math.pi / 2 + phi2t)
+            r_x = from_spherical(math.pi / 2 + th1, phi1)
+            r_y = from_spherical(math.pi / 2 + th2, math.pi / 2 + phi2t)
             na, nb = orthogonalize(r_x, r_y)
             mean = 0.5 * (phi1 + phi2t)
             phi_a = math.atan2(na.y, na.x)

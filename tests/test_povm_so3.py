@@ -15,9 +15,10 @@ from rydberg_frames.povm_so3 import (
     optimal_m0_state,
     optimize_eccentricity,
 )
-from rydberg_frames.states import build_elliptic, circular_state, extreme_stark
+from rydberg_frames.states import circular_state, extreme_stark
 from cg_oracle import clebsch_gordan
-from rotation_oracle import Y_AXIS, EulerAngles, euler_matrix, rotate, small_d_matrices, unit
+from rotation_oracle import (Y_AXIS, EulerAngles, build_elliptic, euler_matrix, rotate,
+                             small_d_matrices, spherical, unit)
 from shell_table import (
     block,
     cos_omega_z_m0,
@@ -321,7 +322,7 @@ class TestTwoAxis:
     def test_zero_eccentricity_is_circular_about_y(self):
         n = 5
         wf = alice_two_axis_state(n, 0.0)
-        theta, phi = Y_AXIS.spherical()
+        theta, phi = spherical(Y_AXIS)
         target = rotate(circular_state(n), EulerAngles(phi, theta, 0.0))
         assert abs(np.vdot(wf.table, target.table)) ** 2 == pytest.approx(1.0, abs=1e-12)
 

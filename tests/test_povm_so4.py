@@ -24,7 +24,7 @@ from rydberg_frames.povm_so4 import (
 from rydberg_frames.states import extreme_stark
 
 import stream_oracle
-from rotation_oracle import X_AXIS, Y_AXIS, small_d_matrices, unit
+from rotation_oracle import X_AXIS, Y_AXIS, small_d_matrices, spherical, unit
 from stark_blocks import stark_block_constants
 
 
@@ -327,7 +327,7 @@ def so4_povm_completeness_grid(n):
     j = (n - 1) / 2.0
     factors = []
     for u in (X_AXIS, Y_AXIS):
-        theta_u, phi_u = u.spherical()
+        theta_u, phi_u = spherical(u)
         c = coherent_coeffs(n, theta_u, phi_u)
         n_beta, n_ang = n, 2 * n + 2
         x, w_beta = np.polynomial.legendre.leggauss(n_beta)

@@ -7,18 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from rydberg_frames.angmom import MAX_N
-from rydberg_frames.geometry import UnitVector
 from rydberg_frames.povm_so3 import alice_two_axis_state
 from rydberg_frames.states import (
     WaveFunction,
-    build_elliptic,
     circular_state,
     coupling_tensor,
     extreme_stark,
     from_product_amplitudes,
-    product_amplitudes,
 )
-from cg_oracle import HalfInt, clebsch_gordan
+from cg_oracle import HalfInt, clebsch_gordan, dense_coupling, dense_from_product_amplitudes
 from rotation_oracle import (
     X_AXIS,
     Y_AXIS,
@@ -26,9 +23,12 @@ from rotation_oracle import (
     EulerAngles,
     angle_between,
     as_array,
+    build_elliptic,
     euler_matrix,
+    from_spherical,
     matrix_to_euler,
     neg,
+    product_amplitudes,
     rotate,
     unit,
 )
@@ -140,7 +140,7 @@ class TestCouplingTensor:
     @pytest.mark.parametrize("n", range(2, 21))
     def test_matches_racah_oracle(self, n):
         # every entry, so both signs of M = m1 + m2
-        tensor = coupling_tensor(n)
+        tensor = dense_coupling(n)
         for i1 in range(n):
             for i2 in range(n):
                 expected = racah_column(n, 2 * i1 - (n - 1), 2 * i2 - (n - 1))
@@ -152,18 +152,19 @@ class TestCouplingTensor:
         # below rounding for large l, so a sign taken from it would be noise
         # and flip whole columns by O(0.1)
         expected = racah_column(n, 2 * i1 - (n - 1), (n - 1) - 2 * i1)
-        got = coupling_tensor(n)[:, i1, n - 1 - i1]
+        got = dense_coupling(n)[:, i1, n - 1 - i1]
         assert np.abs(got - expected).max() <= 1e-13
 
     @pytest.mark.parametrize("n", [40, 64, 101])
     def test_orthonormal_per_projection(self, n):
-        tensor = coupling_tensor(n)
-        total = np.add.outer(np.arange(n), np.arange(n))
-        for s in range(2 * n - 1):
-            columns = tensor[:, total == s]
-            present = np.arange(n) >= abs(s - (n - 1))  # l >= |M|
-            gram = columns @ columns.T
-            assert np.abs(gram - np.diag(present.astype(float))).max() <= 1e-12
+        # block M: rows l = |M| .. n-1, one column per m1 with m1 + m2 = M
+        blocks = coupling_tensor(n)
+        assert len(blocks) == 2 * n - 1
+        for big_m, block in zip(range(1 - n, n), blocks):
+            assert block.shape == (n - abs(big_m),) * 2 and not block.flags.writeable
+            eye = np.eye(n - abs(big_m))
+            assert np.abs(block @ block.T - eye).max() <= 1e-12
+            assert np.abs(block.T @ block - eye).max() <= 1e-12
 
 
 def test_shell_caches_are_bounded():
@@ -184,10 +185,7 @@ def test_shell_caches_are_bounded():
 def test_coupling_tensor_orthogonal_up_to_max_n(n):
     # per M the rows l >= |M| and the columns m1 + m2 = M form a square
     # orthogonal matrix: orthonormal rows and orthonormal columns
-    tensor = coupling_tensor(n)
-    total = np.add.outer(np.arange(n), np.arange(n))
-    for s in range(2 * n - 1):
-        block = tensor[abs(s - (n - 1)):, total == s]
+    for block in coupling_tensor(n):
         eye = np.eye(block.shape[0])
         assert np.abs(block @ block.T - eye).max() <= 1e-12
         assert np.abs(block.T @ block - eye).max() <= 1e-12
@@ -303,7 +301,7 @@ class TestOverlapAndRotation:
         n = 6
         theta, phi = 0.8, 2.2
         rotated = rotate(extreme_stark(n), EulerAngles(phi, theta, 0.0))
-        u = UnitVector.from_spherical(theta, phi)
+        u = from_spherical(theta, phi)
         built = build_elliptic(n, neg(u), u)
         assert abs(np.vdot(rotated.table, built.table)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
@@ -394,7 +392,7 @@ class TestSerialization:
         for l in range(n):
             pad = np.zeros(2 * n - 1, dtype=complex)
             pad[n - 1 - l : n + l] = block(wf.table, l)
-            loop += coupling_tensor(n)[l] * pad[i1 + i2]
+            loop += dense_coupling(n)[l] * pad[i1 + i2]
         assert np.array_equal(to_product_amplitudes(wf), loop)
 
 
@@ -403,8 +401,9 @@ _DIRECTION = hst.tuples(*[hst.floats(-1.0, 1.0)] * 3).filter(
 )
 
 
-# coupling_tensor caches every shell it builds (up to 8 MB at n = MAX_N), so
-# the number of distinct shells drawn is kept small
+# coupling_tensor caches every shell it builds (up to 5.5 MB at n = MAX_N, and
+# the dense cube of the oracles 8 MB), so the number of distinct shells drawn
+# is kept small
 @settings(max_examples=12, deadline=None)
 @given(hst.integers(2, MAX_N), _DIRECTION, _DIRECTION)
 @example(MAX_N, (0.3, -0.5, 0.8), (-0.2, 0.9, 0.1))
@@ -412,3 +411,17 @@ def test_coherent_states_up_to_max_n(n, v1, v2):
     wf = build_elliptic(n, unit(*v1), unit(*v2))
     assert povm_completeness_deviation(wf) <= 1e-12
     assert abs(dispersion_sum(wf) - 2.0 * (n - 1)) <= 1e-12 * n * n
+
+
+def test_two_axis_state_matches_the_dense_route():
+    # the general route: both directions through Cartesian and back to their
+    # angles (an azimuth may move by an ulp), then the m1 slices of the dense
+    # cube added in ascending order. The blocks sum the same products in
+    # another order, so the two agree within about MAX_N ulps
+    for n in range(2, MAX_N + 1):
+        for e in (0.0, 0.3, 0.7, 1.0):
+            zeta = math.asin(e)
+            u1 = from_spherical(math.pi / 2, math.pi / 2 + zeta)
+            u2 = from_spherical(math.pi / 2, math.pi / 2 - zeta)
+            dense = dense_from_product_amplitudes(n, product_amplitudes(n, u1, u2))
+            assert np.abs(alice_two_axis_state(n, e).table - dense.table).max() <= 1e-14, (n, e)
