@@ -29,8 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angmom import coherent_coeffs
-from .states import WaveFunction, from_product_amplitudes
+from .states import WaveFunction, alice_two_axis_state
 from .geometry import two_axis_eta
 
 _ZERO_BLOCK = 1e-12
@@ -193,23 +192,7 @@ def optimal_m0_state(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Two-axis signal states and eccentricity optimization.
-
-def alice_two_axis_state(n: int, e: float) -> WaveFunction:
-    """Elliptic signal with Runge-Lenz axis k = x and angular momentum axis ell = y.
-
-    The two coherent directions lie in the xy plane at azimuths pi/2 + zeta and
-    pi/2 - zeta with zeta = arcsin(e), symmetric about y, so that
-    <K> = (n-1) e x and <L> = (n-1) sqrt(1-e^2) y. The two spin coherent
-    states at those angles are coupled straight from their product.
-    """
-    if not 0.0 <= e <= 1.0:
-        raise ValueError(f"eccentricity must lie in [0, 1], got {e}")
-    zeta = math.asin(e)
-    c1 = coherent_coeffs(n, math.pi / 2.0, math.pi / 2.0 + zeta)
-    c2 = coherent_coeffs(n, math.pi / 2.0, math.pi / 2.0 - zeta)
-    return from_product_amplitudes(n, np.outer(c1, c2))
-
+# Eccentricity optimization over the two-axis states.
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 

@@ -3,16 +3,15 @@
 A shell state is stored as one complex table a[l, n-1+m] over the |l m>
 basis, 0 <= l <= n-1, zero where |m| > l. The two commuting spins
 j = (n-1)/2 that generate the shell give the angular momentum L = J1 + J2 and
-the scaled Runge-Lenz vector K = J2 - J1. In the two-spin picture a state is
-one amplitude table psi[j+m1, j+m2], and an elliptic state is the product of
-two spin-j coherent states, psi = c1 (x) c2, coupled into the |l m> table by
-the Clebsch-Gordan coefficients, which are nonzero only where m1 + m2 = M:
-each column M of the table is one real block applied to one antidiagonal of
-psi. The commands write these tables (`state`) or evaluate them through the
-closed-form fidelities of `povm_so3`; no command rotates a state or forms an
-L or K moment. The rotation covariance and the minimal L and K dispersions
-are checked by the test oracles (`tests/rotation_oracle.py`,
-`tests/shell_table.py`).
+the scaled Runge-Lenz vector K = J2 - J1. An elliptic state is the product
+of two spin-j coherent states, coupled into the |l m> table by the
+Clebsch-Gordan coefficients, one real block per M = m1 + m2 >= 0. The
+commands send only the two-axis state, whose spins lie on the equator: its
+table is real sums times quarter-turn phases, built in real arithmetic. The
+commands write these tables (`state`) or evaluate them through the
+closed-form fidelities of `povm_so3`. The coupling of a general two-spin
+table, the rotations and the L and K dispersions are test oracles
+(`tests/cg_oracle.py`, `tests/rotation_oracle.py`, `tests/shell_table.py`).
 """
 
 from __future__ import annotations
@@ -77,17 +76,18 @@ class WaveFunction:
         return f'{{\n  "n": {n},\n  "entries": [\n{entries}\n  ]\n}}\n'
 
 
-# about 2n^3/3 doubles per shell, 5.5 MB at n = MAX_N; commands walk their
+# n(n+1)(2n+1)/6 doubles per shell, 2.8 MB at n = MAX_N; commands walk their
 # shells one at a time
 @lru_cache(maxsize=4)
 def coupling_tensor(n: int) -> tuple:
-    """C^{jj l}_{m1 m2 M} for j = (n-1)/2, as one read-only real block per M.
+    """C^{jj l}_{m1 m2 M} for j = (n-1)/2 and M >= 0, as one read-only real block per M.
 
-    blocks[n-1+M], M = 1-n .. n-1, has rows l = |M| .. n-1 and columns m1
-    ascending over the m1 with |M - m1| <= j: row l is |l M> in the basis
-    |m1, M-m1>. Each block is square and orthogonal.
+    blocks[M], M = 0 .. n-1, has rows l = M .. n-1 and columns m1 ascending
+    over the m1 with |M - m1| <= j: row l is |l M> in the basis |m1, M-m1>.
+    Each block is square and orthogonal. The blocks of M < 0 follow by
+    parity, C(-m1, -m2) = (-1)^(2j-l) C(m1, m2), and no command reads them.
 
-    Built one total projection M >= 0 at a time: in the |m1, M-m1> basis the
+    Built one total projection M at a time: in the |m1, M-m1> basis the
     coupled L^2 = J1^2 + J2^2 + 2 J1z J2z + J1+ J2- + J1- J2+ is a real
     symmetric tridiagonal block whose eigenvalues l(l+1), l = M .. 2j, ascend
     with l. Condon-Shortley phases make the m1 = +j entry of every |l M>
@@ -96,15 +96,14 @@ def coupling_tensor(n: int) -> tuple:
     The highest-weight state |M M> has entries of sign (-1)^(j-m1), so its
     alternating sum is positive. Every other |l M> takes the sign that makes
     its overlap with L- |l M+1> positive, an overlap of magnitude
-    sqrt((l+M+1)(l-M)) >= 1. The block of -M follows from
-    C(-m1, -m2) = (-1)^(2j-l) C(m1, m2), its columns reversed. The exact Racah
-    sum (`tests/cg_oracle.py`) is the test oracle, not part of the build.
+    sqrt((l+M+1)(l-M)) >= 1. The exact Racah sum (`tests/cg_oracle.py`) is
+    the test oracle, not part of the build.
     """
     j = (n - 1) / 2.0
     m = np.arange(n) - j
     ladder = np.append(ladder_factors(n), 0.0)  # <m+1| J+ |m> at index j+m
     parity = (-1.0) ** (n - 1 - np.arange(n))
-    blocks = [None] * (2 * n - 1)
+    blocks = [None] * n
     above = np.zeros((n, n + 1))  # [l, j+m1] amplitudes of |l M+1>
     for big_m in range(n - 1, -1, -1):
         i1 = np.arange(big_m, n)
@@ -125,28 +124,53 @@ def coupling_tensor(n: int) -> tuple:
         signs = np.sign(np.einsum("la,la->l", vecs, lowered))
         signs[0] = np.sign(vecs[0] @ (-1.0) ** (n - 1 - i1))
         vecs *= signs[:, None]
+        # swapping m1 and m2 reverses the columns and multiplies |l M> by
+        # (-1)^(2j-l), which eigh holds only to rounding (1.5e-14 at n = 25):
+        # averaging each row with its mirror makes that parity exact
+        vecs = 0.5 * (vecs + parity[big_m:, None] * vecs[:, ::-1])
+        vecs.setflags(write=False)
         above[ls[:, None], i1[None, :]] = vecs
-        blocks[n - 1 + big_m] = vecs
-        if big_m:
-            blocks[n - 1 - big_m] = parity[big_m:, None] * vecs[:, ::-1]
-    for block in blocks:
-        block.setflags(write=False)
+        blocks[big_m] = vecs
     return tuple(blocks)
 
 
-def from_product_amplitudes(n: int, psi: np.ndarray) -> WaveFunction:
-    """Couple a two-spin amplitude table psi[j+m1, j+m2] into the |l m> table.
+def alice_two_axis_state(n: int, e: float) -> WaveFunction:
+    """Elliptic signal with Runge-Lenz axis k = x and angular momentum axis ell = y.
 
-    Column M takes the antidiagonal m1 + m2 = M of psi, m1 ascending, through
-    the block of M: one reduction per M and no BLAS call, so the bits do not
-    depend on the BLAS build. Entries with |M| > l are never written.
+    Its two spin coherent states lie on the equator at azimuths pi/2 +- zeta,
+    zeta = arcsin(e), so <K> = (n-1) e x and <L> = (n-1) sqrt(1-e^2) y. Both
+    have the real, even magnitudes b_m = sqrt(binom(2j, j+m) / 2^(2j)), and
+    their product over m1 + m2 = M is (-i)^M b b e^(-i (m1-m2) zeta). Swapping
+    m1 and m2 multiplies C by (-1)^(2j-l), so a row with 2j-l even keeps only
+    R = sum C b b cos((m1-m2) zeta), a[l, M] = (-i)^M R, and a row with 2j-l
+    odd only I = sum C b b sin((m1-m2) zeta), a[l, M] = (-i)^(M+1) I; and
+    a[l, -M] = (-1)^(2j-l) conj(a[l, M]). Each row is one real reduction
+    against the block of M, with no BLAS call, and the phases only place R or
+    I, signed, so every component that vanishes in theory is exactly +0.0.
     """
-    blocks = coupling_tensor(n)
-    flipped = psi[:, ::-1]  # [j+m1, j-m2]: its diagonal -M holds m1 + m2 = M
+    if not 0.0 <= e <= 1.0:
+        raise ValueError(f"eccentricity must lie in [0, 1], got {e}")
+    # the int ratio and the root are each correctly rounded
+    b = np.sqrt([math.comb(n - 1, k) / 2 ** (n - 1) for k in range(n)])
+    turns = np.arange(1 - n, n) * math.asin(e)  # (m1-m2) zeta at index n-1 + m1-m2
+    bb = np.outer(b, b)
+    turn = n - 1 + np.arange(n)[:, None] - np.arange(n)
+    # [j+m1, j-m2]: the diagonal -M of each holds the m1 + m2 = M weights, m1 ascending
+    cos_weights = (bb * np.cos(turns)[turn])[:, ::-1]
+    sin_weights = (bb * np.sin(turns)[turn])[:, ::-1]
+    values = np.zeros((n, n))  # [l, M]: R or I by the parity of 2j-l
+    for big_m, block in enumerate(coupling_tensor(n)):
+        k = (n - 1 - big_m) % 2  # row k is l = M + k; rows k, k+2, .. have 2j-l even
+        values[big_m + k::2, big_m] = np.add.reduce(
+            block[k::2] * cos_weights.diagonal(-big_m), axis=1)
+        values[big_m + 1 - k::2, big_m] = np.add.reduce(
+            block[1 - k::2] * sin_weights.diagonal(-big_m), axis=1)
+    odd = (n - 1 - np.arange(n)) % 2
+    quarter_turns = np.array([1.0, -1.0j, -1.0, 1.0j])  # (-i)^q
     table = np.zeros((n, 2 * n - 1), dtype=complex)
-    for big_m in range(1 - n, n):
-        table[abs(big_m):, n - 1 + big_m] = np.add.reduce(
-            blocks[n - 1 + big_m] * flipped.diagonal(-big_m), axis=1)
+    table[:, n - 1:] = values * quarter_turns[(np.arange(n) + odd[:, None]) % 4]
+    table[:, : n - 1] = (1 - 2 * odd)[:, None] * table[:, : n - 1 : -1].conj()
+    table += 0.0  # -0.0 + 0.0 is +0.0: the zero components print as 0.0
     return WaveFunction(n, table)
 
 

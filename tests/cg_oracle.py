@@ -1,10 +1,12 @@
 """Clebsch-Gordan coefficients by the Racah sum: the exact oracle for the coupling kernels.
 
-`states.coupling_tensor` builds whole coupling tables by an eigensolve and
-`states.extreme_stark` uses the closed form of one column; both are checked
-against this term-by-term sum in exact rational arithmetic. The dense cube of
-the coupling blocks, and the coupling of a two-spin table slice by slice
-through it, are the tests' view of the same coefficients by (m1, m2).
+`states.coupling_tensor` builds the coupling blocks of M >= 0 by an
+eigensolve and `states.extreme_stark` uses the closed form of one column;
+both are checked against this term-by-term sum in exact rational arithmetic.
+The blocks of every M, the M < 0 ones by parity, the dense cube of them, and
+the general coupling of a two-spin table through them (one reduction per M,
+or slice by slice through the cube) are the tests' view of the same
+coefficients by (m1, m2).
 """
 
 import math
@@ -17,15 +19,42 @@ import numpy as np
 from rydberg_frames.states import WaveFunction, coupling_tensor
 
 
+@lru_cache(maxsize=4)  # 5.5 MB at n = MAX_N
+def signed_blocks(n: int) -> tuple:
+    """The coupling block of every M = 1-n .. n-1, at index n-1+M: those of
+    M >= 0 from `coupling_tensor`, and the block of -M by the parity
+    C(-m1, -m2) = (-1)^(2j-l) C(m1, m2), its columns reversed."""
+    parity = (-1.0) ** (n - 1 - np.arange(n))
+    upper = coupling_tensor(n)
+    lower = [parity[big_m:, None] * upper[big_m][:, ::-1] for big_m in range(n - 1, 0, -1)]
+    for block in lower:
+        block.setflags(write=False)
+    return (*lower, *upper)
+
+
 @lru_cache(maxsize=4)  # 8 MB at n = MAX_N
 def dense_coupling(n: int) -> np.ndarray:
     """C^{jj l}_{m1 m2, m1+m2} for j = (n-1)/2, indexed [l, j+m1, j+m2], from the per-M blocks."""
     dense = np.zeros((n, n, n))
-    for big_m, block in zip(range(1 - n, n), coupling_tensor(n)):
+    for big_m, block in zip(range(1 - n, n), signed_blocks(n)):
         i1 = np.arange(max(big_m, 0), min(n, n + big_m))  # the block's columns, m1 ascending
         dense[abs(big_m):, i1, n - 1 + big_m - i1] = block
     dense.setflags(write=False)
     return dense
+
+
+def from_product_amplitudes(n: int, psi: np.ndarray) -> WaveFunction:
+    """Couple a two-spin amplitude table psi[j+m1, j+m2] into the |l m> table.
+
+    Column M takes the antidiagonal m1 + m2 = M of psi, m1 ascending, through
+    the block of M: one reduction per M. Entries with |M| > l are never
+    written.
+    """
+    flipped = psi[:, ::-1]  # [j+m1, j-m2]: its diagonal -M holds m1 + m2 = M
+    table = np.zeros((n, 2 * n - 1), dtype=complex)
+    for big_m, block in zip(range(1 - n, n), signed_blocks(n)):
+        table[abs(big_m):, n - 1 + big_m] = np.add.reduce(block * flipped.diagonal(-big_m), axis=1)
+    return WaveFunction(n, table)
 
 
 def dense_from_product_amplitudes(n: int, psi: np.ndarray) -> WaveFunction:

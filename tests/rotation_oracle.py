@@ -1,8 +1,9 @@
 """Classical z-y-z rotation matrices, the oracle for the quantum rotations;
 the Wigner d kernel and the rotation of a shell state they check; the axes
-and vector helpers the tests build directions with; and the coherent state
-of any two directions, through their spherical angles (the commands build
-only the two-axis states, from their angles directly).
+and vector helpers the tests build directions with; and the spin coherent
+states, and the shell coherent state of any two directions through their
+spherical angles (the commands build only the two-axis state, in real
+arithmetic from its symmetry).
 
 All rotations are active z-y-z, U = exp(-i J_z psi) exp(-i J_y theta) exp(-i J_z phi).
 """
@@ -13,10 +14,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from rydberg_frames.angmom import coherent_coeffs
+from rydberg_frames.angmom import MAX_N
 from rydberg_frames.geometry import UnitVector
-from rydberg_frames.states import WaveFunction, from_product_amplitudes
+from rydberg_frames.states import WaveFunction
 
+from cg_oracle import from_product_amplitudes
 from shell_table import spin_matrices, to_product_amplitudes
 
 TWO_PI = 2.0 * math.pi
@@ -79,6 +81,29 @@ def spherical(v: UnitVector):
     if math.hypot(v.x, v.y) < 1e-15:
         return theta, 0.0
     return theta, math.atan2(v.y, v.x) % TWO_PI
+
+
+def coherent_coeffs(n: int, theta: float, phi: float) -> np.ndarray:
+    """Coefficients of the spin-j = (n-1)/2 coherent state along (theta, phi).
+
+    Returns the complex vector D^j_m(theta, phi) indexed by m = -j .. j
+    ascending, i.e. the expansion of exp(-i J_z phi) exp(-i J_y theta) |j j>
+    in the |j m> basis:
+
+        D^j_m = binom(2j, j+m)^(1/2) cos(theta/2)^(j+m) sin(theta/2)^(j-m) e^(-i m phi)
+    """
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"dimension {n} outside [1, MAX_N = {MAX_N}]")
+    tj = n - 1
+    # the correctly rounded root of each exact binomial, and the powers by
+    # running products: IEEE sqrt and multiply, whose bits no SIMD target of
+    # numpy changes (its float exp, log and power loops differ between targets)
+    root_binom = np.sqrt([float(math.comb(tj, k)) for k in range(n)])
+    cos_pow = np.cumprod(np.append(1.0, np.full(tj, math.cos(theta / 2.0))))
+    sin_pow = np.cumprod(np.append(1.0, np.full(tj, math.sin(theta / 2.0))))
+    mag = root_binom * cos_pow * sin_pow[::-1]
+    m_values = np.arange(n) - tj / 2.0
+    return mag * np.exp(-1j * m_values * phi)
 
 
 def product_amplitudes(n: int, u1: UnitVector, u2: UnitVector) -> np.ndarray:

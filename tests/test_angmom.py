@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from rydberg_frames.angmom import MAX_J, MAX_N, coherent_coeffs
+from rydberg_frames.angmom import MAX_J, MAX_N
 
 from cg_oracle import HalfInt, clebsch_gordan
-from rotation_oracle import small_d_matrices
+from rotation_oracle import coherent_coeffs, small_d_matrices
 from shell_table import spin_matrices
 
 SQ = math.sqrt

@@ -81,11 +81,11 @@ def test_rerun_is_byte_identical(argv, tmp_path):
 # elliptic states.
 _PINNED = {
     "table1": (["table1"],
-               "9a2ee2aa6a3ef504fd6ba64bcc60d31c0ca9f90beac95159a4f395ad69937aef"),
+               "0a14afdde31ba3f1c2ae0c6a281425c083b465f16e7e3f64debbd2e6dba2b1f4"),
     "table2": (["table2"],
                "a6a03aea9f8786cb677ef009726bd24129519206b4e6ceb8841fdf9117903e74"),
     "table3": (["table3", "--n-list", "5", "--ecc-grid", "0.3,0.5,0.7"],
-               "643c38eeb3883dc1b2fdfd3336fbf2f98af6b25bc88ff016aeab63557ae2704c"),
+               "2ddefc90eda621a2c9ccfd944c5976381819684583676cd7b8676faf2f104fdb"),
     # the benchmark's large shell, and one curve point and optimum at MAX_N
     "table3n40": (["table3", "--n-list", "40"],
                   "0be517da94cd9c4cccdd6fe46ff5b6816dfaeb58513ace41d9e221654f57dee3"),
@@ -98,9 +98,9 @@ _PINNED = {
     "stark": (["state", "--kind", "stark", "--n", "8"],
               "0c7884bd726ed32effecdb36541153782d9e2e8f9a8a53ab3f98eafefd9a8365"),
     "elliptic50": (["state", "--kind", "elliptic", "--n", "50", "--e", "0.7"],
-                   "3b416aa3b5a815af5ac5e10877d5095f788f848dadc2b403f838ec26287faed5"),
+                   "5af4f814b5925c510185b69aaa779a6aec46f349ab4e5bea4105a2cfd1401faa"),
     "elliptic101": (["state", "--kind", "elliptic", "--n", "101", "--e", "0.3"],
-                    "fc3c41204ce8a8dfb58df2c7e3ba1d401276cd519d9f8da8736fa46cd03c0df1"),
+                    "4aae79174df9bfde75d56705e38cc54412822e28c32a8f6364c09d2abb050c7b"),
     "stark101": (["state", "--kind", "stark", "--n", "101"],
                  "0b2c2c8d5989bf811cecf182c15150b2422743050f258823d8750eef120382ca"),
     "circular5": (["state", "--kind", "circular", "--n", "5"],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from rydberg_frames.angmom import MAX_N, coherent_coeffs
+from rydberg_frames.angmom import MAX_N
 from rydberg_frames.povm_so4 import (
     _CELL_WORDS,
     _DUMP_BLOCK_ROWS,
@@ -24,7 +24,7 @@ from rydberg_frames.povm_so4 import (
 from rydberg_frames.states import extreme_stark
 
 import stream_oracle
-from rotation_oracle import X_AXIS, Y_AXIS, small_d_matrices, spherical, unit
+from rotation_oracle import X_AXIS, Y_AXIS, coherent_coeffs, small_d_matrices, spherical, unit
 from stark_blocks import stark_block_constants
 
 

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -13,9 +14,14 @@ from rydberg_frames.states import (
     circular_state,
     coupling_tensor,
     extreme_stark,
+)
+from cg_oracle import (
+    HalfInt,
+    clebsch_gordan,
+    dense_coupling,
+    dense_from_product_amplitudes,
     from_product_amplitudes,
 )
-from cg_oracle import HalfInt, clebsch_gordan, dense_coupling, dense_from_product_amplitudes
 from rotation_oracle import (
     X_AXIS,
     Y_AXIS,
@@ -157,14 +163,28 @@ class TestCouplingTensor:
 
     @pytest.mark.parametrize("n", [40, 64, 101])
     def test_orthonormal_per_projection(self, n):
-        # block M: rows l = |M| .. n-1, one column per m1 with m1 + m2 = M
+        # block M >= 0: rows l = M .. n-1, one column per m1 with m1 + m2 = M
         blocks = coupling_tensor(n)
-        assert len(blocks) == 2 * n - 1
-        for big_m, block in zip(range(1 - n, n), blocks):
-            assert block.shape == (n - abs(big_m),) * 2 and not block.flags.writeable
-            eye = np.eye(n - abs(big_m))
+        assert len(blocks) == n
+        for big_m, block in enumerate(blocks):
+            assert block.shape == (n - big_m,) * 2 and not block.flags.writeable
+            eye = np.eye(n - big_m)
             assert np.abs(block @ block.T - eye).max() <= 1e-12
             assert np.abs(block.T @ block - eye).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 25, 40, MAX_N])
+    def test_blocks_hold_the_swap_parity_exactly(self, n):
+        # C(m2, m1) = (-1)^(2j-l) C(m1, m2): reversing the columns of block M
+        # gives back each row l times (-1)^(2j-l), bit for bit
+        parity = (-1.0) ** (n - 1 - np.arange(n))
+        for big_m, block in enumerate(coupling_tensor(n)):
+            assert np.array_equal(parity[big_m:, None] * block[:, ::-1], block), big_m
+
+    def test_only_the_nonnegative_projections_are_cached(self):
+        # sum over M = 0 .. n-1 of (n-M)^2 = n(n+1)(2n+1)/6 doubles, 348,551
+        # (2.8 MB) at n = MAX_N; all 2n-1 blocks would hold n(2n^2+1)/3 (5.5 MB)
+        n = MAX_N
+        assert sum(block.size for block in coupling_tensor(n)) == n * (n + 1) * (2 * n + 1) // 6
 
 
 def test_shell_caches_are_bounded():
@@ -401,9 +421,9 @@ _DIRECTION = hst.tuples(*[hst.floats(-1.0, 1.0)] * 3).filter(
 )
 
 
-# coupling_tensor caches every shell it builds (up to 5.5 MB at n = MAX_N, and
-# the dense cube of the oracles 8 MB), so the number of distinct shells drawn
-# is kept small
+# coupling_tensor caches every shell it builds (up to 2.8 MB at n = MAX_N, the
+# oracles' blocks of every M 5.5 MB and their dense cube 8 MB), so the number
+# of distinct shells drawn is kept small
 @settings(max_examples=12, deadline=None)
 @given(hst.integers(2, MAX_N), _DIRECTION, _DIRECTION)
 @example(MAX_N, (0.3, -0.5, 0.8), (-0.2, 0.9, 0.1))
@@ -416,8 +436,9 @@ def test_coherent_states_up_to_max_n(n, v1, v2):
 def test_two_axis_state_matches_the_dense_route():
     # the general route: both directions through Cartesian and back to their
     # angles (an azimuth may move by an ulp), then the m1 slices of the dense
-    # cube added in ascending order. The blocks sum the same products in
-    # another order, so the two agree within about MAX_N ulps
+    # cube added in ascending order. The real route sums the cosine or the
+    # sine half of the same products, which the blocks' exact swap parity
+    # makes the whole sum, so the two agree within about MAX_N ulps
     for n in range(2, MAX_N + 1):
         for e in (0.0, 0.3, 0.7, 1.0):
             zeta = math.asin(e)
@@ -425,3 +446,48 @@ def test_two_axis_state_matches_the_dense_route():
             u2 = from_spherical(math.pi / 2, math.pi / 2 - zeta)
             dense = dense_from_product_amplitudes(n, product_amplitudes(n, u1, u2))
             assert np.abs(alice_two_axis_state(n, e).table - dense.table).max() <= 1e-14, (n, e)
+
+
+def _theory_zero_parts(n):
+    """Masks of the real and the imaginary parts of a two-axis table that
+    vanish in theory: a[l, M] is real where |M| + 2j-l is even and imaginary
+    where it is odd, and both parts vanish where |M| > l."""
+    l = np.arange(n)[:, None]
+    big_m = np.abs(np.arange(2 * n - 1) - (n - 1))
+    outside = big_m > l
+    real = (big_m + n - 1 - l) % 2 == 0
+    return outside | ~real, outside | real
+
+
+def test_two_axis_state_has_exact_zeros_and_mirror():
+    # the components that vanish in theory are +0.0 (to_json prints -0.0 as
+    # "-0.0"), and a[l, -M] = (-1)^(2j-l) conj(a[l, M]) bit for bit
+    for n in range(2, MAX_N + 1):
+        zero_re, zero_im = _theory_zero_parts(n)
+        parity = (-1.0) ** (n - 1 - np.arange(n))
+        for e in (0.0, 0.05, 0.3, 0.6, 0.7, 0.95, 1.0):
+            table = alice_two_axis_state(n, e).table
+            for part, zero in ((table.real, zero_re), (table.imag, zero_im)):
+                assert np.all(part[zero] == 0.0), (n, e)
+                assert not np.signbit(part[zero]).any(), (n, e)
+            mirror = parity[:, None] * table[:, : n - 1 : -1].conj()
+            assert np.array_equal(table[:, : n - 1], mirror), (n, e)
+
+
+def test_two_axis_state_matches_the_racah_sum():
+    # a[l, M] = (-i)^M sum over m1 of <j m1; j m2 | l M> b b e^(-i (m1-m2) zeta),
+    # with every coefficient from the exact Racah sum and each part summed by
+    # fsum, so the reference is good to a few ulps of its largest term
+    n, e = 40, 0.3
+    j, zeta = (n - 1) / 2, math.asin(e)
+    b = [math.sqrt(math.comb(n - 1, k) / 2 ** (n - 1)) for k in range(n)]
+    reference = np.zeros((n, 2 * n - 1), dtype=complex)
+    for big_m in range(1 - n, n):
+        pairs = [(i1, big_m + n - 1 - i1) for i1 in range(max(big_m, 0), min(n, n + big_m))]
+        weights = [b[i1] * b[i2] * cmath.exp(-1j * (i1 - i2) * zeta) for i1, i2 in pairs]
+        for l in range(abs(big_m), n):
+            terms = [clebsch_gordan(j, j, l, i1 - j, i2 - j, big_m) * w
+                     for (i1, i2), w in zip(pairs, weights)]
+            total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+            reference[l, n - 1 + big_m] = (-1j) ** (big_m % 4) * total
+    assert np.abs(alice_two_axis_state(n, e).table - reference).max() <= 7e-16
