@@ -25,7 +25,8 @@ from . import reference_values as ref
 from .angmom import MAX_N, MAX_SAMPLES
 from .geometry import UnitVector, two_axis_eta
 
-_QUADRATURE_NOTE = "n_beta=2n Gauss-Legendre in cos(beta); n_alpha=n_gamma=4n+4 equispaced"
+_METHOD_NOTE = ("closed-form Haar moments by the Clebsch-Gordan series; "
+                "golden-section search in e with a three-point vertex")
 
 
 def load_tolerances(path=None) -> dict:
@@ -107,7 +108,7 @@ def cmd_table1(args, tol: dict):
             ok = bool(abs(e_val - e_ref) <= tol["e_abs"] and abs(eta_val - eta_ref) <= eta_tol)
             rows.append([n, axis, e_val, e_ref, abs(e_val - e_ref),
                          eta_val, eta_ref, abs(eta_val - eta_ref), ok])
-    return {"quadrature": _QUADRATURE_NOTE}, columns, rows
+    return {"method": _METHOD_NOTE}, columns, rows
 
 
 def cmd_table2(args, tol: dict):
@@ -162,7 +163,7 @@ def cmd_table3(args, tol: dict):
         ok = bool(e_dev <= tol["e_abs"] and eta_dev <= tol["eta_abs"])
         rows.append(["optimum", n, e_opt, eta_min, reference["e_opt"], e_dev,
                      reference["elliptic"], eta_dev, reference["optimal"], ok])
-    meta = {"n_list": ",".join(str(n) for n in args.n_list), "quadrature": _QUADRATURE_NOTE}
+    meta = {"n_list": ",".join(str(n) for n in args.n_list), "method": _METHOD_NOTE}
     return meta, columns, rows
 
 

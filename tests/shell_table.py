@@ -4,7 +4,7 @@ and the two-spin, L/K and measurement observables that only the tests evaluate."
 import numpy as np
 
 from rydberg_frames.angmom import ladder_factors
-from rydberg_frames.povm_so3 import _haar_moments, bob_fiducial, m0_overlap_matrix
+from rydberg_frames.povm_so3 import _haar_moments, bob_fiducial
 from rydberg_frames.states import WaveFunction
 
 from cg_oracle import dense_coupling
@@ -68,6 +68,19 @@ def dispersion_sum(state) -> float:
     """(Delta L)^2 + (Delta K)^2: the paper's coherent states reach its minimum, 2(n-1)."""
     lvec, kvec, l2, k2, _ = lk_moments(state)
     return l2 + k2 - float(lvec @ lvec) - float(kvec @ kvec)
+
+
+def m0_overlap_matrix(n: int) -> np.ndarray:
+    """Symmetric tridiagonal matrix with entries A_{l,l-1} = l / sqrt(4 l^2 - 1).
+
+    For any m=0 signal, <cos omega_z> = sum_{lk} A_{lk} |a_{l0}| |a_{k0}|;
+    A_{l,l-1} is the m=0 coupling of the blocks l-1 and l. It is the Jacobi
+    matrix of the Legendre polynomials, and its `eigh` is the oracle of
+    `povm_so3.optimal_m0_state`'s closed form.
+    """
+    l = np.arange(1, n)
+    coupling = l / np.sqrt(4.0 * l**2 - 1.0)
+    return np.diag(coupling, 1) + np.diag(coupling, -1)
 
 
 def cos_omega_z_m0(a0) -> float:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rydberg_frames import povm_so3
 from rydberg_frames.geometry import two_axis_eta
 from rydberg_frames.povm_so3 import (
     QuadratureRule,
@@ -11,7 +12,6 @@ from rydberg_frames.povm_so3 import (
     bob_fiducial,
     cos_omega_xy,
     cos_omega_z,
-    m0_overlap_matrix,
     optimal_m0_state,
     optimize_eccentricity,
 )
@@ -24,6 +24,7 @@ from shell_table import (
     cos_omega_z_m0,
     haar_moments,
     lk_moments,
+    m0_overlap_matrix,
     povm_completeness_deviation,
     random_m0_state,
     random_wavefunction,
@@ -307,6 +308,43 @@ class TestOptimalM0:
         assert mat[2, 1] == pytest.approx(2 / math.sqrt(15))
         assert np.allclose(mat, mat.T)
         assert np.allclose(np.diag(mat), 0.0)
+
+
+def test_optimal_m0_state_matches_eigh_oracle():
+    # the Legendre closed form against the eigensolver of the Jacobi matrix
+    for n in range(2, 102):
+        eigvals, eigvecs = np.linalg.eigh(m0_overlap_matrix(n))
+        oracle = eigvecs[:, -1] * np.sign(eigvecs[0, -1])
+        vec = optimal_m0_state(n)
+        assert np.abs(vec - oracle).max() <= 1e-13
+        assert vec.min() > 0.0
+        assert abs(cos_omega_z_m0(vec) - eigvals[-1]) <= 1e-15
+
+
+# e_opt as golden-section search with a five-point least-squares parabola found
+# it: the three-point vertex stays within 1e-7 of it
+_FIVE_POINT_OPTIMA = {
+    "single_w_axis": {3: 0.6632427770, 5: 0.6963851017, 10: 0.7012624657,
+                      20: 0.6729796657, 40: 0.6526289966},
+    "two_axes": {3: 0.6990318334, 5: 0.7086497589, 10: 0.7044180541,
+                 20: 0.6741820192, 40: 0.6532249333},
+}
+
+
+@pytest.mark.parametrize("objective", sorted(_FIVE_POINT_OPTIMA))
+@pytest.mark.parametrize("n", [3, 5, 10, 20, 40])
+def test_optimizer_evaluations_and_optimum(objective, n, monkeypatch):
+    # every evaluation goes through the module's cos_omega_* lookup, where
+    # perfbench's tracer counts them: 22 golden-section points, two
+    # neighbours and the vertex
+    calls = []
+    for name in ("cos_omega_xy", "cos_omega_z"):
+        original = getattr(povm_so3, name)
+        monkeypatch.setattr(povm_so3, name,
+                            lambda a, original=original: calls.append(a.n) or original(a))
+    e_opt, _ = optimize_eccentricity(n, objective)
+    assert 0 < len(calls) <= 25 and set(calls) == {n}
+    assert e_opt == pytest.approx(_FIVE_POINT_OPTIMA[objective][n], abs=1e-7)
 
 
 class TestTwoAxis:
