@@ -1,20 +1,27 @@
-"""Covariant SO(3) measurement: fiducial vectors, closed-form Haar moments, fidelities.
+"""Covariant SO(3) measurement: closed-form Haar moments, fidelities, optima.
 
 The measurement is the rotation-covariant POVM whose elements are rotated
 copies of a fiducial vector |B>, weighted by the Haar measure
 sin(theta) dpsi dtheta dphi / 8 pi^2. Transmission quality for an axis is the
 mean cosine of the angle between the true and estimated axis, obtained by
 integrating |<A|U(alpha,beta,gamma)|B>|^2 against the axis weight over the
-error rotation.
+error rotation. The optimal fiducial's l-block is sqrt(2l+1) b_l with
+b_l = a_l / ||a_l||, the unit rows of the state.
 
 Every such integral is evaluated in closed form, without quadrature. The
 axis weights are entries of the rotation matrix, i.e. D^1 functions, so the
 Clebsch-Gordan series couples each l-block of |A> and |B> only to the blocks
-L = l-1, l, l+1, and Schur orthogonality leaves a sum over l and L of
-products of m-sums weighted by the j2 = 1 Clebsch-Gordan coefficients, which
-have closed algebraic forms. One evaluation costs O(n^2). The result equals
-the exact product grid that QuadratureRule declares (2n Gauss-Legendre nodes
-in cos(beta), 4n+4 equispaced nodes in alpha and gamma; exact for these
+L = l-1, l, l+1, and Schur orthogonality (Edmonds, eqs. 4.3.2 and 4.6.2)
+leaves a sum over l and L of w_{lL} X^a_{lL}(q) conj(X^b_{lL}(q')), with
+w_{lL} = sqrt((2l+1)/(2L+1)) and m-sums X weighted by the j2 = 1
+Clebsch-Gordan coefficients, which have closed algebraic forms. Since b_l
+is the unit row u_l, X^a_{lL} = ||a_l|| ||a_L|| X^u_{lL}: the fiducial
+enters only as row-norm weights, and each fidelity makes one pass of X-sums
+over the unit rows, at q = 0 for cos(beta) and q = 1 for the in-plane axes,
+whose q' = -1 moment follows from the q = 1 sums by the symmetry of the
+coefficients. One evaluation costs O(n^2). The result equals the exact
+product grid that QuadratureRule declares (2n Gauss-Legendre nodes in
+cos(beta), 4n+4 equispaced nodes in alpha and gamma; exact for these
 trigonometric polynomials), which the tests integrate on as an oracle.
 QuadratureRule keeps only those node counts, although no code here evaluates
 a grid: the benchmark's tracer reads `QuadratureRule.for_shell`, and the result
@@ -32,8 +39,6 @@ import numpy as np
 from .states import WaveFunction, alice_two_axis_state
 from .geometry import two_axis_eta
 
-_ZERO_BLOCK = 1e-12
-
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -48,38 +53,16 @@ class QuadratureRule:
         return cls(2 * n, 4 * n + 4, 4 * n + 4)
 
 
-def bob_fiducial(a: WaveFunction) -> np.ndarray:
-    """Optimal fiducial table: row l is b_l = a_l / ||a_l||, a unit vector per l.
-
-    An l-row where a vanishes is completed with the m=0 basis vector; the
-    completion keeps the POVM resolving the identity and contributes zero
-    overlap with |A>, so every fidelity is unchanged. The sqrt(2l+1) Schur
-    weights that make the POVM complete are applied in the Haar moments, not
-    stored here.
-    """
-    n = a.n
-    # each row norm by one reduction over the whole row, whose zeros outside
-    # |m| <= l add nothing: no BLAS dot product, and no loop over l
-    norm = np.sqrt(np.add.reduce(np.square(a.table.real) + np.square(a.table.imag), axis=1))
-    empty = norm < _ZERO_BLOCK
-    fid = a.table / np.where(empty, 1.0, norm)[:, None]
-    fid[empty] = 0.0
-    fid[empty, n - 1] = 1.0
-    return fid
-
-
 # (L - l, q): signed square of <l m; 1 q | L m+q> in terms of l and M = m + q,
-# Condon-Shortley phases (the standard closed forms for j2 = 1)
+# Condon-Shortley phases (the standard closed forms for j2 = 1); q = -1 is
+# reached through q = 1 (see cos_omega_xy)
 _CG_RANK_ONE = {
     (1, 1): lambda l, M: (l + M) * (l + M + 1) / ((2 * l + 1) * (2 * l + 2)),
     (1, 0): lambda l, M: (l - M + 1) * (l + M + 1) / ((2 * l + 1) * (l + 1)),
-    (1, -1): lambda l, M: (l - M) * (l - M + 1) / ((2 * l + 1) * (2 * l + 2)),
     (0, 1): lambda l, M: -(l + M) * (l - M + 1) / (2 * l * (l + 1)),
     (0, 0): lambda l, M: M * np.abs(M) / (l * (l + 1)),
-    (0, -1): lambda l, M: (l - M) * (l + M + 1) / (2 * l * (l + 1)),
     (-1, 1): lambda l, M: (l - M) * (l - M + 1) / (2 * l * (2 * l + 1)),
     (-1, 0): lambda l, M: -(l - M) * (l + M) / (l * (2 * l + 1)),
-    (-1, -1): lambda l, M: (l + M + 1) * (l + M) / (2 * l * (2 * l + 1)),
 }
 
 
@@ -87,25 +70,43 @@ _CG_RANK_ONE = {
 def _cg_series(n: int):
     """Coupling table and weights of the Clebsch-Gordan series for the shell n.
 
-    cg[dL + 1, q + 1, l, m + n - 1] = <l m; 1 q | l+dL m+q> for 0 <= l < n,
-    zero outside the triangle and projection ranges; weights[dL + 1, l] =
-    sqrt((2l+1) / (2L+1)) with L = l + dL, zero where L leaves the shell.
+    cg[dL + 1, q, l, m + n - 1] = <l m; 1 q | l+dL m+q> for q = 0, 1 and
+    0 <= l < n, zero outside the triangle and projection ranges;
+    weights[dL + 1, l] = sqrt((2l+1) / (2L+1)) with L = l + dL, zero where L
+    leaves the shell.
     """
     l = np.arange(n, dtype=float)[:, None]
     m = np.arange(2 * n - 1) - (n - 1.0)
-    cg = np.zeros((3, 3, n, 2 * n - 1))
+    cg = np.zeros((3, 2, n, 2 * n - 1))
     for (dL, q), signed_square in _CG_RANK_ONE.items():
         big_l = l + dL
         valid = (np.abs(m) <= l) & (np.abs(m + q) <= big_l) & (big_l >= np.abs(l - 1))
         rows, cols = np.nonzero(valid)
         value = signed_square(l[rows, 0], m[cols] + q)
-        cg[dL + 1, q + 1, rows, cols] = np.sign(value) * np.sqrt(np.abs(value))
+        cg[dL + 1, q, rows, cols] = np.sign(value) * np.sqrt(np.abs(value))
     big_l = np.arange(n) + np.arange(-1, 2)[:, None]
     inside = (big_l >= 0) & (big_l < n)
     weights = inside * np.sqrt((2 * np.arange(n) + 1) / np.where(inside, 2 * big_l + 1, 1))
     cg.setflags(write=False)
     weights.setflags(write=False)
     return cg, weights
+
+
+def _unit_rows(a: WaveFunction):
+    """Unit rows u[l + 1, m + n] = a_{lm} / ||a_l||, bordered by zeros, and the
+    pair norms p[dL + 1, l] = ||a_l|| ||a_{l+dL}||, zero where l + dL leaves the shell.
+
+    u_l is the row b_l of the optimal fiducial. A row where a vanishes stays
+    zero: every pair that holds it has p = 0.
+    """
+    n = a.n
+    # each row norm by one reduction over the whole row, whose zeros outside
+    # |m| <= l add nothing: no BLAS dot product, and no loop over l
+    norm = np.zeros(n + 2)
+    norm[1:-1] = np.sqrt(np.add.reduce(np.square(a.table.real) + np.square(a.table.imag), axis=1))
+    u = np.zeros((n + 2, 2 * n + 1), dtype=complex)
+    u[1:-1, 1:-1] = a.table / np.where(norm[1:-1] == 0.0, 1.0, norm[1:-1])[:, None]
+    return u, norm[1:-1] * np.stack((norm[:-2], norm[1:-1], norm[2:]))
 
 
 def _x_sums(u: np.ndarray, cg: np.ndarray, q: int) -> np.ndarray:
@@ -115,52 +116,42 @@ def _x_sums(u: np.ndarray, cg: np.ndarray, q: int) -> np.ndarray:
     x = np.empty((3, n), dtype=complex)
     for dL in (-1, 0, 1):
         shifted = u[1 + dL : n + 1 + dL, 1 + q : 2 * n + q]
-        x[dL + 1] = (base * shifted * cg[dL + 1, q + 1]).sum(axis=1)
+        x[dL + 1] = (base * shifted * cg[dL + 1, q]).sum(axis=1)
     return x
 
 
-def _haar_moments(a: WaveFunction, q: int, qps) -> list:
-    """Haar averages of |<A|U|B>|^2 Re D^1_{q q'}(U), one for each q' in qps.
-
-    |B> = sum_l sqrt(2l+1) b_l is Bob's fiducial, with b_l the unit rows of
-    `bob_fiducial(a)`. The Clebsch-Gordan series
-    D^l D^1 = sum_L <..|L..><..|L..> D^L and Schur orthogonality (Edmonds,
-    eqs. 4.3.2 and 4.6.2) give, for f = D^1_{q q'},
-
-        <|<A|U|B>|^2 f> = sum_l sum_{L = l-1, l, l+1} sqrt((2l+1)/(2L+1))
-                          X^a_{lL}(q) conj(X^b_{lL}(q')),
-
-    exactly and without quadrature; only the X-sums of q and of each q' are
-    formed. The axis weights are cos(beta) = D^1_00,
-    R_xx + R_yy = (1 + cos beta) cos(alpha + gamma) = 2 Re D^1_11 and
-    R_xx - R_yy = -(1 - cos beta) cos(alpha - gamma) = -2 Re D^1_{1,-1}.
-    """
-    n = a.n
-    cg, weights = _cg_series(n)
-    # u[0, l + 1, m + n] = a_{lm} and u[1] the same for b, bordered by zeros
-    u = np.zeros((2, n + 2, 2 * n + 1), dtype=complex)
-    u[0, 1:-1, 1:-1] = a.table
-    u[1, 1:-1, 1:-1] = bob_fiducial(a)
-    ua, ub = u
-    xa = _x_sums(ua, cg, q)
-    return [float(np.sum(weights * xa * np.conj(_x_sums(ub, cg, qp))).real) for qp in qps]
-
-
 def cos_omega_z(a: WaveFunction) -> float:
-    """Mean error cosine <cos omega_z> for transmitting the z axis with state a."""
-    return _haar_moments(a, 0, (0,))[0]
+    """Mean error cosine <cos omega_z> for transmitting the z axis with state a.
+
+    The Haar average of |<A|U|B>|^2 cos(beta), cos(beta) = D^1_00, from the
+    q = 0 X-sums of the unit rows.
+    """
+    u, pairs = _unit_rows(a)
+    cg, weights = _cg_series(a.n)
+    x = _x_sums(u, cg, 0)
+    return float(np.sum(weights * pairs * (np.square(x.real) + np.square(x.imag))))
 
 
 def cos_omega_xy(a: WaveFunction):
     """Per-axis mean error cosines (<cos omega_x>, <cos omega_y>).
 
     They are the Haar averages of the rotation-matrix diagonal R_xx and R_yy
-    over the error distribution, formed from the moments of their sum and
-    their difference.
+    over the error distribution: same - opposite and same + opposite, with
+    `same` and `opposite` the averages of |<A|U|B>|^2 Re D^1_11 and
+    Re D^1_{1,-1}, since R_xx + R_yy = (1 + cos beta) cos(alpha + gamma) =
+    2 Re D^1_11 and R_xx - R_yy = -(1 - cos beta) cos(alpha - gamma) =
+    -2 Re D^1_{1,-1}. Both come from the q = 1 X-sums: by
+    <l m; 1 -1 | L m-1> = (-1)^(L-l+1) sqrt((2L+1)/(2l+1)) <L m-1; 1 1 | l m>
+    (Edmonds, section 3.5), X_{lL}(-1) = (-1)^(L-l+1) conj(X_{Ll}(1)) / w_{lL},
+    so the series weights cancel from `opposite`.
     """
-    same, opposite = _haar_moments(a, 1, (1, -1))
-    sum_xy, diff_xy = 2.0 * same, -2.0 * opposite
-    return 0.5 * (sum_xy + diff_xy), 0.5 * (sum_xy - diff_xy)
+    u, pairs = _unit_rows(a)
+    cg, weights = _cg_series(a.n)
+    x = _x_sums(u, cg, 1)
+    same = float(np.sum(weights * pairs * (np.square(x.real) + np.square(x.imag))))
+    opposite = float((2.0 * np.sum(pairs[2, :-1] * x[2, :-1] * x[0, 1:])
+                      - np.sum(pairs[1] * np.square(x[1]))).real)
+    return same - opposite, same + opposite
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Test-side views of the shell-state table a[l, n-1+m], random states on it,
-and the two-spin, L/K and measurement observables that only the tests evaluate."""
+and the two-spin, L/K and measurement observables that only the tests evaluate.
+
+The measurement oracles keep what `povm_so3` folds away: Bob's fiducial as a
+table of its own (`bob_fiducial`), the q = -1 Clebsch-Gordan forms, and the
+series route that forms the X-sums of |A> and of the fiducial separately
+(`series_moments`)."""
 
 import numpy as np
 
 from rydberg_frames.angmom import ladder_factors
-from rydberg_frames.povm_so3 import _haar_moments, bob_fiducial
+from rydberg_frames.povm_so3 import _cg_series, cos_omega_xy, cos_omega_z
 from rydberg_frames.states import WaveFunction
 
 from cg_oracle import dense_coupling
@@ -21,6 +26,17 @@ def random_wavefunction(n, rng):
     table = np.zeros((n, 2 * n - 1), dtype=complex)
     for l in range(n):
         block(table, l)[:] = rng.normal(size=2 * l + 1) + 1j * rng.normal(size=2 * l + 1)
+    return WaveFunction(n, table / np.linalg.norm(table))
+
+
+def random_uneven_wavefunction(n, rng):
+    """A random_wavefunction whose rows are rescaled, each by 1, 0, 1e-13 or 0.5^l,
+    one row kept at full size: empty, tiny and decaying rows side by side."""
+    table = random_wavefunction(n, rng).table
+    scale = np.choose(rng.integers(4, size=n),
+                      [np.ones(n), np.zeros(n), np.full(n, 1e-13), 0.5 ** np.arange(n)])
+    scale[rng.integers(n)] = 1.0
+    table *= scale[:, None]
     return WaveFunction(n, table / np.linalg.norm(table))
 
 
@@ -91,6 +107,70 @@ def cos_omega_z_m0(a0) -> float:
     return float(2.0 * np.sum(np.diagonal(m0_overlap_matrix(len(x)), 1) * x[1:] * x[:-1]))
 
 
+def bob_fiducial(a: WaveFunction) -> np.ndarray:
+    """Optimal fiducial table: row l is b_l = a_l / ||a_l||, a unit vector per l.
+
+    A row where a vanishes exactly is completed with the m=0 basis vector; the
+    completion keeps the POVM resolving the identity and contributes zero
+    overlap with |A>, so every fidelity is unchanged. A row of any nonzero
+    norm, however small, is normalized. The sqrt(2l+1) Schur weights that make
+    the POVM complete are applied in the Haar moments, not stored here.
+    """
+    n = a.n
+    norm = np.linalg.norm(a.table, axis=1)
+    empty = norm == 0.0
+    fid = a.table / np.where(empty, 1.0, norm)[:, None]
+    fid[empty, n - 1] = 1.0
+    return fid
+
+
+# (L - l): signed square of <l m; 1 -1 | L m-1> in terms of l and M = m - 1,
+# Condon-Shortley phases: the q = -1 closed forms that `povm_so3` reaches
+# through the q = 1 table by symmetry
+_CG_LOWERING = {
+    1: lambda l, M: (l - M) * (l - M + 1) / ((2 * l + 1) * (2 * l + 2)),
+    0: lambda l, M: (l - M) * (l + M + 1) / (2 * l * (l + 1)),
+    -1: lambda l, M: (l + M + 1) * (l + M) / (2 * l * (2 * l + 1)),
+}
+
+
+def lowering_series(n: int) -> np.ndarray:
+    """cg[dL + 1, l, m + n - 1] = <l m; 1 -1 | l+dL m-1>, zero outside the
+    triangle and projection ranges: the q = -1 plane of the series table."""
+    l = np.arange(n, dtype=float)[:, None]
+    m = np.arange(2 * n - 1) - (n - 1.0)
+    cg = np.zeros((3, n, 2 * n - 1))
+    for dL, signed_square in _CG_LOWERING.items():
+        big_l = l + dL
+        valid = (np.abs(m) <= l) & (np.abs(m - 1) <= big_l) & (big_l >= np.abs(l - 1))
+        rows, cols = np.nonzero(valid)
+        value = signed_square(l[rows, 0], m[cols] - 1)
+        cg[dL + 1, rows, cols] = np.sign(value) * np.sqrt(np.abs(value))
+    return cg
+
+
+def series_moments(a: WaveFunction):
+    """<cos omega_z>, same and opposite by the series route over two tables.
+
+    Each is sum_l sum_L sqrt((2l+1)/(2L+1)) X^a_{lL}(q) conj(X^b_{lL}(q')),
+    with the X-sums of |A> and of `bob_fiducial(a)` formed separately:
+    (q, q') = (0, 0), (1, 1) and (1, -1), the last on `lowering_series`.
+    <cos omega_x> = same - opposite and <cos omega_y> = same + opposite.
+    """
+    n = a.n
+    cg, weights = _cg_series(n)
+    planes = {-1: lowering_series(n), 0: cg[:, 0], 1: cg[:, 1]}
+    ua, ub = np.pad(a.table, 1), np.pad(bob_fiducial(a), 1)  # bordered by zeros
+
+    def x_sums(u, q):
+        base = np.conj(u[1 : n + 1, 1 : 2 * n])
+        return np.array([(base * u[1 + dL : n + 1 + dL, 1 + q : 2 * n + q]
+                          * planes[q][dL + 1]).sum(axis=1) for dL in (-1, 0, 1)])
+
+    return tuple(float(np.sum(weights * x_sums(ua, q) * np.conj(x_sums(ub, qp))).real)
+                 for q, qp in ((0, 0), (1, 1), (1, -1)))
+
+
 def haar_total(a: WaveFunction) -> float:
     """Haar average of |<A|U|B>|^2 over Bob's fiducial: sum_l |a_l|^2 |b_l|^2."""
     return float((np.abs(a.table) ** 2).sum(axis=1) @ (np.abs(bob_fiducial(a)) ** 2).sum(axis=1))
@@ -98,10 +178,9 @@ def haar_total(a: WaveFunction) -> float:
 
 def haar_moments(a: WaveFunction):
     """Haar averages of |<A|U|B>|^2 times 1, cos(beta), R_xx + R_yy and R_xx - R_yy:
-    the plain total here, the weighted three from `povm_so3._haar_moments`."""
-    (mom_z,) = _haar_moments(a, 0, (0,))
-    same, opposite = _haar_moments(a, 1, (1, -1))
-    return haar_total(a), mom_z, 2.0 * same, -2.0 * opposite
+    the plain total here, the weighted three from `povm_so3`'s fidelities."""
+    cx, cy = cos_omega_xy(a)
+    return haar_total(a), cos_omega_z(a), cx + cy, cx - cy
 
 
 def povm_completeness_deviation(a: WaveFunction) -> float:

@@ -83,7 +83,7 @@ def test_rerun_is_byte_identical(argv, tmp_path):
 # runs on still moves the elliptic states.
 _PINNED = {
     "table1": (["table1"],
-               "708f95794341b37564178edc31c155ba6815e3e0d3593394772abc852724d0a7"),
+               "3251b321aa834a694ab887ae7c0b2f7437701dab2f64b127f3a1ffcda8965be5"),
     "table2": (["table2"],
                "25e88130aa9d9bf1bd51b7a40cc07f6206395987d060d3c2d86e14e1a32ce625"),
     "table3": (["table3", "--n-list", "5", "--ecc-grid", "0.3,0.5,0.7"],

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hst
 
 from rydberg_frames import povm_so3
 from rydberg_frames.geometry import two_axis_eta
@@ -9,25 +10,29 @@ from rydberg_frames.povm_so3 import (
     QuadratureRule,
     _cg_series,
     alice_two_axis_state,
-    bob_fiducial,
     cos_omega_xy,
     cos_omega_z,
     optimal_m0_state,
     optimize_eccentricity,
 )
-from rydberg_frames.states import circular_state, extreme_stark
+from rydberg_frames.angmom import MAX_N
+from rydberg_frames.states import WaveFunction, circular_state, extreme_stark
 from cg_oracle import clebsch_gordan
 from rotation_oracle import (Y_AXIS, EulerAngles, build_elliptic, euler_matrix, rotate,
                              small_d_matrices, spherical, unit)
 from shell_table import (
     block,
+    bob_fiducial,
     cos_omega_z_m0,
     haar_moments,
     lk_moments,
+    lowering_series,
     m0_overlap_matrix,
     povm_completeness_deviation,
     random_m0_state,
+    random_uneven_wavefunction,
     random_wavefunction,
+    series_moments,
 )
 
 
@@ -211,17 +216,62 @@ class TestClosedFormMoments:
             closed = haar_moments(a)
             assert np.abs(np.subtract(closed, beta_grid_moments(a, rule))).max() <= 1e-12
 
+    def test_tiny_row_is_normalized_not_replaced(self):
+        # a row of norm 5e-13 is a fiducial row like any other: the moments
+        # match the full grid over the fiducial that normalizes it, and only
+        # an exactly empty row is completed (with the m=0 vector)
+        n = 6
+        table = random_wavefunction(n, np.random.default_rng(6)).table
+        table[2] = 0.0
+        table[4] *= 5e-13 / np.linalg.norm(table[4])
+        a = WaveFunction(n, table / np.linalg.norm(table))
+        assert np.linalg.norm(a.table[4]) == pytest.approx(5e-13, rel=1e-6)
+        closed = haar_moments(a)
+        grid = self.grid_moments(a, QuadratureRule.for_shell(n))
+        assert np.abs(np.subtract(closed, grid)).max() <= 1e-14
+
+
+@settings(max_examples=25, deadline=None)
+@given(hst.integers(2, MAX_N), hst.integers(0, 2**32 - 1))
+@example(MAX_N, 0)
+def test_fidelities_match_the_two_table_series(n, seed):
+    # the route that forms the X-sums of |A> and of the fiducial apart, the
+    # q' = -1 sums on their own closed forms, over tables with empty, 1e-13
+    # and decaying rows
+    a = random_uneven_wavefunction(n, np.random.default_rng(seed))
+    z, same, opposite = series_moments(a)
+    assert abs(cos_omega_z(a) - z) <= 1e-14
+    cx, cy = cos_omega_xy(a)
+    assert abs(cx - (same - opposite)) <= 1e-14
+    assert abs(cy - (same + opposite)) <= 1e-14
+
+
+def test_each_fidelity_makes_one_x_sum_pass(monkeypatch):
+    # the fiducial's sums and the q = -1 sums follow from the state's own
+    calls = []
+    original = povm_so3._x_sums
+    monkeypatch.setattr(povm_so3, "_x_sums",
+                        lambda u, cg, q: calls.append(q) or original(u, cg, q))
+    a = alice_two_axis_state(10, 0.7)
+    cos_omega_z(a)
+    assert calls == [0]
+    cos_omega_xy(a)
+    assert calls == [0, 1]
+
 
 class TestCouplingTable:
     def test_entries_match_exact_clebsch_gordan(self):
         n = 50
         cg, _ = _cg_series(n)
+        assert cg.shape == (3, 2, n, 2 * n - 1)
+        # the q = 0, 1 planes of src and the test-side q = -1 plane
+        planes = {0: cg[:, 0], 1: cg[:, 1], -1: lowering_series(n)}
         worst = 0.0
         for l in range(n):
             for d_l in (-1, 0, 1):
                 big_l = l + d_l
                 for q in (-1, 0, 1):
-                    row = cg[d_l + 1, q + 1, l]
+                    row = planes[q][d_l + 1, l]
                     for m in range(-(n - 1), n):
                         allowed = abs(m) <= l and abs(m + q) <= big_l and big_l >= abs(l - 1)
                         if not allowed:
@@ -231,9 +281,10 @@ class TestCouplingTable:
                         worst = max(worst, abs(row[m + n - 1] - exact))
         assert worst <= 1e-15
 
+
 class TestSingleAxis:
     def test_circular_closed_form(self):
-        for n in range(2, 9):
+        for n in (*range(2, 9), 40, 101):
             assert cos_omega_z(circular_state(n)) == pytest.approx((n - 1) / n, abs=1e-12)
 
     def test_maximal_k_reference_values(self):
@@ -375,11 +426,19 @@ class TestTwoAxis:
     def test_unit_eccentricity_matches_single_axis_value(self):
         # at e = 1 the state only defines the x axis, whose quality equals the
         # maximal-K single-axis closed form; the y estimate is uniform
-        n = 5
-        cx, cy = cos_omega_xy(alice_two_axis_state(n, 1.0))
-        stark_value = cos_omega_z_m0(extreme_stark(n).m0_amplitudes())
-        assert cx == pytest.approx(stark_value, abs=1e-10)
-        assert abs(cy) < 1e-10
+        for n in (5, 40, 101):
+            cx, cy = cos_omega_xy(alice_two_axis_state(n, 1.0))
+            stark_value = cos_omega_z_m0(extreme_stark(n).m0_amplitudes())
+            assert cx == pytest.approx(stark_value, abs=1e-10)
+            assert abs(cy) < 1e-10
+
+    def test_zero_eccentricity_transmits_y_as_circular(self):
+        # at e = 0 the state is circular about y: the y axis is sent with the
+        # circular quality (n-1)/n and the x estimate is uniform
+        for n in (5, 40, 101):
+            cx, cy = cos_omega_xy(alice_two_axis_state(n, 0.0))
+            assert abs(cx) <= 1e-14
+            assert cy == pytest.approx((n - 1) / n, abs=1e-14)
 
     def test_per_axis_pair_matches_euler_grid(self):
         # brute force: |<A|U|B>|^2 on the full Euler grid, weighted by the
