@@ -4,14 +4,14 @@ A shell state is stored as one complex table a[l, n-1+m] over the |l m>
 basis, 0 <= l <= n-1, zero where |m| > l. The two commuting spins
 j = (n-1)/2 that generate the shell give the angular momentum L = J1 + J2 and
 the scaled Runge-Lenz vector K = J2 - J1. An elliptic state is the product
-of two spin-j coherent states, coupled into the |l m> table by the
-Clebsch-Gordan coefficients, one real block per M = m1 + m2 >= 0. The
-commands send only the two-axis state, whose spins lie on the equator: its
-table is real sums times quarter-turn phases, built in real arithmetic. The
-commands write these tables (`state`) or evaluate them through the
-closed-form fidelities of `povm_so3`. The coupling of a general two-spin
-table, the rotations and the L and K dispersions are test oracles
-(`tests/cg_oracle.py`, `tests/rotation_oracle.py`, `tests/shell_table.py`).
+of two spin-j coherent states. The commands send only the two-axis state,
+whose spins lie on the equator, and its projection onto each l has a closed
+form: one recurrence, running powers and exact row weights, in +, x, / and
+sqrt alone. The commands write these tables (`state`) or evaluate them
+through the closed-form fidelities of `povm_so3`. The coupling of a general
+two-spin table (eigensolved blocks and the exact Racah sum), the rotations
+and the L and K dispersions are test oracles (`tests/cg_oracle.py`,
+`tests/rotation_oracle.py`, `tests/shell_table.py`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angmom import MAX_N, ladder_factors
+from .angmom import MAX_N
 
 _NORM_TOL = 1e-8
 
@@ -76,100 +76,67 @@ class WaveFunction:
         return f'{{\n  "n": {n},\n  "entries": [\n{entries}\n  ]\n}}\n'
 
 
-# n(n+1)(2n+1)/6 doubles per shell, 2.8 MB at n = MAX_N; commands walk their
-# shells one at a time
+# n(2n-1) doubles per shell, 0.16 MB at n = MAX_N; commands walk their shells
+# one at a time
 @lru_cache(maxsize=4)
-def coupling_tensor(n: int) -> tuple:
-    """C^{jj l}_{m1 m2 M} for j = (n-1)/2 and M >= 0, as one read-only real block per M.
+def _row_weights(n: int) -> np.ndarray:
+    """W[l, n-1+M] = sqrt((2l+1) (2j)!^2 (l+M)! (l-M)! / ((2j-l)! (2j+l+1)! l!^2)), 2j = n-1.
 
-    blocks[M], M = 0 .. n-1, has rows l = M .. n-1 and columns m1 ascending
-    over the m1 with |M - m1| <= j: row l is |l M> in the basis |m1, M-m1>.
-    Each block is square and orthogonal. The blocks of M < 0 follow by
-    parity, C(-m1, -m2) = (-1)^(2j-l) C(m1, m2), and no command reads them.
-
-    Built one total projection M at a time: in the |m1, M-m1> basis the
-    coupled L^2 = J1^2 + J2^2 + 2 J1z J2z + J1+ J2- + J1- J2+ is a real
-    symmetric tridiagonal block whose eigenvalues l(l+1), l = M .. 2j, ascend
-    with l. Condon-Shortley phases make the m1 = +j entry of every |l M>
-    positive, but that entry can lie below rounding (about 1e-30 for l = 2j,
-    M = 0 at n = 101), so signs are fixed through quantities of order one.
-    The highest-weight state |M M> has entries of sign (-1)^(j-m1), so its
-    alternating sum is positive. Every other |l M> takes the sign that makes
-    its overlap with L- |l M+1> positive, an overlap of magnitude
-    sqrt((l+M+1)(l-M)) >= 1. The exact Racah sum (`tests/cg_oracle.py`) is
-    the test oracle, not part of the build.
+    Zero where |M| > l, and even in M. The ratio under each root is one
+    division of Python ints, which rounds correctly, so every weight is within
+    an ulp of the exact value. W[l, 0] is the magnitude of the extreme Stark
+    column, and W[l, M] scales the two-axis state's row l.
     """
-    j = (n - 1) / 2.0
-    m = np.arange(n) - j
-    ladder = np.append(ladder_factors(n), 0.0)  # <m+1| J+ |m> at index j+m
-    parity = (-1.0) ** (n - 1 - np.arange(n))
-    blocks = [None] * n
-    above = np.zeros((n, n + 1))  # [l, j+m1] amplitudes of |l M+1>
-    for big_m in range(n - 1, -1, -1):
-        i1 = np.arange(big_m, n)
-        i2 = big_m + n - 1 - i1
-        # J1+ J2- couples |i1, i2> to |i1+1, i2-1>
-        coupling = ladder[i1[:-1]] * ladder[i2[1:]]
-        block = (
-            np.diag(2.0 * j * (j + 1.0) + 2.0 * m[i1] * m[i2])
-            + np.diag(coupling, 1)
-            + np.diag(coupling, -1)
-        )
-        ls = np.arange(big_m, n)
-        # row k is l = M + k, stored by rows for the reductions over m1
-        vecs = np.ascontiguousarray(np.linalg.eigh(block)[1].T)
-        # L- = J1- + J2- applied to |l M+1>
-        lowered = (ladder[i1] * above[ls[:, None], i1 + 1]
-                   + ladder[i2] * above[ls[:, None], i1])
-        signs = np.sign(np.einsum("la,la->l", vecs, lowered))
-        signs[0] = np.sign(vecs[0] @ (-1.0) ** (n - 1 - i1))
-        vecs *= signs[:, None]
-        # swapping m1 and m2 reverses the columns and multiplies |l M> by
-        # (-1)^(2j-l), which eigh holds only to rounding (1.5e-14 at n = 25):
-        # averaging each row with its mirror makes that parity exact
-        vecs = 0.5 * (vecs + parity[big_m:, None] * vecs[:, ::-1])
-        vecs.setflags(write=False)
-        above[ls[:, None], i1[None, :]] = vecs
-        blocks[big_m] = vecs
-    return tuple(blocks)
+    fact = [math.factorial(k) for k in range(2 * n)]
+    top = fact[n - 1] ** 2
+    weights = np.zeros((n, 2 * n - 1))
+    for l in range(n):
+        num, den = (2 * l + 1) * top, fact[n - 1 - l] * fact[n + l] * fact[l] ** 2
+        row = [math.sqrt(num * fact[l + big_m] * fact[l - big_m] / den) for big_m in range(l + 1)]
+        weights[l, n - 1 : n + l] = row
+        weights[l, n - 1 - l : n] = row[::-1]
+    weights.setflags(write=False)
+    return weights
 
 
 def alice_two_axis_state(n: int, e: float) -> WaveFunction:
     """Elliptic signal with Runge-Lenz axis k = x and angular momentum axis ell = y.
 
     Its two spin coherent states lie on the equator at azimuths pi/2 +- zeta,
-    zeta = arcsin(e), so <K> = (n-1) e x and <L> = (n-1) sqrt(1-e^2) y. Both
-    have the real, even magnitudes b_m = sqrt(binom(2j, j+m) / 2^(2j)), and
-    their product over m1 + m2 = M is (-i)^M b b e^(-i (m1-m2) zeta). Swapping
-    m1 and m2 multiplies C by (-1)^(2j-l), so a row with 2j-l even keeps only
-    R = sum C b b cos((m1-m2) zeta), a[l, M] = (-i)^M R, and a row with 2j-l
-    odd only I = sum C b b sin((m1-m2) zeta), a[l, M] = (-i)^(M+1) I; and
-    a[l, -M] = (-1)^(2j-l) conj(a[l, M]). Each row is one real reduction
-    against the block of M, with no BLAS call, and the phases only place R or
-    I, signed, so every component that vanishes in theory is exactly +0.0.
+    zeta = arcsin(e), so <K> = (n-1) e x and <L> = (n-1) c y, c = sqrt(1-e^2).
+    In closed form, with 2j = n-1,
+    a[l, M] = (-i)^(2j-l+M) e^(2j-l) t_l(l+M) W[l, M],
+    where t_l(k) is the coefficient of u^k v^(2l-k) in (u^2/2 + c uv + v^2/2)^l
+    and W is `_row_weights`. The l-part of a product of two spin coherent
+    states is their spinors' determinant to the power 2j-l times the
+    symmetric product of l copies of each spinor, and the highest-weight
+    Clebsch-Gordan coefficient fixes its constant (Edmonds, Angular Momentum
+    in Quantum Mechanics, ch. 3). For the two equatorial spinors the
+    determinant is e times a quarter turn, and the symmetric product is the
+    quadratic above in x = e^(i pi/4) u, y = e^(-i pi/4) v.
+
+    t is one recurrence over l whose terms are all >= 0, and e^(2j-l) a
+    running product, so nothing cancels; no coupling tensor, eigensolver or
+    reduction enters, and the bits do not depend on the BLAS or SIMD target.
+    t and W are even in M, so a[l, -M] = (-1)^(2j-l) conj(a[l, M]) exactly,
+    and the quarter turns place each value, signed, in the real or the
+    imaginary part, so every component that vanishes in theory is +0.0.
     """
     if not 0.0 <= e <= 1.0:
         raise ValueError(f"eccentricity must lie in [0, 1], got {e}")
-    # the int ratio and the root are each correctly rounded
-    b = np.sqrt([math.comb(n - 1, k) / 2 ** (n - 1) for k in range(n)])
-    turns = np.arange(1 - n, n) * math.asin(e)  # (m1-m2) zeta at index n-1 + m1-m2
-    bb = np.outer(b, b)
-    turn = n - 1 + np.arange(n)[:, None] - np.arange(n)
-    # [j+m1, j-m2]: the diagonal -M of each holds the m1 + m2 = M weights, m1 ascending
-    cos_weights = (bb * np.cos(turns)[turn])[:, ::-1]
-    sin_weights = (bb * np.sin(turns)[turn])[:, ::-1]
-    values = np.zeros((n, n))  # [l, M]: R or I by the parity of 2j-l
-    for big_m, block in enumerate(coupling_tensor(n)):
-        k = (n - 1 - big_m) % 2  # row k is l = M + k; rows k, k+2, .. have 2j-l even
-        values[big_m + k::2, big_m] = np.add.reduce(
-            block[k::2] * cos_weights.diagonal(-big_m), axis=1)
-        values[big_m + 1 - k::2, big_m] = np.add.reduce(
-            block[1 - k::2] * sin_weights.diagonal(-big_m), axis=1)
-    odd = (n - 1 - np.arange(n)) % 2
+    c = math.sqrt((1.0 - e) * (1.0 + e))
+    t = np.zeros((n, 2 * n + 1))  # t[l, n+M] = t_l(l+M), bordered by zeros
+    t[0, n] = 1.0
+    for l in range(1, n):
+        t[l, 1:-1] = 0.5 * (t[l - 1, :-2] + t[l - 1, 2:]) + c * t[l - 1, 1:-1]
+    powers = np.cumprod(np.append(1.0, np.full(n - 1, e)))[::-1]  # e^(2j-l) at l
+    values = t[:, 1:-1]  # t_l(l+M) at [l, n-1+M], weighted in place
+    values *= _row_weights(n)
+    values *= powers[:, None]
     quarter_turns = np.array([1.0, -1.0j, -1.0, 1.0j])  # (-i)^q
-    table = np.zeros((n, 2 * n - 1), dtype=complex)
-    table[:, n - 1:] = values * quarter_turns[(np.arange(n) + odd[:, None]) % 4]
-    table[:, : n - 1] = (1 - 2 * odd)[:, None] * table[:, : n - 1 : -1].conj()
+    # (-i)^(2j-l+M) as the turn of row l times the turn of column M, each exact
+    table = values * quarter_turns[(n - 1 - np.arange(n)) % 4, None]
+    table *= quarter_turns[np.arange(1 - n, n) % 4]
     table += 0.0  # -0.0 + 0.0 is +0.0: the zero components print as 0.0
     return WaveFunction(n, table)
 
@@ -186,14 +153,10 @@ def extreme_stark(n: int) -> WaveFunction:
 
     The column has the closed form, with 2j = n-1 (Edmonds, Angular Momentum
     in Quantum Mechanics),
-    <j -j; j j | l 0> = (-1)^(n-1-l) sqrt((2l+1) (n-1)!^2 / ((n-1-l)! (n+l)!)).
-    The ratio under the root is one division of Python ints, which rounds
-    correctly, so every amplitude is within an ulp of the exact value.
+    <j -j; j j | l 0> = (-1)^(n-1-l) sqrt((2l+1) (n-1)!^2 / ((n-1-l)! (n+l)!)),
+    whose magnitude is the M = 0 column of `_row_weights`, within an ulp of
+    the exact value.
     """
-    fact = math.factorial
-    top = fact(n - 1) ** 2
     table = np.zeros((n, 2 * n - 1), dtype=complex)
-    for l in range(n):
-        square = (2 * l + 1) * top / (fact(n - 1 - l) * fact(n + l))
-        table[l, n - 1] = (-1) ** (n - 1 - l) * math.sqrt(square)
+    table[:, n - 1] = (-1) ** (n - 1 - np.arange(n)) * _row_weights(n)[:, n - 1]
     return WaveFunction(n, table)

@@ -1,12 +1,15 @@
-"""Clebsch-Gordan coefficients by the Racah sum: the exact oracle for the coupling kernels.
+"""Clebsch-Gordan coefficients of two spins j: the eigensolved coupling blocks
+and the Racah sum, the tests' oracles for the shell states.
 
-`states.coupling_tensor` builds the coupling blocks of M >= 0 by an
-eigensolve and `states.extreme_stark` uses the closed form of one column;
-both are checked against this term-by-term sum in exact rational arithmetic.
-The blocks of every M, the M < 0 ones by parity, the dense cube of them, and
-the general coupling of a two-spin table through them (one reduction per M,
-or slice by slice through the cube) are the tests' view of the same
-coefficients by (m1, m2).
+`coupling_tensor` builds the coupling blocks of M >= 0 by an eigensolve
+through the spin ladder (`ladder_factors`), and is checked against the
+term-by-term Racah sum (`clebsch_gordan`) in exact rational arithmetic. The
+package builds no coupling: `states.alice_two_axis_state` and
+`states.extreme_stark` are closed forms, checked against both. The blocks of
+every M, the M < 0 ones by parity, the dense cube of them, and the general
+coupling of a two-spin table through them (one reduction per M, or slice by
+slice through the cube) are the tests' view of the same coefficients by
+(m1, m2).
 """
 
 import math
@@ -16,7 +19,70 @@ from functools import lru_cache
 
 import numpy as np
 
-from rydberg_frames.states import WaveFunction, coupling_tensor
+from rydberg_frames.states import WaveFunction
+
+
+def ladder_factors(n: int) -> np.ndarray:
+    """<m+1| J+ |m> = sqrt((j-m)(j+m+1)) of spin j = (n-1)/2, m = -j .. j-1."""
+    j = (n - 1) / 2.0
+    m = np.arange(n - 1) - j
+    return np.sqrt((j - m) * (j + m + 1.0))
+
+
+@lru_cache(maxsize=4)  # n(n+1)(2n+1)/6 doubles per shell, 2.8 MB at n = MAX_N
+def coupling_tensor(n: int) -> tuple:
+    """C^{jj l}_{m1 m2 M} for j = (n-1)/2 and M >= 0, as one read-only real block per M.
+
+    blocks[M], M = 0 .. n-1, has rows l = M .. n-1 and columns m1 ascending
+    over the m1 with |M - m1| <= j: row l is |l M> in the basis |m1, M-m1>.
+    Each block is square and orthogonal. The blocks of M < 0 follow by
+    parity, C(-m1, -m2) = (-1)^(2j-l) C(m1, m2) (`signed_blocks`).
+
+    Built one total projection M at a time: in the |m1, M-m1> basis the
+    coupled L^2 = J1^2 + J2^2 + 2 J1z J2z + J1+ J2- + J1- J2+ is a real
+    symmetric tridiagonal block whose eigenvalues l(l+1), l = M .. 2j, ascend
+    with l. Condon-Shortley phases make the m1 = +j entry of every |l M>
+    positive, but that entry can lie below rounding (about 1e-30 for l = 2j,
+    M = 0 at n = 101), so signs are fixed through quantities of order one.
+    The highest-weight state |M M> has entries of sign (-1)^(j-m1), so its
+    alternating sum is positive. Every other |l M> takes the sign that makes
+    its overlap with L- |l M+1> positive, an overlap of magnitude
+    sqrt((l+M+1)(l-M)) >= 1. The exact Racah sum (`clebsch_gordan`) is
+    its oracle.
+    """
+    j = (n - 1) / 2.0
+    m = np.arange(n) - j
+    ladder = np.append(ladder_factors(n), 0.0)  # <m+1| J+ |m> at index j+m
+    parity = (-1.0) ** (n - 1 - np.arange(n))
+    blocks = [None] * n
+    above = np.zeros((n, n + 1))  # [l, j+m1] amplitudes of |l M+1>
+    for big_m in range(n - 1, -1, -1):
+        i1 = np.arange(big_m, n)
+        i2 = big_m + n - 1 - i1
+        # J1+ J2- couples |i1, i2> to |i1+1, i2-1>
+        coupling = ladder[i1[:-1]] * ladder[i2[1:]]
+        block = (
+            np.diag(2.0 * j * (j + 1.0) + 2.0 * m[i1] * m[i2])
+            + np.diag(coupling, 1)
+            + np.diag(coupling, -1)
+        )
+        ls = np.arange(big_m, n)
+        # row k is l = M + k, stored by rows for the reductions over m1
+        vecs = np.ascontiguousarray(np.linalg.eigh(block)[1].T)
+        # L- = J1- + J2- applied to |l M+1>
+        lowered = (ladder[i1] * above[ls[:, None], i1 + 1]
+                   + ladder[i2] * above[ls[:, None], i1])
+        signs = np.sign(np.einsum("la,la->l", vecs, lowered))
+        signs[0] = np.sign(vecs[0] @ (-1.0) ** (n - 1 - i1))
+        vecs *= signs[:, None]
+        # swapping m1 and m2 reverses the columns and multiplies |l M> by
+        # (-1)^(2j-l), which eigh holds only to rounding (1.5e-14 at n = 25):
+        # averaging each row with its mirror makes that parity exact
+        vecs = 0.5 * (vecs + parity[big_m:, None] * vecs[:, ::-1])
+        vecs.setflags(write=False)
+        above[ls[:, None], i1[None, :]] = vecs
+        blocks[big_m] = vecs
+    return tuple(blocks)
 
 
 @lru_cache(maxsize=4)  # 5.5 MB at n = MAX_N

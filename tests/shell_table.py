@@ -1,18 +1,23 @@
 """Test-side views of the shell-state table a[l, n-1+m], random states on it,
-and the two-spin, L/K and measurement observables that only the tests evaluate.
+the two-spin, L/K and measurement observables that only the tests evaluate,
+and the two-axis state's closed form to 40 digits (`two_axis_table_40`).
 
 The measurement oracles keep what `povm_so3` folds away: Bob's fiducial as a
 table of its own (`bob_fiducial`), the q = -1 Clebsch-Gordan forms, and the
 series route that forms the X-sums of |A> and of the fiducial separately
 (`series_moments`)."""
 
+import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from functools import lru_cache
+
 import numpy as np
 
-from rydberg_frames.angmom import ladder_factors
 from rydberg_frames.povm_so3 import _cg_series, cos_omega_xy, cos_omega_z
 from rydberg_frames.states import WaveFunction
 
-from cg_oracle import dense_coupling
+from cg_oracle import dense_coupling, ladder_factors
 
 
 def block(table, l):
@@ -53,6 +58,57 @@ def spin_matrices(n: int):
     jplus = np.diag(ladder_factors(n), -1)
     jz = np.diag(np.arange(n) - (n - 1) / 2.0)
     return (jplus + jplus.T) / 2.0, (jplus - jplus.T) / 2j, jz
+
+
+_DIGITS = 40
+
+
+@lru_cache(maxsize=1)  # callers walk the eccentricities of one shell at a time
+def _row_weights_40(n: int) -> tuple:
+    """W[l][M] = sqrt((2l+1) (2j)!^2 (l+M)! (l-M)! / ((2j-l)! (2j+l+1)! l!^2)),
+    2j = n-1 and M = 0 .. l, each root of the exact ratio to 40 digits."""
+    fact = [math.factorial(k) for k in range(2 * n)]
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        return tuple(
+            tuple((Decimal((2 * l + 1) * fact[n - 1] ** 2 * fact[l + big_m] * fact[l - big_m])
+                   / Decimal(fact[n - 1 - l] * fact[n + l] * fact[l] ** 2)).sqrt()
+                  for big_m in range(l + 1))
+            for l in range(n))
+
+
+def two_axis_table_40(n: int, e: float) -> np.ndarray:
+    """The two-axis state's table by its closed form in 40-digit decimals,
+    a[l, M] = (-i)^(2j-l+M) e^(2j-l) t_l(l+M) W[l, M], from the exact e.
+
+    t_l(k) is the coefficient of u^k v^(2l-k) in (u^2/2 + c uv + v^2/2)^l,
+    c = sqrt(1 - e^2), by the same recurrence over l as
+    `states.alice_two_axis_state` but on its even half M >= 0; each entry is
+    rounded to a double once, so the table is good to half an ulp.
+    """
+    exact = Fraction(e)
+    table = np.zeros((n, 2 * n - 1), dtype=complex)
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        e40 = Decimal(exact.numerator) / exact.denominator
+        c_squared = 1 - exact * exact
+        c = (Decimal(c_squared.numerator) / c_squared.denominator).sqrt()
+        powers = [Decimal(1)]  # e^k
+        for _ in range(n - 1):
+            powers.append(powers[-1] * e40)
+        zero, half = Decimal(0), Decimal("0.5")
+        t = [Decimal(1)]  # t_l(l+M) for M = 0 .. l
+        for l in range(n):
+            if l:
+                # t_l(l+M) = (t_{l-1}(l-1+M-1) + t_{l-1}(l-1+M+1))/2 + c t_{l-1}(l-1+M),
+                # the entry at M = -1 being the one at M = 1
+                prev = [t[1] if l > 1 else zero, *t, zero, zero]
+                t = [half * (prev[m] + prev[m + 2]) + c * prev[m + 1] for m in range(l + 1)]
+            row = [float(powers[n - 1 - l] * tm * w) for tm, w in zip(t, _row_weights_40(n)[l])]
+            table[l, n - 1 : n + l] = row
+            table[l, n - 1 - l : n] = row[::-1]
+    turns = n - 1 - np.arange(n)[:, None] + np.arange(1 - n, n)  # 2j-l+M
+    return table * np.array([1.0, -1.0j, -1.0, 1.0j])[turns % 4]
 
 
 def to_product_amplitudes(state: WaveFunction) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import rydberg_frames
-from rydberg_frames import povm_so3, states
+from rydberg_frames import povm_so3
 from rydberg_frames.angmom import MAX_SAMPLES
 from rydberg_frames.cli import build_parser, load_tolerances, main
 
@@ -75,19 +75,18 @@ def test_rerun_is_byte_identical(argv, tmp_path):
 
 # Full sha256 of the outputs. CSV reports print 10 significant digits, and the
 # Stark and circular states are exact closed forms. The elliptic state dumps
-# print every bit of an eigensolve and of libm calls, so another LAPACK or libm
-# may move their last digits; they hold the JSON renderer to the bytes that
-# json.dumps(..., indent=2) wrote for them, up to the largest shell. The shell
-# pins hold whether or not numpy dispatches to its AVX-512 loops, and the table
-# pins on every OpenBLAS core tried (below); the core the coupling's eigensolve
-# runs on still moves the elliptic states.
+# print every bit of a closed form in +, x, / and correctly rounded sqrt, and
+# hold the JSON renderer to the bytes that json.dumps(..., indent=2) wrote for
+# them, up to the largest shell. No shell command calls LAPACK, and every
+# shell pin holds whether or not numpy dispatches to its AVX-512 loops, and on
+# every OpenBLAS core tried (below).
 _PINNED = {
     "table1": (["table1"],
-               "3251b321aa834a694ab887ae7c0b2f7437701dab2f64b127f3a1ffcda8965be5"),
+               "7a49a0dd907fefc1aa1d3d2f1ee5fa6a3545c1f608321c25b0b4c09612140dd3"),
     "table2": (["table2"],
                "25e88130aa9d9bf1bd51b7a40cc07f6206395987d060d3c2d86e14e1a32ce625"),
     "table3": (["table3", "--n-list", "5", "--ecc-grid", "0.3,0.5,0.7"],
-               "cbf8117bf548dca99ea5764449e2088acbc513d5ec11adabbe5f41e4fe62583e"),
+               "7b31d368f63ad5d5d1692198a1eee6a7eb4c964841fcac12c88d999beefb12a6"),
     # the benchmark's large shell, and one curve point and optimum at MAX_N
     "table3n40": (["table3", "--n-list", "40"],
                   "9e1193b931b52f521a42cbf87ac177c6062f5f9bdcf93b35b16838f2d6d506f7"),
@@ -100,9 +99,9 @@ _PINNED = {
     "stark": (["state", "--kind", "stark", "--n", "8"],
               "0c7884bd726ed32effecdb36541153782d9e2e8f9a8a53ab3f98eafefd9a8365"),
     "elliptic50": (["state", "--kind", "elliptic", "--n", "50", "--e", "0.7"],
-                   "5af4f814b5925c510185b69aaa779a6aec46f349ab4e5bea4105a2cfd1401faa"),
+                   "d2859f84dc78411365efc2b56ecdef144d7c311683f705a256879d556c5d524d"),
     "elliptic101": (["state", "--kind", "elliptic", "--n", "101", "--e", "0.3"],
-                    "4aae79174df9bfde75d56705e38cc54412822e28c32a8f6364c09d2abb050c7b"),
+                    "44b434babe6f8620e52fc3a4f2a4e6a831f67bc3003b6219f64203812daf639b"),
     "stark101": (["state", "--kind", "stark", "--n", "101"],
                  "0b2c2c8d5989bf811cecf182c15150b2422743050f258823d8750eef120382ca"),
     "circular5": (["state", "--kind", "circular", "--n", "5"],
@@ -150,20 +149,12 @@ def test_shell_pins_hold_without_avx512_dispatch(name, tmp_path):
 
 # OpenBLAS picks its kernels by CPU core when it loads, and OPENBLAS_CORETYPE
 # in a child's environment makes it take another core's: an AVX2 + FMA machine
-# (Haswell) and an AVX-only one (Sandybridge). The coupling's `eigh` is the one
-# LAPACK call left on the shell path, and its bits move with the core
-_COUPLING_EIGH = pytest.mark.xfail(
-    strict=True, reason="the coupling blocks' eigh runs on OpenBLAS's kernels, and its "
-                        "last bits, which the elliptic state's JSON prints, move with the core")
-
-
+# (Haswell) and an AVX-only one (Sandybridge)
 @pytest.mark.skipif(not (_FEATURES.get("AVX2") and _FEATURES.get("FMA3")),
                     reason="numpy reports no AVX2 or FMA3 here, and OpenBLAS's Haswell "
                            "kernels need both")
 @pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=_COUPLING_EIGH) if name.startswith("elliptic") else name
-    for name in _SHELL_PINS])
+@pytest.mark.parametrize("name", _SHELL_PINS)
 def test_shell_pins_hold_on_other_openblas_cores(name, core, tmp_path):
     argv, digest = _PINNED[name]
     out = tmp_path / "out"
@@ -174,20 +165,18 @@ def test_shell_pins_hold_on_other_openblas_cores(name, core, tmp_path):
 
 
 def test_paper_tables_make_no_lapack_call(monkeypatch, tmp_path):
-    # the coupling blocks are the one LAPACK product left on these paths; with
-    # them cached, both optima (the m = 0 signal and the eccentricity) and the
-    # tables around them need no eigensolver or least-squares fit
-    for n in (5, 10):
-        states.coupling_tensor(n)
-
+    # the optima (the m = 0 signal and the eccentricity), the tables around
+    # them and the elliptic state are closed forms: no eigensolver or
+    # least-squares fit on any shell path
     def refuse(*args, **kwargs):
         raise AssertionError("a LAPACK routine was called")
 
     for name in ("eigh", "eigvalsh", "lstsq", "svd"):
         monkeypatch.setattr(np.linalg, name, refuse)
     monkeypatch.setattr(np, "polyfit", refuse)
-    assert main(["table1", "--out", str(tmp_path / "table1.csv")]) == 0
-    assert main(["table2", "--out", str(tmp_path / "table2.csv")]) == 0
+    for argv in (["table1"], ["table2"], ["table3", "--n-list", "40"],
+                 ["state", "--kind", "elliptic", "--n", "50", "--e", "0.7"]):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0, argv
     for objective in ("two_axes", "single_w_axis"):
         povm_so3.optimize_eccentricity(5, objective)
 

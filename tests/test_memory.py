@@ -16,7 +16,7 @@ from rydberg_frames.cli import main
 from rydberg_frames.ortho import gain_factor
 from rydberg_frames.povm_so3 import alice_two_axis_state
 from rydberg_frames.povm_so4 import sample_outcome_batch
-from rydberg_frames.states import coupling_tensor
+from rydberg_frames.states import _row_weights
 
 COUNT = 600000
 SLACK = 16 * 2**20  # the blocks in flight and the interpreter's own allocations
@@ -73,12 +73,12 @@ def test_so4_command_heap_does_not_grow_with_samples(tmp_path, samples):
 
 
 def test_elliptic_state_at_max_n_keeps_a_few_tables():
-    # the (n, 2n-1) complex table, one block product of at most n x n per
-    # total projection M at a time and the norm check's temporaries: about
-    # three tables, 0.97 MB at n = 101. A complex temporary of all the
-    # coupling blocks at once (11 MB there) fails this.
+    # the (n, 2n-1) complex table, the real recurrence table it is weighted
+    # from, one complex temporary and the norm check's temporaries: about
+    # three complex tables, 0.98 MB at n = 101. An (n, n, n) temporary of a
+    # dense coupling (8 MB there) fails this.
     n = MAX_N
-    coupling_tensor(n)  # the cached blocks are not part of one state's build
+    _row_weights(n)  # the cached weights are not part of one state's build
     peak, state = traced_peak(alice_two_axis_state, n, 0.3)
     assert state.n == n
     assert peak <= 4 * n * (2 * n - 1) * 16

@@ -1,4 +1,4 @@
-"""The package import: it sets the BLAS default and loads nothing else."""
+"""The package import sets the BLAS default and loads nothing else; the CLI's loads no numpy."""
 
 import os
 import subprocess
@@ -28,3 +28,15 @@ def test_import_sets_blas_default_before_numpy(preset, expected):
     # the modules are the API: a bare package import loads none of them, so
     # the default is set before numpy loads, whatever imports numpy next
     assert proc.stdout.split() == ["False", expected]
+
+
+def test_cli_import_loads_no_numpy():
+    # the argument parser, the tolerances and the usage errors need no array:
+    # each command imports its numeric modules when it runs
+    env = dict(os.environ)
+    src = str(Path(rydberg_frames.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys\nimport rydberg_frames.cli\nprint('numpy' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert proc.stdout.split() == ["False"]

@@ -9,15 +9,11 @@ from hypothesis import strategies as hst
 
 from rydberg_frames.angmom import MAX_N
 from rydberg_frames.povm_so3 import alice_two_axis_state
-from rydberg_frames.states import (
-    WaveFunction,
-    circular_state,
-    coupling_tensor,
-    extreme_stark,
-)
+from rydberg_frames.states import WaveFunction, circular_state, extreme_stark
 from cg_oracle import (
     HalfInt,
     clebsch_gordan,
+    coupling_tensor,
     dense_coupling,
     dense_from_product_amplitudes,
     from_product_amplitudes,
@@ -45,6 +41,7 @@ from shell_table import (
     povm_completeness_deviation,
     random_wavefunction,
     to_product_amplitudes,
+    two_axis_table_40,
 )
 
 
@@ -190,8 +187,9 @@ class TestCouplingTensor:
 def test_shell_caches_are_bounded():
     # every shell built stays resident only while it is among the last few
     from rydberg_frames.povm_so3 import _cg_series
+    from rydberg_frames.states import _row_weights
 
-    for kernel in (coupling_tensor, _cg_series):
+    for kernel in (_row_weights, _cg_series):
         bound = kernel.cache_info().maxsize
         assert bound is not None
         for n in range(2, bound + 5):
@@ -421,9 +419,9 @@ _DIRECTION = hst.tuples(*[hst.floats(-1.0, 1.0)] * 3).filter(
 )
 
 
-# coupling_tensor caches every shell it builds (up to 2.8 MB at n = MAX_N, the
-# oracles' blocks of every M 5.5 MB and their dense cube 8 MB), so the number
-# of distinct shells drawn is kept small
+# the oracles' coupling blocks cache every shell they build (up to 2.8 MB at
+# n = MAX_N, the blocks of every M 5.5 MB and their dense cube 8 MB), so the
+# number of distinct shells drawn is kept small
 @settings(max_examples=12, deadline=None)
 @given(hst.integers(2, MAX_N), _DIRECTION, _DIRECTION)
 @example(MAX_N, (0.3, -0.5, 0.8), (-0.2, 0.9, 0.1))
@@ -434,18 +432,30 @@ def test_coherent_states_up_to_max_n(n, v1, v2):
 
 
 def test_two_axis_state_matches_the_dense_route():
-    # the general route: both directions through Cartesian and back to their
-    # angles (an azimuth may move by an ulp), then the m1 slices of the dense
-    # cube added in ascending order. The real route sums the cosine or the
-    # sine half of the same products, which the blocks' exact swap parity
-    # makes the whole sum, so the two agree within about MAX_N ulps
+    # the general route, which shares no step with the closed form: the two
+    # coherent states' product amplitudes b_m1 b_m2 (-i)^M e^(-i (m1-m2) zeta)
+    # from the exact binomial roots b_m, then the m1 slices of the eigensolved
+    # dense cube added in ascending order; they agree within that cube's own
+    # error, about MAX_N ulps
     for n in range(2, MAX_N + 1):
+        b = np.sqrt([math.comb(n - 1, k) / 2 ** (n - 1) for k in range(n)])
+        i1, i2 = np.ogrid[:n, :n]
+        quarter_turns = np.array([1.0, -1.0j, -1.0, 1.0j])[(i1 + i2 - (n - 1)) % 4]  # (-i)^M
         for e in (0.0, 0.3, 0.7, 1.0):
-            zeta = math.asin(e)
-            u1 = from_spherical(math.pi / 2, math.pi / 2 + zeta)
-            u2 = from_spherical(math.pi / 2, math.pi / 2 - zeta)
-            dense = dense_from_product_amplitudes(n, product_amplitudes(n, u1, u2))
+            turns = (i1 - i2) * math.asin(e)
+            psi = np.outer(b, b) * quarter_turns * (np.cos(turns) - 1j * np.sin(turns))
+            dense = dense_from_product_amplitudes(n, psi)
             assert np.abs(alice_two_axis_state(n, e).table - dense.table).max() <= 1e-14, (n, e)
+
+
+def test_two_axis_state_matches_its_closed_form_to_40_digits():
+    # every entry within about two ulps of the largest one, at every shell;
+    # a table summed through the eigensolved coupling blocks is off by up to
+    # 9.7e-15 here (n = 92, e = 1)
+    for n in range(2, MAX_N + 1):
+        for e in (0.0, 0.05, 0.3, 0.7, 0.95, 1.0):
+            error = np.abs(alice_two_axis_state(n, e).table - two_axis_table_40(n, e)).max()
+            assert error <= 5e-16, (n, e, error)
 
 
 def _theory_zero_parts(n):
