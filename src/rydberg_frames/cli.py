@@ -17,8 +17,8 @@ import csv as csv_mod
 import io
 import json
 import math
+import os
 import sys
-from importlib import resources
 
 from . import __version__
 from . import reference_values as ref
@@ -27,14 +27,20 @@ from .geometry import UnitVector, two_axis_eta
 
 _METHOD_NOTE = ("closed-form Haar moments by the Clebsch-Gordan series; "
                 "golden-section search in e with a three-point vertex")
+_DEFAULT_TOLERANCES = os.path.join(os.path.dirname(__file__), "tolerances.json")
 
 
 def load_tolerances(path=None) -> dict:
-    if path is not None:
-        with open(path) as handle:
-            return json.load(handle)
-    text = resources.files("rydberg_frames").joinpath("tolerances.json").read_text()
-    return json.loads(text)
+    """The tolerance sections of path, or of the package's defaults.
+
+    One bounded read: a file (or device, or pipe) longer than 1 MiB is
+    refused with ValueError, as malformed JSON is.
+    """
+    with open(_DEFAULT_TOLERANCES if path is None else path, "rb") as handle:
+        data = handle.read(2**20 + 1)
+    if len(data) > 2**20:
+        raise ValueError(f"{handle.name} is longer than 1 MiB")
+    return json.loads(data)
 
 
 def check_tolerances(tol, command: str):
@@ -128,14 +134,15 @@ def cmd_table2(args, tol: dict):
         ("optimal", optimal, ref.OPTIMAL_COEFFS_N10),
     ):
         for l in range(10):
-            value, reference = float(computed[l]), printed[l]
+            value, reference = computed[l], printed[l]
             dev = abs(value - reference)
             rows.append([label, l, value, reference, dev, dev <= tol["coeff_abs"]])
 
     for n in sorted(ref.STARK_OPTIMAL_OVERLAP):
         stark_n = [abs(c) for c in st.extreme_stark(n).m0_amplitudes()]
         opt_n = p3.optimal_m0_state(n)
-        value = float(sum(a * b for a, b in zip(stark_n, opt_n))) ** 2
+        # fsum, correctly rounded: sum() of floats compensates from Python 3.12 on
+        value = math.fsum(a * b for a, b in zip(stark_n, opt_n)) ** 2
         reference = ref.STARK_OPTIMAL_OVERLAP[n]
         dev = abs(value - reference)
         rows.append([f"overlap_n{n}", None, value, reference, dev, dev <= tol["overlap_abs"]])

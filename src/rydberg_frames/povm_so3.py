@@ -15,11 +15,16 @@ L = l-1, l, l+1, and Schur orthogonality (Edmonds, eqs. 4.3.2 and 4.6.2)
 leaves a sum over l and L of w_{lL} X^a_{lL}(q) conj(X^b_{lL}(q')), with
 w_{lL} = sqrt((2l+1)/(2L+1)) and m-sums X weighted by the j2 = 1
 Clebsch-Gordan coefficients, which have closed algebraic forms. Since b_l
-is the unit row u_l, X^a_{lL} = ||a_l|| ||a_L|| X^u_{lL}: the fiducial
-enters only as row-norm weights, and each fidelity makes one pass of X-sums
-over the unit rows, at q = 0 for cos(beta) and q = 1 for the in-plane axes,
-whose q' = -1 moment follows from the q = 1 sums by the symmetry of the
-coefficients. One evaluation costs O(n^2). The result equals the exact
+is the unit row a_l / ||a_l||, X^b_{lL} = X^a_{lL} / (||a_l|| ||a_L||): the
+fiducial enters only as inverse row-norm weights, and each fidelity makes
+one pass of X-sums over the state's rows, at q = 0 for cos(beta) and q = 1
+for the in-plane axes, whose q' = -1 moment follows from the q = 1 sums by
+the symmetry of the coefficients. A state's amplitudes are real rows up to a
+quarter turn (`states.WaveFunction`), and the turns leave each X a fixed
+phase times a real sum, so every fidelity is real arithmetic on Python
+floats: ordered loops and `math.fsum`, not the builtin `sum`, whose float
+sums CPython compensates from 3.12 on, so the results are the same bits on
+every CPython. One evaluation costs O(n^2). The result equals the exact
 product grid that QuadratureRule declares (2n Gauss-Legendre nodes in
 cos(beta), 4n+4 equispaced nodes in alpha and gamma; exact for these
 trigonometric polynomials), which the tests integrate on as an oracle.
@@ -33,8 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .states import WaveFunction, alice_two_axis_state
 from .geometry import two_axis_eta
@@ -60,76 +63,81 @@ _CG_RANK_ONE = {
     (1, 1): lambda l, M: (l + M) * (l + M + 1) / ((2 * l + 1) * (2 * l + 2)),
     (1, 0): lambda l, M: (l - M + 1) * (l + M + 1) / ((2 * l + 1) * (l + 1)),
     (0, 1): lambda l, M: -(l + M) * (l - M + 1) / (2 * l * (l + 1)),
-    (0, 0): lambda l, M: M * np.abs(M) / (l * (l + 1)),
+    (0, 0): lambda l, M: M * abs(M) / (l * (l + 1)),
     (-1, 1): lambda l, M: (l - M) * (l - M + 1) / (2 * l * (2 * l + 1)),
     (-1, 0): lambda l, M: -(l - M) * (l + M) / (l * (2 * l + 1)),
 }
 
 
+def _series_block(l: int, big_l: int, q: int):
+    """(first, cg): cg[i] = <l m; 1 q | L m+q> for m = first + i, over the m
+    with |m| <= l and |m + q| <= L."""
+    first, form = max(-l, -big_l - q), _CG_RANK_ONE[big_l - l, q]
+    squares = [form(l, m + q) for m in range(first, min(l, big_l - q) + 1)]
+    return first, tuple([math.copysign(math.sqrt(abs(v)), v) for v in squares])
+
+
 @lru_cache(maxsize=4)  # commands walk their shells one at a time
 def _cg_series(n: int):
-    """Coupling table and weights of the Clebsch-Gordan series for the shell n.
+    """Coefficient lists and weights of the Clebsch-Gordan series for the shell n.
 
-    cg[dL + 1, q, l, m + n - 1] = <l m; 1 q | l+dL m+q> for q = 0, 1 and
-    0 <= l < n, zero outside the triangle and projection ranges;
-    weights[dL + 1, l] = sqrt((2l+1) / (2L+1)) with L = l + dL, zero where L
-    leaves the shell.
+    series[q][l], q = 0, 1, lists (dL, first, cg) of `_series_block` for each
+    L = l + dL in the shell with |l - 1| <= L. weights[dL + 1][l] =
+    sqrt((2l+1) / (2L+1)), zero where L leaves the shell.
     """
-    l = np.arange(n, dtype=float)[:, None]
-    m = np.arange(2 * n - 1) - (n - 1.0)
-    cg = np.zeros((3, 2, n, 2 * n - 1))
-    for (dL, q), signed_square in _CG_RANK_ONE.items():
-        big_l = l + dL
-        valid = (np.abs(m) <= l) & (np.abs(m + q) <= big_l) & (big_l >= np.abs(l - 1))
-        rows, cols = np.nonzero(valid)
-        value = signed_square(l[rows, 0], m[cols] + q)
-        cg[dL + 1, q, rows, cols] = np.sign(value) * np.sqrt(np.abs(value))
-    big_l = np.arange(n) + np.arange(-1, 2)[:, None]
-    inside = (big_l >= 0) & (big_l < n)
-    weights = inside * np.sqrt((2 * np.arange(n) + 1) / np.where(inside, 2 * big_l + 1, 1))
-    cg.setflags(write=False)
-    weights.setflags(write=False)
-    return cg, weights
+    series = tuple(tuple(tuple((d_l, *_series_block(l, l + d_l, q)) for d_l in (-1, 0, 1)
+                               if abs(l - 1) <= l + d_l < n) for l in range(n)) for q in (0, 1))
+    weights = tuple(tuple(math.sqrt((2 * l + 1) / (2 * (l + d_l) + 1)) if 0 <= l + d_l < n
+                          else 0.0 for l in range(n)) for d_l in (-1, 0, 1))
+    return series, weights
 
 
-def _unit_rows(a: WaveFunction):
-    """Unit rows u[l + 1, m + n] = a_{lm} / ||a_l||, bordered by zeros, and the
-    pair norms p[dL + 1, l] = ||a_l|| ||a_{l+dL}||, zero where l + dL leaves the shell.
-
-    u_l is the row b_l of the optimal fiducial. A row where a vanishes stays
-    zero: every pair that holds it has p = 0.
-    """
-    n = a.n
-    # each row norm by one reduction over the whole row, whose zeros outside
-    # |m| <= l add nothing: no BLAS dot product, and no loop over l
-    norm = np.zeros(n + 2)
-    norm[1:-1] = np.sqrt(np.add.reduce(np.square(a.table.real) + np.square(a.table.imag), axis=1))
-    u = np.zeros((n + 2, 2 * n + 1), dtype=complex)
-    u[1:-1, 1:-1] = a.table / np.where(norm[1:-1] == 0.0, 1.0, norm[1:-1])[:, None]
-    return u, norm[1:-1] * np.stack((norm[:-2], norm[1:-1], norm[2:]))
-
-
-def _x_sums(u: np.ndarray, cg: np.ndarray, q: int) -> np.ndarray:
-    """X[dL + 1, l] = sum_m conj(u_{l,m}) u_{l+dL, m+q} <l m; 1 q | l+dL m+q>."""
-    n = u.shape[0] - 2
-    base = np.conj(u[1 : n + 1, 1 : 2 * n])
-    x = np.empty((3, n), dtype=complex)
-    for dL in (-1, 0, 1):
-        shifted = u[1 + dL : n + 1 + dL, 1 + q : 2 * n + q]
-        x[dL + 1] = (base * shifted * cg[dL + 1, q]).sum(axis=1)
+def _x_sums(rows: list, q: int) -> list:
+    """X[dL + 1][l] = sum_m r_{l,m} r_{l+dL,m+q} <l m; 1 q | l+dL m+q> over the
+    state's real rows, each an ordered loop; zero where l + dL leaves the shell."""
+    n = len(rows)
+    x = [[0.0] * n for _ in range(3)]
+    for l, blocks in enumerate(_cg_series(n)[0][q]):
+        for d_l, first, cg in blocks:
+            total = 0.0
+            for u, v, c in zip(rows[l][l + first :], rows[l + d_l][l + d_l + first + q :], cg):
+                total += u * v * c
+            x[d_l + 1][l] = total
     return x
+
+
+def _fidelity_sums(a: WaveFunction, q: int):
+    """The X-sums x of the rows at q, the pair norms p[dL + 1][l] =
+    ||a_l|| ||a_{l+dL}|| (zero where l + dL leaves the shell), and the parts
+    sum_l w_{lL} X_{lL}^2 / p_{lL} of dL = -1, 0, 1, each an ordered loop, to
+    be added by the correctly rounded `fsum`. The pairs that hold an empty row
+    (p = 0, X = 0) add nothing.
+    """
+    norms = []
+    for row in a.rows:
+        total = 0.0
+        for r in row:
+            total += r * r
+        norms.append(math.sqrt(total))
+    bordered = [0.0, *norms, 0.0]
+    pairs = [[norm * other for norm, other in zip(norms, bordered[k:])] for k in (0, 1, 2)]
+    x, parts = _x_sums(a.rows, q), []
+    for x_row, p_row, w_row in zip(x, pairs, _cg_series(a.n)[1]):
+        part = 0.0
+        for v, p, w in zip(x_row, p_row, w_row):
+            if p:
+                part += w * (v * v) / p
+        parts.append(part)
+    return x, pairs, parts
 
 
 def cos_omega_z(a: WaveFunction) -> float:
     """Mean error cosine <cos omega_z> for transmitting the z axis with state a.
 
     The Haar average of |<A|U|B>|^2 cos(beta), cos(beta) = D^1_00, from the
-    q = 0 X-sums of the unit rows.
+    q = 0 X-sums of the rows.
     """
-    u, pairs = _unit_rows(a)
-    cg, weights = _cg_series(a.n)
-    x = _x_sums(u, cg, 0)
-    return float(np.sum(weights * pairs * (np.square(x.real) + np.square(x.imag))))
+    return math.fsum(_fidelity_sums(a, 0)[2])
 
 
 def cos_omega_xy(a: WaveFunction):
@@ -143,21 +151,25 @@ def cos_omega_xy(a: WaveFunction):
     -2 Re D^1_{1,-1}. Both come from the q = 1 X-sums: by
     <l m; 1 -1 | L m-1> = (-1)^(L-l+1) sqrt((2L+1)/(2l+1)) <L m-1; 1 1 | l m>
     (Edmonds, section 3.5), X_{lL}(-1) = (-1)^(L-l+1) conj(X_{Ll}(1)) / w_{lL},
-    so the series weights cancel from `opposite`.
+    so the series weights cancel from `opposite`. The complex X-sum is
+    (-i)^(turns[L]-turns[l]+q) times the real one of the rows, so the turns
+    cancel from |X|^2 and leave fixed signs in `opposite`:
+    sum_l X_ll^2 / p_ll - 2 sum_l X_{l,l+1} X_{l+1,l} / p_{l,l+1}, whose first
+    sum is the dL = 0 part of `same` (w_ll = 1).
     """
-    u, pairs = _unit_rows(a)
-    cg, weights = _cg_series(a.n)
-    x = _x_sums(u, cg, 1)
-    same = float(np.sum(weights * pairs * (np.square(x.real) + np.square(x.imag))))
-    opposite = float((2.0 * np.sum(pairs[2, :-1] * x[2, :-1] * x[0, 1:])
-                      - np.sum(pairs[1] * np.square(x[1]))).real)
+    x, pairs, parts = _fidelity_sums(a, 1)
+    cross = 0.0
+    for up, down, p in zip(x[2], x[0][1:], pairs[2]):
+        if p:
+            cross += up * down / p
+    same, opposite = math.fsum(parts), parts[1] - 2.0 * cross
     return same - opposite, same + opposite
 
 
 # ---------------------------------------------------------------------------
 # The optimal one-axis signal among m=0 states.
 
-def optimal_m0_state(n: int) -> np.ndarray:
+def optimal_m0_state(n: int) -> list:
     """Best one-axis signal among m=0 states: |a_l0| = sqrt(2l+1) P_l(x), normalized.
 
     <cos omega_z> of an m=0 signal is a^T J a with J_{l,l-1} = l / sqrt(4 l^2 - 1),
@@ -177,8 +189,9 @@ def optimal_m0_state(n: int) -> np.ndarray:
         p = legendre(x)
         step = p[n] * (x * x - 1.0) / (n * (x * p[n] - p[n - 1]))
         x -= step
-    vec = np.sqrt(2.0 * np.arange(n) + 1.0) * legendre(x)[:n]
-    return vec / math.sqrt(math.fsum(vec * vec))
+    vec = [math.sqrt(2.0 * l + 1.0) * p for l, p in enumerate(legendre(x)[:n])]
+    norm = math.sqrt(math.fsum([v * v for v in vec]))
+    return [v / norm for v in vec]
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ term-by-term Racah sum (`clebsch_gordan`) in exact rational arithmetic. The
 package builds no coupling: `states.alice_two_axis_state` and
 `states.extreme_stark` are closed forms, checked against both. The blocks of
 every M, the M < 0 ones by parity, the dense cube of them, and the general
-coupling of a two-spin table through them (one reduction per M, or slice by
-slice through the cube) are the tests' view of the same coefficients by
-(m1, m2).
+coupling of a two-spin table through them into the complex |l m> table
+a[l, n-1+m] (one reduction per M, or slice by slice through the cube) are the
+tests' view of the same coefficients by (m1, m2).
 """
 
 import math
@@ -18,8 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-
-from rydberg_frames.states import WaveFunction
 
 
 def ladder_factors(n: int) -> np.ndarray:
@@ -109,7 +107,7 @@ def dense_coupling(n: int) -> np.ndarray:
     return dense
 
 
-def from_product_amplitudes(n: int, psi: np.ndarray) -> WaveFunction:
+def from_product_amplitudes(n: int, psi: np.ndarray) -> np.ndarray:
     """Couple a two-spin amplitude table psi[j+m1, j+m2] into the |l m> table.
 
     Column M takes the antidiagonal m1 + m2 = M of psi, m1 ascending, through
@@ -120,17 +118,17 @@ def from_product_amplitudes(n: int, psi: np.ndarray) -> WaveFunction:
     table = np.zeros((n, 2 * n - 1), dtype=complex)
     for big_m, block in zip(range(1 - n, n), signed_blocks(n)):
         table[abs(big_m):, n - 1 + big_m] = np.add.reduce(block * flipped.diagonal(-big_m), axis=1)
-    return WaveFunction(n, table)
+    return table
 
 
-def dense_from_product_amplitudes(n: int, psi: np.ndarray) -> WaveFunction:
+def dense_from_product_amplitudes(n: int, psi: np.ndarray) -> np.ndarray:
     """Couple psi[j+m1, j+m2] through the dense cube: its m1 slices added in
     ascending order into the |l m> table, one n x n product at a time."""
     coupling = dense_coupling(n)
     table = np.zeros((n, 2 * n - 1), dtype=complex)
     for i1 in range(n):
         table[:, i1 : i1 + n] += coupling[:, i1, :] * psi[i1]
-    return WaveFunction(n, table)
+    return table
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """Classical z-y-z rotation matrices, the oracle for the quantum rotations;
-the Wigner d kernel and the rotation of a shell state they check; the axes
+the Wigner d kernel and the rotation of a state table they check; the axes
 and vector helpers the tests build directions with; and the spin coherent
 states, and the shell coherent state of any two directions through their
 spherical angles (the commands build only the two-axis state, in real
@@ -16,7 +16,6 @@ import numpy as np
 
 from rydberg_frames.angmom import MAX_N
 from rydberg_frames.geometry import UnitVector
-from rydberg_frames.states import WaveFunction
 
 from cg_oracle import from_product_amplitudes
 from shell_table import spin_matrices, to_product_amplitudes
@@ -111,8 +110,8 @@ def product_amplitudes(n: int, u1: UnitVector, u2: UnitVector) -> np.ndarray:
     return np.outer(coherent_coeffs(n, *spherical(u1)), coherent_coeffs(n, *spherical(u2)))
 
 
-def build_elliptic(n: int, u1: UnitVector, u2: UnitVector) -> WaveFunction:
-    """Shell coherent state for directions (u1, u2), expanded over |l m>.
+def build_elliptic(n: int, u1: UnitVector, u2: UnitVector) -> np.ndarray:
+    """Shell coherent state for directions (u1, u2): its |l m> table.
 
     Coefficients are a_{lm} = sum over m1+m2=m of
     D^j_{m1}(theta1, phi1) D^j_{m2}(theta2, phi2) C^{jj l}_{m1 m2 m}.
@@ -160,9 +159,10 @@ def small_d_matrices(n: int, betas) -> np.ndarray:
     return np.ascontiguousarray(stack.real)
 
 
-def rotate(state: WaveFunction, angles: EulerAngles) -> WaveFunction:
-    """U(psi, theta, phi) as D psi D^T on the two-spin table: a rotated indicator stays coherent."""
-    n = state.n
+def rotate(state: np.ndarray, angles: EulerAngles) -> np.ndarray:
+    """U(psi, theta, phi) of a state table, as D psi D^T on the two-spin table:
+    a rotated indicator stays coherent."""
+    n = state.shape[0]
     m = np.arange(n) - (n - 1) / 2.0
     big_d = (np.exp(-1j * m * angles.psi)[:, None]
              * small_d_matrices(n, [angles.theta])[0]

@@ -1,11 +1,14 @@
-"""Test-side views of the shell-state table a[l, n-1+m], random states on it,
-the two-spin, L/K and measurement observables that only the tests evaluate,
-and the two-axis state's closed form to 40 digits (`two_axis_table_40`).
+"""Test-side views of a shell state as the complex table a[l, n-1+m], zero
+where |m| > l (`padded`), random states, the two-spin, L/K and measurement
+observables that only the tests evaluate, and the two-axis state's closed
+form to 40 digits (`two_axis_table_40`). The oracles here take and return
+such tables, so they hold any state, not only the real rows with quarter
+turns that `states.WaveFunction` stores.
 
 The measurement oracles keep what `povm_so3` folds away: Bob's fiducial as a
-table of its own (`bob_fiducial`), the q = -1 Clebsch-Gordan forms, and the
-series route that forms the X-sums of |A> and of the fiducial separately
-(`series_moments`)."""
+table of its own (`bob_fiducial`), complex X-sums, the q = -1 Clebsch-Gordan
+forms, and the series route that forms the X-sums of |A> and of the fiducial
+separately over its own coefficient table (`series_moments`)."""
 
 import math
 from decimal import Decimal, localcontext
@@ -14,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from rydberg_frames.povm_so3 import _cg_series, cos_omega_xy, cos_omega_z
+from rydberg_frames.povm_so3 import cos_omega_xy, cos_omega_z
 from rydberg_frames.states import WaveFunction
 
 from cg_oracle import dense_coupling, ladder_factors
@@ -26,31 +29,51 @@ def block(table, l):
     return table[l, n - 1 - l : n + l]
 
 
+def padded(wf: WaveFunction) -> np.ndarray:
+    """The complex table a[l, n-1+m] = (-i)^(turns[l]+m) rows[l][l+m] of a
+    state, zero where |m| > l; + 0.0 makes every zero component +0.0."""
+    n = wf.n
+    table = np.zeros((n, 2 * n - 1), dtype=complex)
+    for l, (row, turn) in enumerate(zip(wf.rows, wf.turns)):
+        turns = (turn + np.arange(-l, l + 1)) % 4
+        block(table, l)[:] = np.array([1.0, -1.0j, -1.0, 1.0j])[turns] * np.asarray(row)
+    return table + 0.0
+
+
 def random_wavefunction(n, rng):
-    """Complex Gaussian a_{lm} in every |m| <= l entry, drawn l by l, normalized."""
+    """Complex Gaussian a_{lm} in every |m| <= l entry, drawn l by l: a
+    normalized table."""
     table = np.zeros((n, 2 * n - 1), dtype=complex)
     for l in range(n):
         block(table, l)[:] = rng.normal(size=2 * l + 1) + 1j * rng.normal(size=2 * l + 1)
-    return WaveFunction(n, table / np.linalg.norm(table))
+    return table / np.linalg.norm(table)
 
 
-def random_uneven_wavefunction(n, rng):
-    """A random_wavefunction whose rows are rescaled, each by 1, 0, 1e-13 or 0.5^l,
-    one row kept at full size: empty, tiny and decaying rows side by side."""
-    table = random_wavefunction(n, rng).table
+def random_rows_state(n, rng, scale=None):
+    """Real Gaussian rows with random integer turns, row l rescaled by
+    scale[l] (1 when scale is None), normalized."""
+    rows = [rng.normal(size=2 * l + 1) * (1.0 if scale is None else scale[l]) for l in range(n)]
+    norm = math.sqrt(math.fsum(float(row @ row) for row in rows))
+    return WaveFunction(n, [(row / norm).tolist() for row in rows],
+                        rng.integers(-8, 9, size=n).tolist())
+
+
+def random_uneven_state(n, rng):
+    """A random_rows_state whose rows are rescaled, each by 1, 0, 5e-13 or
+    0.5^l, one row kept at full size: empty, tiny and decaying rows side by side."""
     scale = np.choose(rng.integers(4, size=n),
-                      [np.ones(n), np.zeros(n), np.full(n, 1e-13), 0.5 ** np.arange(n)])
+                      [np.ones(n), np.zeros(n), np.full(n, 5e-13), 0.5 ** np.arange(n)])
     scale[rng.integers(n)] = 1.0
-    table *= scale[:, None]
-    return WaveFunction(n, table / np.linalg.norm(table))
+    return random_rows_state(n, rng, scale)
 
 
 def random_m0_state(n, rng):
-    """Complex Gaussian a_{l0} column, normalized; zero wherever m != 0."""
-    table = np.zeros((n, 2 * n - 1), dtype=complex)
-    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
-    table[:, n - 1] = amps / np.linalg.norm(amps)
-    return WaveFunction(n, table)
+    """Real Gaussian a_{l0} column with random integer turns, normalized; zero
+    wherever m != 0."""
+    amps = rng.normal(size=n)
+    amps /= np.linalg.norm(amps)
+    rows = [[0.0] * l + [a] + [0.0] * l for l, a in enumerate(amps.tolist())]
+    return WaveFunction(n, rows, rng.integers(-8, 9, size=n).tolist())
 
 
 def spin_matrices(n: int):
@@ -111,17 +134,18 @@ def two_axis_table_40(n: int, e: float) -> np.ndarray:
     return table * np.array([1.0, -1.0j, -1.0, 1.0j])[turns % 4]
 
 
-def to_product_amplitudes(state: WaveFunction) -> np.ndarray:
-    """Two-spin table psi[j+m1, j+m2] of a shell state: SO(4) as SO(3) x SO(3)."""
+def to_product_amplitudes(table: np.ndarray) -> np.ndarray:
+    """Two-spin table psi[j+m1, j+m2] of a shell-state table: SO(4) as SO(3) x SO(3)."""
     # the inverse of `from_product_amplitudes`: a[l, m1 + m2] sits at column i1 + i2
-    n = state.n
+    n = table.shape[0]
     total = np.add.outer(np.arange(n), np.arange(n))
-    return (dense_coupling(n) * state.table[:, total]).sum(axis=0)
+    return (dense_coupling(n) * table[:, total]).sum(axis=0)
 
 
 def lk_moments(state):
-    """<L>, <K>, <L^2>, <K^2>, <L.K + K.L> of a state or two-spin table: the orbit's frame."""
-    psi = state if isinstance(state, np.ndarray) else to_product_amplitudes(state)
+    """<L>, <K>, <L^2>, <K^2>, <L.K + K.L> of a shell-state table (n x 2n-1)
+    or a two-spin table (n x n): the orbit's frame."""
+    psi = state if state.shape[0] == state.shape[1] else to_product_amplitudes(state)
     lvec = np.zeros(3)
     kvec = np.zeros(3)
     l2 = k2 = lk = 0.0
@@ -163,8 +187,9 @@ def cos_omega_z_m0(a0) -> float:
     return float(2.0 * np.sum(np.diagonal(m0_overlap_matrix(len(x)), 1) * x[1:] * x[:-1]))
 
 
-def bob_fiducial(a: WaveFunction) -> np.ndarray:
-    """Optimal fiducial table: row l is b_l = a_l / ||a_l||, a unit vector per l.
+def bob_fiducial(a: np.ndarray) -> np.ndarray:
+    """Optimal fiducial table of a state table: row l is b_l = a_l / ||a_l||,
+    a unit vector per l.
 
     A row where a vanishes exactly is completed with the m=0 basis vector; the
     completion keeps the POVM resolving the identity and contributes zero
@@ -172,73 +197,94 @@ def bob_fiducial(a: WaveFunction) -> np.ndarray:
     norm, however small, is normalized. The sqrt(2l+1) Schur weights that make
     the POVM complete are applied in the Haar moments, not stored here.
     """
-    n = a.n
-    norm = np.linalg.norm(a.table, axis=1)
+    n = a.shape[0]
+    norm = np.linalg.norm(a, axis=1)
     empty = norm == 0.0
-    fid = a.table / np.where(empty, 1.0, norm)[:, None]
+    fid = a / np.where(empty, 1.0, norm)[:, None]
     fid[empty, n - 1] = 1.0
     return fid
 
 
-# (L - l): signed square of <l m; 1 -1 | L m-1> in terms of l and M = m - 1,
-# Condon-Shortley phases: the q = -1 closed forms that `povm_so3` reaches
-# through the q = 1 table by symmetry
-_CG_LOWERING = {
-    1: lambda l, M: (l - M) * (l - M + 1) / ((2 * l + 1) * (2 * l + 2)),
-    0: lambda l, M: (l - M) * (l + M + 1) / (2 * l * (l + 1)),
-    -1: lambda l, M: (l + M + 1) * (l + M) / (2 * l * (2 * l + 1)),
+# (L - l, q): signed square of <l m; 1 q | L m+q> in terms of l and M = m + q,
+# Condon-Shortley phases: the standard closed forms for j2 = 1
+_CG_RANK_ONE = {
+    (1, -1): lambda l, M: (l - M) * (l - M + 1) / ((2 * l + 1) * (2 * l + 2)),
+    (0, -1): lambda l, M: (l - M) * (l + M + 1) / (2 * l * (l + 1)),
+    (-1, -1): lambda l, M: (l + M + 1) * (l + M) / (2 * l * (2 * l + 1)),
+    (1, 0): lambda l, M: (l - M + 1) * (l + M + 1) / ((2 * l + 1) * (l + 1)),
+    (0, 0): lambda l, M: M * np.abs(M) / (l * (l + 1)),
+    (-1, 0): lambda l, M: -(l - M) * (l + M) / (l * (2 * l + 1)),
+    (1, 1): lambda l, M: (l + M) * (l + M + 1) / ((2 * l + 1) * (2 * l + 2)),
+    (0, 1): lambda l, M: -(l + M) * (l - M + 1) / (2 * l * (l + 1)),
+    (-1, 1): lambda l, M: (l - M) * (l - M + 1) / (2 * l * (2 * l + 1)),
 }
 
 
-def lowering_series(n: int) -> np.ndarray:
-    """cg[dL + 1, l, m + n - 1] = <l m; 1 -1 | l+dL m-1>, zero outside the
-    triangle and projection ranges: the q = -1 plane of the series table."""
+@lru_cache(maxsize=4)
+def series_table(n: int):
+    """Coupling table and weights of the Clebsch-Gordan series for the shell n.
+
+    cg[q + 1, dL + 1, l, m + n - 1] = <l m; 1 q | l+dL m+q> for q = -1, 0, 1
+    and 0 <= l < n, zero outside the triangle and projection ranges;
+    weights[dL + 1, l] = sqrt((2l+1) / (2L+1)) with L = l + dL, zero where L
+    leaves the shell. The oracle's own table: `povm_so3` keeps only q = 0, 1,
+    as coefficient lists, and reaches q = -1 by symmetry.
+    """
     l = np.arange(n, dtype=float)[:, None]
     m = np.arange(2 * n - 1) - (n - 1.0)
-    cg = np.zeros((3, n, 2 * n - 1))
-    for dL, signed_square in _CG_LOWERING.items():
+    cg = np.zeros((3, 3, n, 2 * n - 1))
+    for (dL, q), signed_square in _CG_RANK_ONE.items():
         big_l = l + dL
-        valid = (np.abs(m) <= l) & (np.abs(m - 1) <= big_l) & (big_l >= np.abs(l - 1))
+        valid = (np.abs(m) <= l) & (np.abs(m + q) <= big_l) & (big_l >= np.abs(l - 1))
         rows, cols = np.nonzero(valid)
-        value = signed_square(l[rows, 0], m[cols] - 1)
-        cg[dL + 1, rows, cols] = np.sign(value) * np.sqrt(np.abs(value))
-    return cg
+        value = signed_square(l[rows, 0], m[cols] + q)
+        cg[q + 1, dL + 1, rows, cols] = np.sign(value) * np.sqrt(np.abs(value))
+    big_l = np.arange(n) + np.arange(-1, 2)[:, None]
+    inside = (big_l >= 0) & (big_l < n)
+    weights = inside * np.sqrt((2 * np.arange(n) + 1) / np.where(inside, 2 * big_l + 1, 1))
+    cg.setflags(write=False)
+    weights.setflags(write=False)
+    return cg, weights
 
 
-def series_moments(a: WaveFunction):
-    """<cos omega_z>, same and opposite by the series route over two tables.
+def series_moments(a: np.ndarray):
+    """<cos omega_z>, same and opposite of a state table by the series route.
 
     Each is sum_l sum_L sqrt((2l+1)/(2L+1)) X^a_{lL}(q) conj(X^b_{lL}(q')),
-    with the X-sums of |A> and of `bob_fiducial(a)` formed separately:
-    (q, q') = (0, 0), (1, 1) and (1, -1), the last on `lowering_series`.
+    with the complex X-sums of |A> and of `bob_fiducial(a)` formed separately:
+    (q, q') = (0, 0), (1, 1) and (1, -1), over `series_table`.
     <cos omega_x> = same - opposite and <cos omega_y> = same + opposite.
     """
-    n = a.n
-    cg, weights = _cg_series(n)
-    planes = {-1: lowering_series(n), 0: cg[:, 0], 1: cg[:, 1]}
-    ua, ub = np.pad(a.table, 1), np.pad(bob_fiducial(a), 1)  # bordered by zeros
+    n = a.shape[0]
+    cg, weights = series_table(n)
+    ua, ub = np.pad(a, 1), np.pad(bob_fiducial(a), 1)  # bordered by zeros
 
     def x_sums(u, q):
         base = np.conj(u[1 : n + 1, 1 : 2 * n])
         return np.array([(base * u[1 + dL : n + 1 + dL, 1 + q : 2 * n + q]
-                          * planes[q][dL + 1]).sum(axis=1) for dL in (-1, 0, 1)])
+                          * cg[q + 1, dL + 1]).sum(axis=1) for dL in (-1, 0, 1)])
 
     return tuple(float(np.sum(weights * x_sums(ua, q) * np.conj(x_sums(ub, qp))).real)
                  for q, qp in ((0, 0), (1, 1), (1, -1)))
 
 
-def haar_total(a: WaveFunction) -> float:
+def haar_total(a: np.ndarray) -> float:
     """Haar average of |<A|U|B>|^2 over Bob's fiducial: sum_l |a_l|^2 |b_l|^2."""
-    return float((np.abs(a.table) ** 2).sum(axis=1) @ (np.abs(bob_fiducial(a)) ** 2).sum(axis=1))
+    return float((np.abs(a) ** 2).sum(axis=1) @ (np.abs(bob_fiducial(a)) ** 2).sum(axis=1))
 
 
-def haar_moments(a: WaveFunction):
+def haar_moments(a):
     """Haar averages of |<A|U|B>|^2 times 1, cos(beta), R_xx + R_yy and R_xx - R_yy:
-    the plain total here, the weighted three from `povm_so3`'s fidelities."""
-    cx, cy = cos_omega_xy(a)
-    return haar_total(a), cos_omega_z(a), cx + cy, cx - cy
+    the plain total here, and the weighted three from `povm_so3`'s fidelities
+    for a WaveFunction, or by `series_moments` for a table."""
+    if isinstance(a, WaveFunction):
+        cx, cy = cos_omega_xy(a)
+        return haar_total(padded(a)), cos_omega_z(a), cx + cy, cx - cy
+    z, same, opposite = series_moments(a)
+    return haar_total(a), z, 2.0 * same, -2.0 * opposite
 
 
-def povm_completeness_deviation(a: WaveFunction) -> float:
-    """|integral |<A|U|B>|^2 dU - 1|: zero when the optimal method's POVM resolves the identity."""
+def povm_completeness_deviation(a: np.ndarray) -> float:
+    """|integral |<A|U|B>|^2 dU - 1| of a state table: zero when the optimal
+    method's POVM resolves the identity."""
     return abs(haar_total(a) - 1.0)

@@ -19,5 +19,5 @@ def stark_block_constants(n: int) -> np.ndarray:
     is not a multiple of the identity and the rotated Stark family cannot
     resolve it by Schur weighting alone.
     """
-    c_l = extreme_stark(n).m0_amplitudes().real
+    c_l = np.real(extreme_stark(n).m0_amplitudes())
     return 4.0 * math.pi * c_l**2 / (2 * np.arange(n) + 1)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -77,16 +78,17 @@ def test_rerun_is_byte_identical(argv, tmp_path):
 # Stark and circular states are exact closed forms. The elliptic state dumps
 # print every bit of a closed form in +, x, / and correctly rounded sqrt, and
 # hold the JSON renderer to the bytes that json.dumps(..., indent=2) wrote for
-# them, up to the largest shell. No shell command calls LAPACK, and every
-# shell pin holds whether or not numpy dispatches to its AVX-512 loops, and on
-# every OpenBLAS core tried (below).
+# them, up to the largest shell. The shell commands load no numpy: they are
+# Python floats summed in a fixed order, so their pins hold on every CPython
+# from 3.10 (CI runs them without numpy installed), whether or not numpy
+# dispatches to its AVX-512 loops, and on every OpenBLAS core tried (below).
 _PINNED = {
     "table1": (["table1"],
-               "7a49a0dd907fefc1aa1d3d2f1ee5fa6a3545c1f608321c25b0b4c09612140dd3"),
+               "b0aabef633619d22632a4f1a26b6bb9dfa1eef0fb5fd7adf7fb12d0a7c2ead39"),
     "table2": (["table2"],
                "25e88130aa9d9bf1bd51b7a40cc07f6206395987d060d3c2d86e14e1a32ce625"),
     "table3": (["table3", "--n-list", "5", "--ecc-grid", "0.3,0.5,0.7"],
-               "7b31d368f63ad5d5d1692198a1eee6a7eb4c964841fcac12c88d999beefb12a6"),
+               "a6133664529bf1dd1bd9ba10dc33c1baaf6729373b14da9068139feef8a46e15"),
     # the benchmark's large shell, and one curve point and optimum at MAX_N
     "table3n40": (["table3", "--n-list", "40"],
                   "9e1193b931b52f521a42cbf87ac177c6062f5f9bdcf93b35b16838f2d6d506f7"),
@@ -308,26 +310,31 @@ def run_cli_process(argv):
     return proc.returncode, proc.stderr
 
 
-# Runs the CLI and prints its exit code and the package modules it loaded.
+# Runs the CLI and prints its exit code, the package modules it loaded, and
+# numpy if it loaded that.
 _LOADED_PROBE = (
     "import sys\n"
     "from rydberg_frames.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(code, *sorted(m for m in sys.modules if m.startswith('rydberg_frames.')))\n"
+    "print(code, *sorted(m for m in sys.modules\n"
+    "                    if m.startswith('rydberg_frames.') or m == 'numpy'))\n"
 )
-_MONTE_CARLO = {"povm_so4", "ortho"}
+# the Monte Carlo modules, and numpy, which only they import (for Philox)
+_MONTE_CARLO = {"povm_so4", "ortho", "numpy"}
 
 
 @pytest.mark.parametrize("argv, loaded, absent", [
     (["state", "--kind", "elliptic", "--n", "5", "--e", "0.7"], {"states", "povm_so3"},
      _MONTE_CARLO),
     (["state", "--kind", "stark", "--n", "5"], {"states"}, {"povm_so3", *_MONTE_CARLO}),
+    (["state", "--kind", "circular", "--n", "5"], {"states"}, {"povm_so3", *_MONTE_CARLO}),
     (["table1"], {"states", "povm_so3"}, _MONTE_CARLO),
     (["table2"], {"states", "povm_so3"}, _MONTE_CARLO),
     (["table3", "--n-list", "5"], {"povm_so3"}, _MONTE_CARLO),
-    (["so4", "--samples", "20000"], {"povm_so4"}, {"povm_so3", "ortho", "states"}),
+    (["so4", "--samples", "20000"], {"povm_so4", "numpy"}, {"povm_so3", "ortho", "states"}),
     (["ortho", "--n-list", "5", "--samples", "100000"], _MONTE_CARLO, {"povm_so3", "states"}),
-], ids=["state-elliptic", "state-stark", "table1", "table2", "table3", "so4", "ortho"])
+], ids=["state-elliptic", "state-stark", "state-circular", "table1", "table2", "table3", "so4",
+        "ortho"])
 def test_each_command_loads_only_its_modules(argv, loaded, absent, tmp_path):
     proc = subprocess.run([sys.executable, "-c", _LOADED_PROBE, *argv, "--out", str(tmp_path / "o")],
                           capture_output=True, text=True, env=child_env(), timeout=120, check=True)
@@ -354,6 +361,23 @@ def test_state_eccentricity_out_of_range_is_usage_error():
 
 def test_missing_tolerance_file_is_usage_error(tmp_path):
     assert_usage_error(["table1", "--tolerance-file", str(tmp_path / "missing.json")])
+
+
+def _cap_address_space():
+    # 1 GiB in the child alone: an unbounded read fails there in seconds
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_endless_tolerance_file_is_usage_error():
+    # the read stops at 1 MiB + 1 bytes; an unbounded one would fill the
+    # capped address space and die with a MemoryError traceback and exit 1
+    proc = subprocess.run([sys.executable, "-m", "rydberg_frames", "table1",
+                           "--tolerance-file", "/dev/zero"],
+                          capture_output=True, text=True, env=child_env(), timeout=60,
+                          preexec_fn=_cap_address_space)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
 
 
 def test_malformed_tolerance_file_is_usage_error(tmp_path):

@@ -1,10 +1,11 @@
 """Heap guards for the streamed Monte Carlo path and the largest shell state.
 
-numpy reports its array buffers to tracemalloc, so the traced peak counts the
-arrays alive at once. Neither `so4` nor `ortho` holds an array of the whole
-batch: both draw and reduce blocks of 65,536 samples, so their heaps do not
-grow with the sample count. Whole-batch arrays, 8 B per sample for each
-per-sample value, fail these bounds.
+numpy reports its array buffers to tracemalloc, as Python reports its float
+and list objects, so the traced peak counts the arrays and rows alive at once.
+Neither `so4` nor `ortho` holds an array of the whole batch: both draw and
+reduce blocks of 65,536 samples, so their heaps do not grow with the sample
+count. Whole-batch arrays, 8 B per sample for each per-sample value, fail
+these bounds.
 """
 
 import tracemalloc
@@ -73,10 +74,10 @@ def test_so4_command_heap_does_not_grow_with_samples(tmp_path, samples):
 
 
 def test_elliptic_state_at_max_n_keeps_a_few_tables():
-    # the (n, 2n-1) complex table, the real recurrence table it is weighted
-    # from, one complex temporary and the norm check's temporaries: about
-    # three complex tables, 0.98 MB at n = 101. An (n, n, n) temporary of a
-    # dense coupling (8 MB there) fails this.
+    # the n real rows, whose mirrored halves share their float objects, the
+    # recurrence's half row and the norm check's temporaries: 0.23 MB at
+    # n = 101. An (n, n, n) temporary of a dense coupling (8 MB there) fails
+    # this.
     n = MAX_N
     _row_weights(n)  # the cached weights are not part of one state's build
     peak, state = traced_peak(alice_two_axis_state, n, 0.3)

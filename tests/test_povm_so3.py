@@ -26,13 +26,15 @@ from shell_table import (
     cos_omega_z_m0,
     haar_moments,
     lk_moments,
-    lowering_series,
     m0_overlap_matrix,
+    padded,
     povm_completeness_deviation,
     random_m0_state,
-    random_uneven_wavefunction,
+    random_rows_state,
+    random_uneven_state,
     random_wavefunction,
     series_moments,
+    series_table,
 )
 
 
@@ -82,15 +84,16 @@ def haar_integrate(f, rule: QuadratureRule) -> float:
 
 
 def _t_stack(a, fid, rule: QuadratureRule) -> np.ndarray:
-    """Oracle: T[b, mp, m] = sum_l sqrt(2l+1) conj(a_{l,mp}) d^l_{mp,m}(beta_b) b_{l,m}.
+    """Oracle: T[b, mp, m] = sum_l sqrt(2l+1) conj(a_{l,mp}) d^l_{mp,m}(beta_b) b_{l,m}
+    for the state table a and the fiducial table fid.
 
     <A|U(alpha, beta_b, gamma)|B> = sum T[b, mp, m] e^{-i alpha mp} e^{-i gamma m}.
     """
-    L = a.n - 1
+    L = a.shape[0] - 1
     betas, _ = beta_nodes(rule)
     t = np.zeros((rule.n_beta, 2 * L + 1, 2 * L + 1), dtype=complex)
-    for l in range(a.n):
-        a_l, b_l = block(a.table, l), block(fid, l)
+    for l in range(a.shape[0]):
+        a_l, b_l = block(a, l), block(fid, l)
         outer = math.sqrt(2 * l + 1) * np.conj(a_l)[:, None] * b_l[None, :]
         t[:, L - l : L + l + 1, L - l : L + l + 1] += small_d_matrices(2 * l + 1, betas) * outer
     return t
@@ -121,7 +124,7 @@ def beta_grid_moments(a, rule: QuadratureRule):
 class TestFiducial:
     def test_circular_blocks(self):
         n = 5
-        fid = bob_fiducial(circular_state(n))
+        fid = bob_fiducial(padded(circular_state(n)))
         top = np.zeros(2 * n - 1)
         top[-1] = 1.0
         assert np.allclose(block(fid, n - 1), top)
@@ -132,11 +135,11 @@ class TestFiducial:
             assert np.allclose(block(fid, l), filler)
 
     def test_maximal_k_blocks(self):
-        wf = extreme_stark(4)
+        wf = padded(extreme_stark(4))
         fid = bob_fiducial(wf)
         for l in range(4):
             expected = np.zeros(2 * l + 1, dtype=complex)
-            expected[l] = wf.table[l, 3] / abs(wf.table[l, 3])
+            expected[l] = wf[l, 3] / abs(wf[l, 3])
             assert np.allclose(block(fid, l), expected, atol=1e-13)
 
     def test_generic_normalization(self):
@@ -176,7 +179,7 @@ class TestClosedFormMoments:
         # |<A|U|B>|^2 on every (alpha, beta, gamma) node, then the 3-D sum
         # against 1, cos(beta), R_xx + R_yy and R_xx - R_yy
         t = _t_stack(a, bob_fiducial(a), rule)
-        m_vals = np.arange(-(a.n - 1), a.n)
+        m_vals = np.arange(1 - a.shape[0], a.shape[0])
         e_alpha = np.exp(-1j * np.outer(alpha_nodes(rule), m_vals))
         e_gamma = np.exp(-1j * np.outer(gamma_nodes(rule), m_vals))
         prob = np.abs(np.einsum("ap,bpm,gm->abg", e_alpha, t, e_gamma)) ** 2
@@ -193,17 +196,20 @@ class TestClosedFormMoments:
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_match_full_grid(self, n):
+        # the package's fidelities on its states, and the series oracle on
+        # complex tables of any phases
         rng = np.random.default_rng(100 + n)
         directions = [unit(*rng.normal(size=3)) for _ in range(2)]
         states = [
             alice_two_axis_state(n, 0.7),
+            random_rows_state(n, rng),
             build_elliptic(n, *directions),
             random_wavefunction(n, rng),
         ]
         rule = QuadratureRule.for_shell(n)
         for a in states:
             closed = haar_moments(a)
-            grid = self.grid_moments(a, rule)
+            grid = self.grid_moments(padded(a) if isinstance(a, WaveFunction) else a, rule)
             assert np.abs(np.subtract(closed, grid)).max() <= 1e-14
 
     def test_match_beta_grid_at_n40(self):
@@ -214,20 +220,23 @@ class TestClosedFormMoments:
         for a in (alice_two_axis_state(n, 0.3), alice_two_axis_state(n, 0.7),
                   build_elliptic(n, *directions)):
             closed = haar_moments(a)
-            assert np.abs(np.subtract(closed, beta_grid_moments(a, rule))).max() <= 1e-12
+            table = padded(a) if isinstance(a, WaveFunction) else a
+            assert np.abs(np.subtract(closed, beta_grid_moments(table, rule))).max() <= 1e-12
 
     def test_tiny_row_is_normalized_not_replaced(self):
         # a row of norm 5e-13 is a fiducial row like any other: the moments
         # match the full grid over the fiducial that normalizes it, and only
         # an exactly empty row is completed (with the m=0 vector)
         n = 6
-        table = random_wavefunction(n, np.random.default_rng(6)).table
-        table[2] = 0.0
-        table[4] *= 5e-13 / np.linalg.norm(table[4])
-        a = WaveFunction(n, table / np.linalg.norm(table))
-        assert np.linalg.norm(a.table[4]) == pytest.approx(5e-13, rel=1e-6)
+        rng = np.random.default_rng(6)
+        rows = random_rows_state(n, rng, [1.0, 1.0, 0.0, 1.0, 0.0, 1.0]).rows
+        tiny = rng.normal(size=9)
+        rows[4] = (tiny * (5e-13 / np.linalg.norm(tiny))).tolist()
+        a = WaveFunction(n, rows, rng.integers(-8, 9, size=n).tolist())
+        assert math.hypot(*a.rows[4]) == pytest.approx(5e-13, rel=1e-12)
+        assert not any(a.rows[2])
         closed = haar_moments(a)
-        grid = self.grid_moments(a, QuadratureRule.for_shell(n))
+        grid = self.grid_moments(padded(a), QuadratureRule.for_shell(n))
         assert np.abs(np.subtract(closed, grid)).max() <= 1e-14
 
 
@@ -235,11 +244,12 @@ class TestClosedFormMoments:
 @given(hst.integers(2, MAX_N), hst.integers(0, 2**32 - 1))
 @example(MAX_N, 0)
 def test_fidelities_match_the_two_table_series(n, seed):
-    # the route that forms the X-sums of |A> and of the fiducial apart, the
-    # q' = -1 sums on their own closed forms, over tables with empty, 1e-13
-    # and decaying rows
-    a = random_uneven_wavefunction(n, np.random.default_rng(seed))
-    z, same, opposite = series_moments(a)
+    # the route that forms the complex X-sums of |A> and of the fiducial
+    # apart, the q' = -1 sums on their own closed forms, over the complex
+    # tables of real rows with random integer turns and empty, 5e-13 and
+    # decaying rows
+    a = random_uneven_state(n, np.random.default_rng(seed))
+    z, same, opposite = series_moments(padded(a))
     assert abs(cos_omega_z(a) - z) <= 1e-14
     cx, cy = cos_omega_xy(a)
     assert abs(cx - (same - opposite)) <= 1e-14
@@ -251,7 +261,7 @@ def test_each_fidelity_makes_one_x_sum_pass(monkeypatch):
     calls = []
     original = povm_so3._x_sums
     monkeypatch.setattr(povm_so3, "_x_sums",
-                        lambda u, cg, q: calls.append(q) or original(u, cg, q))
+                        lambda rows, q: calls.append(q) or original(rows, q))
     a = alice_two_axis_state(10, 0.7)
     cos_omega_z(a)
     assert calls == [0]
@@ -261,24 +271,37 @@ def test_each_fidelity_makes_one_x_sum_pass(monkeypatch):
 
 class TestCouplingTable:
     def test_entries_match_exact_clebsch_gordan(self):
+        # the q = 0, 1 coefficient lists of src and every plane of the
+        # oracle's table, each entry against the exact Racah sum
         n = 50
-        cg, _ = _cg_series(n)
-        assert cg.shape == (3, 2, n, 2 * n - 1)
-        # the q = 0, 1 planes of src and the test-side q = -1 plane
-        planes = {0: cg[:, 0], 1: cg[:, 1], -1: lowering_series(n)}
+        cg, weights = series_table(n)
+        assert cg.shape == (3, 3, n, 2 * n - 1)
+        series, src_weights = _cg_series(n)
+        assert np.array_equal(src_weights, weights)
         worst = 0.0
         for l in range(n):
+            blocks = {q: {d_l: (first, coeffs) for d_l, first, coeffs in series[q][l]}
+                      for q in (0, 1)}
             for d_l in (-1, 0, 1):
                 big_l = l + d_l
                 for q in (-1, 0, 1):
-                    row = planes[q][d_l + 1, l]
+                    row = cg[q + 1, d_l + 1, l]
+                    listed = {}
+                    if q >= 0 and d_l in blocks[q]:
+                        first, coeffs = blocks[q][d_l]
+                        listed = dict(zip(range(first, first + len(coeffs)), coeffs))
                     for m in range(-(n - 1), n):
                         allowed = abs(m) <= l and abs(m + q) <= big_l and big_l >= abs(l - 1)
                         if not allowed:
-                            assert row[m + n - 1] == 0.0
+                            assert row[m + n - 1] == 0.0 and m not in listed
                             continue
                         exact = clebsch_gordan(l, 1, big_l, m, q, m + q)
                         worst = max(worst, abs(row[m + n - 1] - exact))
+                        # src lists no L outside the shell, whose weight is 0
+                        if q >= 0 and big_l < n:
+                            assert listed[m] == row[m + n - 1]
+                        else:
+                            assert m not in listed
         assert worst <= 1e-15
 
 
@@ -368,7 +391,7 @@ def test_optimal_m0_state_matches_eigh_oracle():
         oracle = eigvecs[:, -1] * np.sign(eigvecs[0, -1])
         vec = optimal_m0_state(n)
         assert np.abs(vec - oracle).max() <= 1e-13
-        assert vec.min() > 0.0
+        assert min(vec) > 0.0
         assert abs(cos_omega_z_m0(vec) - eigvals[-1]) <= 1e-15
 
 
@@ -402,7 +425,7 @@ class TestTwoAxis:
     def test_two_axis_state_geometry(self):
         for n, e in ((5, 0.3), (8, 1 / math.sqrt(2))):
             wf = alice_two_axis_state(n, e)
-            lvec, kvec = lk_moments(wf)[:2]
+            lvec, kvec = lk_moments(padded(wf))[:2]
             assert kvec[0] == pytest.approx((n - 1) * e, abs=1e-10)
             assert lvec[1] == pytest.approx((n - 1) * math.sqrt(1 - e * e), abs=1e-10)
             assert abs(kvec[1]) < 1e-10 and abs(kvec[2]) < 1e-10
@@ -412,8 +435,8 @@ class TestTwoAxis:
         n = 5
         wf = alice_two_axis_state(n, 0.0)
         theta, phi = spherical(Y_AXIS)
-        target = rotate(circular_state(n), EulerAngles(phi, theta, 0.0))
-        assert abs(np.vdot(wf.table, target.table)) ** 2 == pytest.approx(1.0, abs=1e-12)
+        target = rotate(padded(circular_state(n)), EulerAngles(phi, theta, 0.0))
+        assert abs(np.vdot(padded(wf), target)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_eccentricity_range(self):
         with pytest.raises(ValueError):
@@ -446,7 +469,7 @@ class TestTwoAxis:
         n, e = 5, 0.3
         a = alice_two_axis_state(n, e)
         rule = QuadratureRule.for_shell(n)
-        t = _t_stack(a, bob_fiducial(a), rule)
+        t = _t_stack(padded(a), bob_fiducial(padded(a)), rule)
         m_vals = np.arange(-(n - 1), n)
         alphas, gammas = alpha_nodes(rule), gamma_nodes(rule)
         betas, _ = beta_nodes(rule)
@@ -498,14 +521,14 @@ class TestCompleteness:
 
     def test_sparse_blocks(self):
         # states with vanishing blocks still integrate to one
-        assert povm_completeness_deviation(circular_state(6)) < 1e-12
-        assert povm_completeness_deviation(extreme_stark(6)) < 1e-12
+        assert povm_completeness_deviation(padded(circular_state(6))) < 1e-12
+        assert povm_completeness_deviation(padded(extreme_stark(6))) < 1e-12
 
     @pytest.mark.parametrize("n", [40, 64])
     def test_large_shells(self, n):
         rng = np.random.default_rng(n)
         directions = [unit(*rng.normal(size=3)) for _ in range(2)]
-        for wf in (alice_two_axis_state(n, 0.7), build_elliptic(n, *directions),
+        for wf in (padded(alice_two_axis_state(n, 0.7)), build_elliptic(n, *directions),
                    random_wavefunction(n, rng)):
             assert povm_completeness_deviation(wf) <= 1e-12
 

@@ -284,7 +284,7 @@ def stark_set_grid(n):
     integrate the degree-2(n-1) integrand exactly. Returns the full
     (n^2, n^2) matrix over the |l m> basis, blocks in ascending l.
     """
-    c_l = extreme_stark(n).m0_amplitudes().real
+    c_l = np.real(extreme_stark(n).m0_amplitudes())
     n_theta, n_phi = 2 * n, 4 * n + 4
     x, w_theta = np.polynomial.legendre.leggauss(n_theta)
     thetas = np.arccos(x)

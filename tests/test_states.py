@@ -38,7 +38,9 @@ from shell_table import (
     block,
     dispersion_sum,
     lk_moments,
+    padded,
     povm_completeness_deviation,
+    random_rows_state,
     random_wavefunction,
     to_product_amplitudes,
     two_axis_table_40,
@@ -53,31 +55,31 @@ class TestConstruction:
     def test_aligned_directions_give_circular(self):
         for n in (2, 5, 9):
             wf = build_elliptic(n, Z_AXIS, Z_AXIS)
-            assert abs(wf.table[n - 1, -1]) == pytest.approx(1.0, abs=1e-12)
-            circular = circular_state(n)
-            assert abs(np.vdot(wf.table, circular.table)) ** 2 == pytest.approx(1.0, abs=1e-12)
+            assert abs(wf[n - 1, -1]) == pytest.approx(1.0, abs=1e-12)
+            circular = padded(circular_state(n))
+            assert abs(np.vdot(wf, circular)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_opposite_directions_give_maximal_k(self):
         for n in (2, 3, 7):
             wf = build_elliptic(n, neg(Z_AXIS), Z_AXIS)
-            stark = extreme_stark(n)
-            assert abs(np.vdot(wf.table, stark.table)) ** 2 == pytest.approx(1.0, abs=1e-12)
+            stark = padded(extreme_stark(n))
+            assert abs(np.vdot(wf, stark)) ** 2 == pytest.approx(1.0, abs=1e-12)
             j = (n - 1) / 2
             for l in range(n):
-                assert wf.table[l, n - 1].real == pytest.approx(
+                assert wf[l, n - 1].real == pytest.approx(
                     clebsch_gordan(j, j, l, -j, j, 0), abs=1e-12
                 )
 
     def test_circular_state_n2(self):
         wf = circular_state(2)
-        assert wf.table[1, 2] == 1.0
+        assert padded(wf)[1, 2] == 1.0
         assert wf.norm() == pytest.approx(1.0)
 
     def test_stark_n3_coefficients(self):
-        wf = extreme_stark(3)
+        wf = padded(extreme_stark(3))
         expected = [1 / math.sqrt(3), 1 / math.sqrt(2), 1 / math.sqrt(6)]
         for l, mag in enumerate(expected):
-            assert abs(wf.table[l, 2]) == pytest.approx(mag, abs=1e-14)
+            assert abs(wf[l, 2]) == pytest.approx(mag, abs=1e-14)
         lvec = lk_moments(wf)[0]
         assert abs(lvec[2]) < 1e-12  # <L_z> = 0
 
@@ -91,16 +93,16 @@ class TestConstruction:
     def test_stark_n10_printed_row(self):
         printed = [0.3162, 0.4954, 0.5222, 0.4534, 0.3365,
                    0.2148, 0.1167, 0.0526, 0.0186, 0.0045]
-        wf = extreme_stark(10)
+        wf = padded(extreme_stark(10))
         for l, ref in enumerate(printed):
-            value = abs(wf.table[l, 9])
+            value = abs(wf[l, 9])
             assert math.floor(value * 1e4) / 1e4 == pytest.approx(ref, abs=1e-12)
 
     def test_build_output_normalized(self):
         rng = np.random.default_rng(4)
         for _ in range(5):
             wf = build_elliptic(6, random_direction(rng), random_direction(rng))
-            assert wf.norm() == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(wf) == pytest.approx(1.0, abs=1e-12)
 
     def test_product_state_factors(self):
         # a unit-norm table of rank one: the outer product of two unit spinors
@@ -109,22 +111,25 @@ class TestConstruction:
         assert np.abs(singular[1:]).max() < 1e-13
 
     def test_wavefunction_validation(self):
-        for table, message in (
-            ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], "norm"),  # norm 2
-            ([[1.0, 0.0], [0.0, 0.0]], "shape"),
-            ([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]], "shape"),
-            ([[0.6, 0.0, 0.8], [0.0, 0.0, 0.0]], "outside"),  # l = 0, m = -1 and +1
-            ([[0.0, np.nan, 0.0], [0.0, 0.0, 0.0]], "norm"),
+        # rows of lengths 1, 3 for n = 2 and one turn per row; a state has no
+        # entry outside |m| <= l to refuse, since no row holds one
+        for rows, turns, message in (
+            ([[1.0], [1.0, 0.0, 0.0]], [0, 0], "norm"),  # norm 2
+            ([[1.0]], [0], "shape"),
+            ([[1.0], [0.0, 0.0]], [0, 0], "shape"),
+            ([[0.6, 0.0, 0.8], [0.0]], [0, 0], "shape"),
+            ([[1.0], [0.0, 0.0, 0.0]], [0], "shape"),
+            ([[np.nan], [0.0, 0.0, 0.0]], [0, 0], "norm"),
         ):
             with pytest.raises(ValueError, match=message):
-                WaveFunction(2, table)
+                WaveFunction(2, rows, turns)
 
     def test_shell_range(self):
         for n in (1, MAX_N + 1):
-            table = np.zeros((n, 2 * n - 1))
-            table[0, n - 1] = 1.0
+            rows = [[0.0] * (2 * l + 1) for l in range(n)]
+            rows[0][0] = 1.0
             with pytest.raises(ValueError, match="MAX_N"):
-                WaveFunction(n, table)
+                WaveFunction(n, rows, [0] * n)
         with pytest.raises(ValueError):
             build_elliptic(MAX_N + 1, X_AXIS, Y_AXIS)
 
@@ -234,7 +239,7 @@ class TestExpectations:
 
     def test_circular_expectations(self):
         for n in (2, 6):
-            lvec, kvec = lk_moments(circular_state(n))[:2]
+            lvec, kvec = lk_moments(padded(circular_state(n)))[:2]
             assert np.linalg.norm(kvec) < 1e-12
             assert lvec[2] == pytest.approx(n - 1.0, abs=1e-12)
 
@@ -254,7 +259,7 @@ class TestExpectations:
             assert dispersion_sum(product_amplitudes(*args)) == pytest.approx(2.0 * (n - 1), abs=1e-9)
 
     def test_dispersion_n2_circular(self):
-        assert dispersion_sum(circular_state(2)) == pytest.approx(2.0, abs=1e-12)
+        assert dispersion_sum(padded(circular_state(2))) == pytest.approx(2.0, abs=1e-12)
 
     def test_dispersion_minimality(self):
         rng = np.random.default_rng(14)
@@ -272,7 +277,7 @@ class TestExpectations:
                 assert abs(lk_sym) < 1e-10
                 # independent route for <L^2> from the l-block structure
                 l2_blocks = sum(
-                    l * (l + 1) * float(np.vdot(block(wf.table, l), block(wf.table, l)).real)
+                    l * (l + 1) * float(np.vdot(block(wf, l), block(wf, l)).real)
                     for l in range(n)
                 )
                 assert l2 == pytest.approx(l2_blocks, abs=1e-10)
@@ -282,7 +287,7 @@ class TestOverlapAndRotation:
     def test_self_overlap(self):
         rng = np.random.default_rng(16)
         wf = random_wavefunction(5, rng)
-        assert np.vdot(wf.table, wf.table).real == pytest.approx(1.0, abs=1e-12)
+        assert np.vdot(wf, wf).real == pytest.approx(1.0, abs=1e-12)
 
     def test_maximal_k_overlap_law(self):
         rng = np.random.default_rng(17)
@@ -293,17 +298,17 @@ class TestOverlapAndRotation:
             s2 = build_elliptic(n, neg(u2), u2)
             chi = angle_between(u1, u2)
             law = math.cos(chi / 2) ** (4 * (n - 1))
-            assert abs(np.vdot(s1.table, s2.table)) ** 2 == pytest.approx(law, abs=1e-11)
+            assert abs(np.vdot(s1, s2)) ** 2 == pytest.approx(law, abs=1e-11)
 
     def test_shell_mismatch(self):
         with pytest.raises(ValueError):
-            np.vdot(circular_state(3).table, circular_state(4).table)
+            np.vdot(padded(circular_state(3)), padded(circular_state(4)))
 
     def test_rotate_identity(self):
         rng = np.random.default_rng(18)
         wf = random_wavefunction(6, rng)
         rotated = rotate(wf, EulerAngles(0.0, 0.0, 0.0))
-        assert abs(np.vdot(wf.table, rotated.table)) ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(wf, rotated)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_rotate_preserves_block_norms(self):
         rng = np.random.default_rng(19)
@@ -311,17 +316,17 @@ class TestOverlapAndRotation:
             wf = random_wavefunction(n, rng)
             rotated = rotate(wf, EulerAngles(1.3, 0.9, 5.1))
             for l in range(n):
-                before, after = block(wf.table, l), block(rotated.table, l)
+                before, after = block(wf, l), block(rotated, l)
                 assert np.linalg.norm(after) == pytest.approx(np.linalg.norm(before), abs=1e-12)
 
     def test_rotated_maximal_k_equals_built(self):
         # U(phi, theta, 0) |K, z> = |-u> (x) |u> for u along (theta, phi)
         n = 6
         theta, phi = 0.8, 2.2
-        rotated = rotate(extreme_stark(n), EulerAngles(phi, theta, 0.0))
+        rotated = rotate(padded(extreme_stark(n)), EulerAngles(phi, theta, 0.0))
         u = from_spherical(theta, phi)
         built = build_elliptic(n, neg(u), u)
-        assert abs(np.vdot(rotated.table, built.table)) ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(rotated, built)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_rotation_composition_matches_classical(self):
         rng = np.random.default_rng(20)
@@ -332,14 +337,14 @@ class TestOverlapAndRotation:
             wf = random_wavefunction(n, rng)
             two_step = rotate(rotate(wf, a2), a1)
             one_step = rotate(wf, combined)
-            assert np.abs(two_step.table - one_step.table).max() < 1e-11, n
+            assert np.abs(two_step - one_step).max() < 1e-11, n
 
 
 def json_oracle(wf):
-    """The state's JSON text by the standard library encoder."""
-    n = wf.n
-    entries = [{"l": l, "m": m, "re": float(wf.table[l, n - 1 + m].real),
-                "im": float(wf.table[l, n - 1 + m].imag)}
+    """The state's JSON text by the standard library encoder, from its table."""
+    n, table = wf.n, padded(wf)
+    entries = [{"l": l, "m": m, "re": float(table[l, n - 1 + m].real),
+                "im": float(table[l, n - 1 + m].imag)}
                for l in range(n) for m in range(-l, l + 1)]
     return json.dumps({"n": n, "entries": entries}, indent=2) + "\n"
 
@@ -347,11 +352,12 @@ def json_oracle(wf):
 class TestSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(22)
-        wf = random_wavefunction(5, rng)
+        wf = random_rows_state(5, rng)
         data = json.loads(wf.to_json())
         assert data["n"] == 5
+        table = padded(wf)
         for e in data["entries"]:
-            assert complex(e["re"], e["im"]) == wf.table[e["l"], 4 + e["m"]]
+            assert complex(e["re"], e["im"]) == table[e["l"], 4 + e["m"]]
 
     def test_entries_sorted_and_complete(self):
         wf = extreme_stark(3)
@@ -373,31 +379,30 @@ class TestSerialization:
             assert wf.to_json() == json_oracle(wf), n
 
     def test_to_json_matches_json_module_on_exponent_reprs(self):
-        # signed zeros, the smallest subnormal and reprs with an exponent
-        table = np.zeros((2, 3), dtype=complex)
-        table[0, 1] = complex(-0.0, -math.sqrt(1.0 - 1e-12))
-        table[1, 0] = complex(5e-324, 1e-300)
-        table[1, 1] = complex(1e-07, -0.0)
-        table[1, 2] = complex(-1e-07, 0.0)
-        wf = WaveFunction(2, table)
+        # signed zeros, the smallest subnormal and reprs with an exponent, on
+        # each of the four turns; a zero of either sign prints as 0.0
+        rows = [[1e-300], [5e-324, -0.0, 1e-07], [0.0, -0.0, -math.sqrt(1.0 - 1e-14), -1e-07, 0.0]]
+        wf = WaveFunction(3, rows, [3, 1, 6])
         text = wf.to_json()
         assert text == json_oracle(wf)
-        for token in ('"re": -0.0', '"re": 5e-324', '"im": 1e-300', '"re": 1e-07', '"im": -0.0'):
+        for token in ('"im": 1e-300', '"re": 5e-324', '"re": -1e-07', '"im": -1e-07',
+                      '"re": 0.999999999999995,'):
             assert token in text
+        assert '"re": -0.0,' not in text and '"im": -0.0\n' not in text
 
     def test_product_amplitude_round_trip(self):
         rng = np.random.default_rng(23)
         wf = random_wavefunction(6, rng)
         back = from_product_amplitudes(6, to_product_amplitudes(wf))
-        assert abs(np.vdot(wf.table, back.table)) ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(wf, back)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_product_amplitudes_leave_exact_zeros_outside_the_triangle(self):
         # the shear sums only zero tensor entries there, so no rounding residue
-        # reaches the |m| > l entries that WaveFunction refuses
+        # reaches the |m| > l entries, which no state has
         rng = np.random.default_rng(24)
         for n in range(2, MAX_N + 1):
             psi = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            table = from_product_amplitudes(n, psi / np.linalg.norm(psi)).table
+            table = from_product_amplitudes(n, psi / np.linalg.norm(psi))
             outside = np.abs(np.arange(2 * n - 1) - (n - 1)) > np.arange(n)[:, None]
             assert np.all(table[outside] == 0.0)
 
@@ -409,7 +414,7 @@ class TestSerialization:
         loop = np.zeros((n, n), dtype=complex)
         for l in range(n):
             pad = np.zeros(2 * n - 1, dtype=complex)
-            pad[n - 1 - l : n + l] = block(wf.table, l)
+            pad[n - 1 - l : n + l] = block(wf, l)
             loop += dense_coupling(n)[l] * pad[i1 + i2]
         assert np.array_equal(to_product_amplitudes(wf), loop)
 
@@ -445,7 +450,7 @@ def test_two_axis_state_matches_the_dense_route():
             turns = (i1 - i2) * math.asin(e)
             psi = np.outer(b, b) * quarter_turns * (np.cos(turns) - 1j * np.sin(turns))
             dense = dense_from_product_amplitudes(n, psi)
-            assert np.abs(alice_two_axis_state(n, e).table - dense.table).max() <= 1e-14, (n, e)
+            assert np.abs(padded(alice_two_axis_state(n, e)) - dense).max() <= 1e-14, (n, e)
 
 
 def test_two_axis_state_matches_its_closed_form_to_40_digits():
@@ -454,7 +459,7 @@ def test_two_axis_state_matches_its_closed_form_to_40_digits():
     # 9.7e-15 here (n = 92, e = 1)
     for n in range(2, MAX_N + 1):
         for e in (0.0, 0.05, 0.3, 0.7, 0.95, 1.0):
-            error = np.abs(alice_two_axis_state(n, e).table - two_axis_table_40(n, e)).max()
+            error = np.abs(padded(alice_two_axis_state(n, e)) - two_axis_table_40(n, e)).max()
             assert error <= 5e-16, (n, e, error)
 
 
@@ -470,18 +475,24 @@ def _theory_zero_parts(n):
 
 
 def test_two_axis_state_has_exact_zeros_and_mirror():
-    # the components that vanish in theory are +0.0 (to_json prints -0.0 as
-    # "-0.0"), and a[l, -M] = (-1)^(2j-l) conj(a[l, M]) bit for bit
+    # row l carries the turn 2j-l and is its own mirror bit for bit, so the
+    # components that vanish in theory are exact zeros, which to_json prints
+    # as 0.0, and a[l, -M] = (-1)^(2j-l) conj(a[l, M]) bit for bit
     for n in range(2, MAX_N + 1):
         zero_re, zero_im = _theory_zero_parts(n)
         parity = (-1.0) ** (n - 1 - np.arange(n))
         for e in (0.0, 0.05, 0.3, 0.6, 0.7, 0.95, 1.0):
-            table = alice_two_axis_state(n, e).table
+            wf = alice_two_axis_state(n, e)
+            assert wf.turns == [n - 1 - l for l in range(n)], (n, e)
+            assert all(row == row[::-1] for row in wf.rows), (n, e)
+            table = padded(wf)
             for part, zero in ((table.real, zero_re), (table.imag, zero_im)):
                 assert np.all(part[zero] == 0.0), (n, e)
-                assert not np.signbit(part[zero]).any(), (n, e)
             mirror = parity[:, None] * table[:, : n - 1 : -1].conj()
             assert np.array_equal(table[:, : n - 1], mirror), (n, e)
+            if n in (2, 3, 50, MAX_N):
+                text = wf.to_json()
+                assert '"re": -0.0,' not in text and '"im": -0.0\n' not in text, (n, e)
 
 
 def test_two_axis_state_matches_the_racah_sum():
@@ -500,4 +511,4 @@ def test_two_axis_state_matches_the_racah_sum():
                      for (i1, i2), w in zip(pairs, weights)]
             total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
             reference[l, n - 1 + big_m] = (-1j) ** (big_m % 4) * total
-    assert np.abs(alice_two_axis_state(n, e).table - reference).max() <= 7e-16
+    assert np.abs(padded(alice_two_axis_state(n, e)) - reference).max() <= 7e-16
