@@ -1,6 +1,6 @@
 """Direction transmission with coherent states of the hydrogenic n-shell.
 
-The modules are the API; import names from them: angmom (spin kernels),
+The modules are the API; import names from them: angmom (size limits),
 geometry (directions), states (shell coherent states), povm_so3 (covariant
 measurement), povm_so4 (product measurement and sampling), ortho
 (orthogonalization gain) and cli (the command-line front end).

@@ -111,7 +111,7 @@ def cmd_table1(args, tol: dict):
             e_val, eta_val = cells[axis]
             e_ref, eta_ref = ref.SINGLE_AXIS[n][axis]
             eta_tol = tol["eta_abs"] if axis == "w" else tol["eta_abs_closed"]
-            ok = bool(abs(e_val - e_ref) <= tol["e_abs"] and abs(eta_val - eta_ref) <= eta_tol)
+            ok = abs(e_val - e_ref) <= tol["e_abs"] and abs(eta_val - eta_ref) <= eta_tol
             rows.append([n, axis, e_val, e_ref, abs(e_val - e_ref),
                          eta_val, eta_ref, abs(eta_val - eta_ref), ok])
     return {"method": _METHOD_NOTE}, columns, rows
@@ -167,7 +167,7 @@ def cmd_table3(args, tol: dict):
             continue
         e_dev = abs(e_opt - reference["e_opt"])
         eta_dev = abs(eta_min - reference["elliptic"])
-        ok = bool(e_dev <= tol["e_abs"] and eta_dev <= tol["eta_abs"])
+        ok = e_dev <= tol["e_abs"] and eta_dev <= tol["eta_abs"]
         rows.append(["optimum", n, e_opt, eta_min, reference["e_opt"], e_dev,
                      reference["elliptic"], eta_dev, reference["optimal"], ok])
     meta = {"n_list": ",".join(str(n) for n in args.n_list), "method": _METHOD_NOTE}
@@ -214,7 +214,7 @@ def cmd_ortho(args, tol: dict):
         n = report.n
         g_expected = p4.so4_infidelity(n)
         g_pull = abs(report.g - g_expected) / _mean_stderr_of_g(n, samples)
-        g_ok = bool(g_pull <= tol["sigma"])
+        g_ok = g_pull <= tol["sigma"]
         if n >= tol["ratio_min_n"]:
             ratio_ok = abs(report.ratio - tol["ratio_target"]) <= tol["ratio_abs"]
         else:

@@ -16,15 +16,17 @@ leaves a sum over l and L of w_{lL} X^a_{lL}(q) conj(X^b_{lL}(q')), with
 w_{lL} = sqrt((2l+1)/(2L+1)) and m-sums X weighted by the j2 = 1
 Clebsch-Gordan coefficients, which have closed algebraic forms. Since b_l
 is the unit row a_l / ||a_l||, X^b_{lL} = X^a_{lL} / (||a_l|| ||a_L||): the
-fiducial enters only as inverse row-norm weights, and each fidelity makes
-one pass of X-sums over the state's rows, at q = 0 for cos(beta) and q = 1
-for the in-plane axes, whose q' = -1 moment follows from the q = 1 sums by
-the symmetry of the coefficients. A state's amplitudes are real rows up to a
-quarter turn (`states.WaveFunction`), and the turns leave each X a fixed
-phase times a real sum, so every fidelity is real arithmetic on Python
-floats: ordered loops and `math.fsum`, not the builtin `sum`, whose float
-sums CPython compensates from 3.12 on, so the results are the same bits on
-every CPython. One evaluation costs O(n^2). The result equals the exact
+fiducial enters only as inverse row-norm weights. Each fidelity then makes
+one pass over the state's rows and the one plane of the series it reads
+(`_cg_plane`: coefficients and weights of q = 0 for cos(beta), of q = 1 for
+the in-plane axes, whose q' = -1 moment follows from the q = 1 sums by the
+symmetry of the coefficients), adding each X-sum's term as soon as the sum
+is formed. A state's amplitudes are real rows up to a quarter turn
+(`states.WaveFunction`), and the turns leave each X a fixed phase times a
+real sum, so every fidelity is real arithmetic on Python floats: ordered
+loops and `math.fsum`, not the builtin `sum`, whose float sums CPython
+compensates from 3.12 on, so the results are the same bits on every
+CPython. One evaluation costs O(n^2). The result equals the exact
 product grid that QuadratureRule declares (2n Gauss-Legendre nodes in
 cos(beta), 4n+4 equispaced nodes in alpha and gamma; exact for these
 trigonometric polynomials), which the tests integrate on as an oracle.
@@ -78,40 +80,26 @@ def _series_block(l: int, big_l: int, q: int):
 
 
 @lru_cache(maxsize=4)  # commands walk their shells one at a time
-def _cg_series(n: int):
-    """Coefficient lists and weights of the Clebsch-Gordan series for the shell n.
+def _cg_plane(n: int, q: int):
+    """The q plane of the Clebsch-Gordan series of the shell n.
 
-    series[q][l], q = 0, 1, lists (dL, first, cg) of `_series_block` for each
-    L = l + dL in the shell with |l - 1| <= L. weights[dL + 1][l] =
-    sqrt((2l+1) / (2L+1)), zero where L leaves the shell.
+    blocks[l] lists (dL, first, cg, w) for each L = l + dL in the shell with
+    |l - 1| <= L: (first, cg) of `_series_block` and the series weight
+    w = sqrt((2l+1) / (2L+1)).
     """
-    series = tuple(tuple(tuple((d_l, *_series_block(l, l + d_l, q)) for d_l in (-1, 0, 1)
-                               if abs(l - 1) <= l + d_l < n) for l in range(n)) for q in (0, 1))
-    weights = tuple(tuple(math.sqrt((2 * l + 1) / (2 * (l + d_l) + 1)) if 0 <= l + d_l < n
-                          else 0.0 for l in range(n)) for d_l in (-1, 0, 1))
-    return series, weights
+    return tuple(tuple((d_l, *_series_block(l, l + d_l, q),
+                        math.sqrt((2 * l + 1) / (2 * (l + d_l) + 1)))
+                       for d_l in (-1, 0, 1) if abs(l - 1) <= l + d_l < n) for l in range(n))
 
 
-def _x_sums(rows: list, q: int) -> list:
-    """X[dL + 1][l] = sum_m r_{l,m} r_{l+dL,m+q} <l m; 1 q | l+dL m+q> over the
-    state's real rows, each an ordered loop; zero where l + dL leaves the shell."""
-    n = len(rows)
-    x = [[0.0] * n for _ in range(3)]
-    for l, blocks in enumerate(_cg_series(n)[0][q]):
-        for d_l, first, cg in blocks:
-            total = 0.0
-            for u, v, c in zip(rows[l][l + first :], rows[l + d_l][l + d_l + first + q :], cg):
-                total += u * v * c
-            x[d_l + 1][l] = total
-    return x
+def _fidelity_parts(a: WaveFunction, q: int):
+    """One pass of the state's rows over the plane q: (parts, cross).
 
-
-def _fidelity_sums(a: WaveFunction, q: int):
-    """The X-sums x of the rows at q, the pair norms p[dL + 1][l] =
-    ||a_l|| ||a_{l+dL}|| (zero where l + dL leaves the shell), and the parts
-    sum_l w_{lL} X_{lL}^2 / p_{lL} of dL = -1, 0, 1, each an ordered loop, to
-    be added by the correctly rounded `fsum`. The pairs that hold an empty row
-    (p = 0, X = 0) add nothing.
+    Each X_{lL} = sum_m r_{l,m} r_{L,m+q} <l m; 1 q | L m+q> is an ordered loop,
+    and with p = ||a_l|| ||a_L|| the pass adds w X^2 / p into parts[dL + 1] and
+    X_{l-1,l} X_{l,l-1} / p into cross at dL = -1, in ascending l; the three
+    parts are to be added by the correctly rounded `fsum`. The pairs that hold
+    an empty row (p = 0, X = 0) add nothing.
     """
     norms = []
     for row in a.rows:
@@ -119,16 +107,19 @@ def _fidelity_sums(a: WaveFunction, q: int):
         for r in row:
             total += r * r
         norms.append(math.sqrt(total))
-    bordered = [0.0, *norms, 0.0]
-    pairs = [[norm * other for norm, other in zip(norms, bordered[k:])] for k in (0, 1, 2)]
-    x, parts = _x_sums(a.rows, q), []
-    for x_row, p_row, w_row in zip(x, pairs, _cg_series(a.n)[1]):
-        part = 0.0
-        for v, p, w in zip(x_row, p_row, w_row):
+    rows, parts, cross, up = a.rows, [0.0, 0.0, 0.0], 0.0, 0.0
+    for l, blocks in enumerate(_cg_plane(a.n, q)):
+        for d_l, first, cg, w in blocks:
+            x = 0.0
+            for u, v, c in zip(rows[l][l + first :], rows[l + d_l][l + d_l + first + q :], cg):
+                x += u * v * c
+            p = norms[l] * norms[l + d_l]
             if p:
-                part += w * (v * v) / p
-        parts.append(part)
-    return x, pairs, parts
+                parts[d_l + 1] += w * (x * x) / p
+                if d_l < 0:
+                    cross += up * x / p
+            up = x  # the last block of a row, dL = +1, is read by the next row's first
+    return parts, cross
 
 
 def cos_omega_z(a: WaveFunction) -> float:
@@ -137,7 +128,7 @@ def cos_omega_z(a: WaveFunction) -> float:
     The Haar average of |<A|U|B>|^2 cos(beta), cos(beta) = D^1_00, from the
     q = 0 X-sums of the rows.
     """
-    return math.fsum(_fidelity_sums(a, 0)[2])
+    return math.fsum(_fidelity_parts(a, 0)[0])
 
 
 def cos_omega_xy(a: WaveFunction):
@@ -157,11 +148,7 @@ def cos_omega_xy(a: WaveFunction):
     sum_l X_ll^2 / p_ll - 2 sum_l X_{l,l+1} X_{l+1,l} / p_{l,l+1}, whose first
     sum is the dL = 0 part of `same` (w_ll = 1).
     """
-    x, pairs, parts = _fidelity_sums(a, 1)
-    cross = 0.0
-    for up, down, p in zip(x[2], x[0][1:], pairs[2]):
-        if p:
-            cross += up * down / p
+    parts, cross = _fidelity_parts(a, 1)
     same, opposite = math.fsum(parts), parts[1] - 2.0 * cross
     return same - opposite, same + opposite
 
@@ -249,4 +236,4 @@ def optimize_eccentricity(n: int, objective: str = "two_axes"):
         eta_vertex = eta(vertex)
         if eta_vertex < eta_best:
             e_best, eta_best = vertex, eta_vertex
-    return float(e_best), float(eta_best)
+    return e_best, eta_best

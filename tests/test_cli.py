@@ -7,11 +7,12 @@ import os
 import resource
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as hst
 
 import rydberg_frames
 from rydberg_frames import povm_so3
@@ -82,33 +83,11 @@ def test_rerun_is_byte_identical(argv, tmp_path):
 # Python floats summed in a fixed order, so their pins hold on every CPython
 # from 3.10 (CI runs them without numpy installed), whether or not numpy
 # dispatches to its AVX-512 loops, and on every OpenBLAS core tried (below).
-_PINNED = {
-    "table1": (["table1"],
-               "b0aabef633619d22632a4f1a26b6bb9dfa1eef0fb5fd7adf7fb12d0a7c2ead39"),
-    "table2": (["table2"],
-               "25e88130aa9d9bf1bd51b7a40cc07f6206395987d060d3c2d86e14e1a32ce625"),
-    "table3": (["table3", "--n-list", "5", "--ecc-grid", "0.3,0.5,0.7"],
-               "a6133664529bf1dd1bd9ba10dc33c1baaf6729373b14da9068139feef8a46e15"),
-    # the benchmark's large shell, and one curve point and optimum at MAX_N
-    "table3n40": (["table3", "--n-list", "40"],
-                  "9e1193b931b52f521a42cbf87ac177c6062f5f9bdcf93b35b16838f2d6d506f7"),
-    "table3n101": (["table3", "--n-list", "101", "--ecc-grid", "0.5"],
-                   "f0928674b54c5b1c794c41ef8e0de2ecb32c0eef820849bd1301b293979a98b9"),
-    "so4": (["so4", "--samples", "20000", "--seed", "3"],
-            "76777697b355a1bbd4b7b8e49c2016fa5a797ffba0de621458b9ea2a2626b039"),
-    "ortho": (["ortho", "--n-list", "5", "--samples", "100000"],
-              "036db0ea095dabe76237357f63583950dbb0a2034bbc2f54ef78045b5e78e683"),
-    "stark": (["state", "--kind", "stark", "--n", "8"],
-              "0c7884bd726ed32effecdb36541153782d9e2e8f9a8a53ab3f98eafefd9a8365"),
-    "elliptic50": (["state", "--kind", "elliptic", "--n", "50", "--e", "0.7"],
-                   "d2859f84dc78411365efc2b56ecdef144d7c311683f705a256879d556c5d524d"),
-    "elliptic101": (["state", "--kind", "elliptic", "--n", "101", "--e", "0.3"],
-                    "44b434babe6f8620e52fc3a4f2a4e6a831f67bc3003b6219f64203812daf639b"),
-    "stark101": (["state", "--kind", "stark", "--n", "101"],
-                 "0b2c2c8d5989bf811cecf182c15150b2422743050f258823d8750eef120382ca"),
-    "circular5": (["state", "--kind", "circular", "--n", "5"],
-                  "eaab2abbb56ba834b860613043489c98ba593498855f81b363a4a393daa65cb0"),
-}
+# The pins live in pins.json, one {argv, sha256} per id, which CI's job without
+# numpy reads too. table3n40 is the benchmark's large shell, and table3n101 one
+# curve point and optimum at MAX_N.
+_PINNED = {name: (pin["argv"], pin["sha256"])
+           for name, pin in json.loads((Path(__file__).parent / "pins.json").read_text()).items()}
 
 
 @pytest.mark.parametrize("argv, digest", list(_PINNED.values()), ids=list(_PINNED))
@@ -181,6 +160,19 @@ def test_paper_tables_make_no_lapack_call(monkeypatch, tmp_path):
         assert main([*argv, "--out", str(tmp_path / "out")]) == 0, argv
     for objective in ("two_axes", "single_w_axis"):
         povm_so3.optimize_eccentricity(5, objective)
+
+
+def test_each_table_builds_only_the_plane_it_reads(monkeypatch, tmp_path):
+    # table1's fidelities read only the series plane q = 0, table3's only q = 1
+    built = []
+    original = povm_so3._series_block
+    monkeypatch.setattr(povm_so3, "_series_block",
+                        lambda l, big_l, q: built.append(q) or original(l, big_l, q))
+    for argv, plane in ((["table1"], 0), (["table3", "--n-list", "5"], 1)):
+        built.clear()
+        povm_so3._cg_plane.cache_clear()
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert set(built) == {plane}, argv
 
 
 def test_table2_json_format():
@@ -447,3 +439,108 @@ def test_samples_above_max_samples_is_usage_error(command):
     # refused before anything is drawn: the count would need gigabytes
     err = assert_usage_error([command, "--samples", str(MAX_SAMPLES + 1)])
     assert str(MAX_SAMPLES) in err
+
+
+
+# Odd values, one of which may replace the drawn value of any flag but a
+# path: non-finite and overflowing numbers, the empty string, a non-ASCII
+# digit and an underscore grouping (int() and float() take both), a leading
+# minus and a word
+_ODD = ("nan", "inf", "-inf", "1e400", "", "\u0665", "1_000", "-1", "x")
+# the path flags draw a kind, which the test maps to a path in tmp_path
+_WRITE = hst.sampled_from(("@file", "@missing", "@directory"))
+_SHELL = hst.sampled_from(("2", "10", "101", "102", "1", str(10**400)))
+_VECTOR = hst.sampled_from(("1,0,0", "0,1,0", "-1,0,0", "0.6,0.8,0", "1,1,0", "nan,0,0",
+                            "inf,0,0", "1e400,0,0", "1,0", "1,0,0,0", ",,", "\u0665,0,0"))
+_PATHS = {"--out": _WRITE, "--dump-samples": _WRITE,
+          "--tolerance-file": hst.sampled_from(("@defaults", "@zeros", "@junk", "@nan",
+                                                "@truncated", "@missing", "@directory"))}
+_VALUES = {
+    **_PATHS, "--format": hst.sampled_from(("csv", "json")), "--n": _SHELL, "--v1": _VECTOR,
+    "--v2": _VECTOR, "--seed": hst.sampled_from(("0", "7", str(2**64))),
+    "--kind": hst.sampled_from(("circular", "stark", "elliptic")),
+    "--e": hst.sampled_from(("0", "0.5", "1", "1.5")),
+    "--ecc-grid": hst.sampled_from(("0.3", "0,1", "0.5,0.7", "1.5", "-0.1")),
+    ("table3", "--n-list"): hst.sampled_from(("5", "3,4", "10", "2", "102", "5,x", "5,,10")),
+    ("ortho", "--n-list"): hst.sampled_from(("5", "2,10", "101", "5,x", "102")),
+    ("so4", "--samples"): hst.sampled_from(("0", "2", "1000", "3000", "1", str(10**9))),
+    ("ortho", "--samples"): hst.sampled_from(("100000", "100_000", "99999", str(10**9))),
+}
+_REPORT = ("--format", "--out", "--tolerance-file")
+_FLAGS = {
+    "table1": _REPORT,
+    "table2": _REPORT,
+    "table3": (*_REPORT, "--n-list", "--ecc-grid"),
+    "so4": (*_REPORT, "--n", "--v1", "--v2", "--samples", "--seed", "--dump-samples"),
+    "ortho": (*_REPORT, "--n-list", "--samples", "--seed"),
+    "state": ("--kind", "--n", "--e", "--out"),
+}
+# Given in every draw: state's required flags, and the sample counts and shells
+# whose defaults are large. Valid counts stay small (so4 at most 3000, ortho
+# its 100,000 floor on at most two shells); 10^9 is drawn only to be refused
+# before any work.
+_ALWAYS = {("state", "--kind"), ("state", "--n"), ("so4", "--samples"), ("ortho", "--n-list"),
+           ("ortho", "--samples")}
+
+
+@hst.composite
+def _argvs(draw):
+    command = draw(hst.sampled_from(sorted(_FLAGS)))
+    flags = [flag for flag in _FLAGS[command]
+             if (command, flag) in _ALWAYS or draw(hst.booleans())]
+    odd = draw(hst.sampled_from([None, *(flag for flag in flags if flag not in _PATHS)]))
+    argv = [command]
+    for flag in flags:
+        if flag == odd:
+            value = draw(hst.sampled_from(_ODD))
+        else:
+            value = draw(_VALUES.get((command, flag), _VALUES.get(flag)))
+        argv += [f"{flag}={value}"] if draw(hst.booleans()) else [flag, value]
+    return argv
+
+
+def _path_kinds(tmp_path):
+    """The paths that the drawn kinds stand for, with the tolerance files written."""
+    tol = load_tolerances()
+    text = json.dumps(tol)
+    files = {"defaults": text, "truncated": text[: len(text) // 2], "junk": "\x00\udcff}{",
+             "zeros": json.dumps({name: dict.fromkeys(section, 0) for name, section in tol.items()}),
+             "nan": json.dumps({name: dict.fromkeys(section, math.nan)
+                                for name, section in tol.items()})}
+    paths = {"@file": tmp_path / "out", "@missing": tmp_path / "missing" / "out",
+             "@directory": tmp_path}
+    for kind, content in files.items():
+        paths[f"@{kind}"] = tmp_path / f"{kind}.json"
+        paths[f"@{kind}"].write_bytes(content.encode("utf-8", "surrogateescape"))
+    return paths
+
+
+def _with_path(arg, paths):
+    """arg, or `--flag=path` and `path` for the kind it names."""
+    flag, equals, value = arg.rpartition("=") if arg.startswith("--") else ("", "", arg)
+    return f"{flag}{equals}{paths[value]}" if value in paths else arg
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argvs())
+@example(["so4", "--samples", str(10**9)])
+@example(["ortho", "--n-list", "5", "--samples", str(10**9)])
+@example(["table1", "--tolerance-file", "@nan"])
+@example(["so4", "--samples=1_000", "--seed", str(2**64), "--dump-samples", "@file"])
+@example(["state", "--kind", "elliptic", "--n", "\u0665", "--e", "1"])
+def test_exit_code_contract_holds_for_odd_flags(tmp_path, argv):
+    # in-process: an exit code of the contract, one stderr line on a usage
+    # error, none on a run, and never a traceback (an exception leaving main
+    # fails the test)
+    paths = _path_kinds(tmp_path)
+    argv = [_with_path(arg, paths) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert len(err.getvalue().splitlines()) == 1, argv
+    elif code < 2:
+        assert not err.getvalue(), argv

@@ -8,7 +8,7 @@ from rydberg_frames import povm_so3
 from rydberg_frames.geometry import two_axis_eta
 from rydberg_frames.povm_so3 import (
     QuadratureRule,
-    _cg_series,
+    _cg_plane,
     alice_two_axis_state,
     cos_omega_xy,
     cos_omega_z,
@@ -257,11 +257,12 @@ def test_fidelities_match_the_two_table_series(n, seed):
 
 
 def test_each_fidelity_makes_one_x_sum_pass(monkeypatch):
-    # the fiducial's sums and the q = -1 sums follow from the state's own
+    # the fiducial's sums and the q = -1 sums follow from the state's own:
+    # one pass over the plane q = 0 for cos_omega_z, over q = 1 for cos_omega_xy
     calls = []
-    original = povm_so3._x_sums
-    monkeypatch.setattr(povm_so3, "_x_sums",
-                        lambda rows, q: calls.append(q) or original(rows, q))
+    original = povm_so3._fidelity_parts
+    monkeypatch.setattr(povm_so3, "_fidelity_parts",
+                        lambda a, q: calls.append(q) or original(a, q))
     a = alice_two_axis_state(10, 0.7)
     cos_omega_z(a)
     assert calls == [0]
@@ -269,19 +270,35 @@ def test_each_fidelity_makes_one_x_sum_pass(monkeypatch):
     assert calls == [0, 1]
 
 
+def test_each_fidelity_builds_only_the_plane_it_reads():
+    # table1 reads only q = 0 and table3 only q = 1: on a cleared cache each
+    # fidelity's first call builds its own plane, and a repeat builds none
+    a = alice_two_axis_state(10, 0.7)
+    _cg_plane.cache_clear()
+    cos_omega_z(a)
+    assert _cg_plane.cache_info().misses == 1
+    cos_omega_xy(a)
+    assert _cg_plane.cache_info().misses == 2
+    cos_omega_z(a)
+    cos_omega_xy(a)
+    assert _cg_plane.cache_info().misses == 2
+
+
 class TestCouplingTable:
     def test_entries_match_exact_clebsch_gordan(self):
-        # the q = 0, 1 coefficient lists of src and every plane of the
-        # oracle's table, each entry against the exact Racah sum
+        # the q = 0, 1 planes of src and every plane of the oracle's table,
+        # each entry against the exact Racah sum, and each block's weight
+        # equal to the oracle's
         n = 50
         cg, weights = series_table(n)
         assert cg.shape == (3, 3, n, 2 * n - 1)
-        series, src_weights = _cg_series(n)
-        assert np.array_equal(src_weights, weights)
         worst = 0.0
         for l in range(n):
-            blocks = {q: {d_l: (first, coeffs) for d_l, first, coeffs in series[q][l]}
-                      for q in (0, 1)}
+            blocks = {q: {} for q in (0, 1)}
+            for q in (0, 1):
+                for d_l, first, coeffs, w in _cg_plane(n, q)[l]:
+                    assert w == weights[d_l + 1, l]
+                    blocks[q][d_l] = first, coeffs
             for d_l in (-1, 0, 1):
                 big_l = l + d_l
                 for q in (-1, 0, 1):

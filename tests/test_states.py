@@ -191,14 +191,15 @@ class TestCouplingTensor:
 
 def test_shell_caches_are_bounded():
     # every shell built stays resident only while it is among the last few
-    from rydberg_frames.povm_so3 import _cg_series
+    from rydberg_frames.povm_so3 import _cg_plane
     from rydberg_frames.states import _row_weights
 
-    for kernel in (_row_weights, _cg_series):
+    # _cg_plane is keyed by the shell and the plane q = 0 or 1
+    for kernel, key in ((_row_weights, lambda n: (n,)), (_cg_plane, lambda n: (n, n % 2))):
         bound = kernel.cache_info().maxsize
         assert bound is not None
         for n in range(2, bound + 5):
-            kernel(n)
+            kernel(*key(n))
             assert kernel.cache_info().currsize <= bound
 
 
