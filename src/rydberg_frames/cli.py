@@ -21,7 +21,6 @@ import os
 import sys
 
 from . import __version__
-from . import reference_values as ref
 from .angmom import MAX_N, MAX_SAMPLES
 from .geometry import UnitVector, two_axis_eta
 
@@ -98,7 +97,7 @@ def write_report(meta: dict, columns, rows, fmt: str, out_path):
 # calls go through the module objects, whose attributes perfbench's tracer wraps.
 
 def cmd_table1(args, tol: dict):
-    from . import povm_so3 as p3, states as st
+    from . import povm_so3 as p3, reference_values as ref, states as st
 
     columns = ["n", "axis", "e", "e_ref", "e_dev", "eta", "eta_ref", "eta_dev", "ok"]
     rows = []
@@ -123,7 +122,7 @@ def cmd_table2(args, tol: dict):
     The printed coefficient rows are truncated to four decimals, so computed
     values are compared against the midpoint of the truncation interval.
     """
-    from . import povm_so3 as p3, states as st
+    from . import povm_so3 as p3, reference_values as ref, states as st
 
     columns = ["row", "l", "value", "reference", "abs_dev", "ok"]
     rows = []
@@ -150,7 +149,7 @@ def cmd_table2(args, tol: dict):
 
 
 def cmd_table3(args, tol: dict):
-    from . import povm_so3 as p3
+    from . import povm_so3 as p3, reference_values as ref
 
     columns = ["kind", "n", "e", "eta", "e_ref", "e_dev", "eta_ref", "eta_dev",
                "optimal_ref", "ok"]
@@ -193,7 +192,7 @@ def cmd_so4(args, tol: dict):
         for axis, mc, m2 in zip(("1", "2"), means.tolist(), m2s.tolist()):
             stderr = math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
             pull = abs(mc - closed) / stderr
-            rows.append([axis, closed, mc, stderr, pull, bool(pull <= tol["sigma"])])
+            rows.append([axis, closed, mc, stderr, pull, pull <= tol["sigma"]])
     else:
         for axis in ("1", "2"):
             rows.append([axis, closed, None, None, None, True])

@@ -3,21 +3,15 @@ measure of a transmitted pair of axes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class UnitVector:
     """Direction in 3-space, validated to unit norm."""
 
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        norm2 = self.x * self.x + self.y * self.y + self.z * self.z
+    def __init__(self, x: float, y: float, z: float):
+        norm2 = x * x + y * y + z * z
         if not abs(norm2 - 1.0) <= 1e-9:  # also refuses NaN
             raise ValueError(f"not a unit vector: |v|^2 = {norm2!r}")
+        self.x, self.y, self.z = x, y, z
 
 
 def two_axis_eta(cos_x, cos_y):

@@ -16,7 +16,7 @@ arithmetic step runs over one contiguous component row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -25,16 +25,8 @@ from .povm_so4 import (_DUMP_BLOCK_ROWS, _block_streams, _combined, _moments,
                        sample_directions_about)
 
 
-@dataclass(frozen=True)
-class GainReport:
-    """Per-axis mean square error before and after orthogonalization."""
-
-    n: int
-    samples: int
-    g: float
-    g_new: float
-    ratio: float
-    ratio_stderr: float
+# per-axis mean square error before and after orthogonalization
+GainReport = namedtuple("GainReport", "n samples g g_new ratio ratio_stderr")
 
 
 def _orthogonalize_rows(r_x, r_y, x_rows=slice(None), y_rows=slice(None), out=None):

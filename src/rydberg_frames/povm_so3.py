@@ -38,20 +38,17 @@ files name the closed form as their method.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .states import WaveFunction, alice_two_axis_state
 from .geometry import two_axis_eta
 
 
-@dataclass(frozen=True)
 class QuadratureRule:
     """Node counts: Gauss-Legendre in cos(beta), equispaced in alpha and gamma."""
 
-    n_beta: int
-    n_alpha: int
-    n_gamma: int
+    def __init__(self, n_beta: int, n_alpha: int, n_gamma: int):
+        self.n_beta, self.n_alpha, self.n_gamma = n_beta, n_alpha, n_gamma
 
     @classmethod
     def for_shell(cls, n: int) -> "QuadratureRule":

@@ -41,7 +41,6 @@ import functools
 import math
 import os
 import stat
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -364,16 +363,14 @@ def _combined(partials) -> tuple:
     return mean, m2
 
 
-@dataclass(frozen=True)
 class OutcomeBatch:
     """`count` samples of shell n from the seed's stream, one pair of error
     cosines each, as a record: every block of `_DUMP_BLOCK_ROWS` samples is
     drawn where it is reduced and rendered (`_so4_block`), so no array of the
     whole batch exists."""
 
-    n: int
-    count: int
-    seed: int
+    def __init__(self, n: int, count: int, seed: int):
+        self.n, self.count, self.seed = n, count, seed
 
     def error_moments(self) -> tuple:
         """Per-axis (mean, M2) of the errors 0.5 * (1 - cos chi), the blocks

@@ -22,7 +22,6 @@ exact Racah sum), the rotations and the L and K dispersions are test oracles
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .angmom import MAX_N
@@ -30,20 +29,16 @@ from .angmom import MAX_N
 _NORM_TOL = 1e-8
 
 
-@dataclass
 class WaveFunction:
     """Normalized n-shell state a_{lm} = (-i)^(turns[l]+m) rows[l][l+m], m = -l .. l."""
 
-    n: int
-    rows: list
-    turns: list
-
-    def __post_init__(self):
-        if not 2 <= self.n <= MAX_N:
-            raise ValueError(f"n must lie in [2, MAX_N = {MAX_N}], got {self.n}")
-        lengths = [len(row) for row in self.rows]
-        if lengths != list(range(1, 2 * self.n, 2)) or len(self.turns) != self.n:
-            raise ValueError(f"rows and turns do not have the shape of the shell n = {self.n}")
+    def __init__(self, n: int, rows: list, turns: list):
+        self.n, self.rows, self.turns = n, rows, turns
+        if not 2 <= n <= MAX_N:
+            raise ValueError(f"n must lie in [2, MAX_N = {MAX_N}], got {n}")
+        lengths = [len(row) for row in rows]
+        if lengths != list(range(1, 2 * n, 2)) or len(turns) != n:
+            raise ValueError(f"rows and turns do not have the shape of the shell n = {n}")
         if not abs(self.norm() - 1.0) <= _NORM_TOL:  # false for NaN as well
             raise ValueError(f"state norm {self.norm()!r} is not 1")
 

@@ -308,23 +308,29 @@ _LOADED_PROBE = (
     "import sys\n"
     "from rydberg_frames.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(code, *sorted(m for m in sys.modules\n"
-    "                    if m.startswith('rydberg_frames.') or m == 'numpy'))\n"
+    "print(code, *sorted(m for m in sys.modules if m.startswith('rydberg_frames.')\n"
+    "                    or m in ('numpy', 'dataclasses', 'inspect')))\n"
 )
 # the Monte Carlo modules, and numpy, which only they import (for Philox)
 _MONTE_CARLO = {"povm_so4", "ortho", "numpy"}
+# no command imports dataclasses; numpy imports inspect, so only the shell
+# commands, which load no numpy, can be held to start without it
+_SHELL_ABSENT = {*_MONTE_CARLO, "dataclasses", "inspect"}
+_STATE_ABSENT = {*_SHELL_ABSENT, "reference_values"}
 
 
 @pytest.mark.parametrize("argv, loaded, absent", [
     (["state", "--kind", "elliptic", "--n", "5", "--e", "0.7"], {"states", "povm_so3"},
-     _MONTE_CARLO),
-    (["state", "--kind", "stark", "--n", "5"], {"states"}, {"povm_so3", *_MONTE_CARLO}),
-    (["state", "--kind", "circular", "--n", "5"], {"states"}, {"povm_so3", *_MONTE_CARLO}),
-    (["table1"], {"states", "povm_so3"}, _MONTE_CARLO),
-    (["table2"], {"states", "povm_so3"}, _MONTE_CARLO),
-    (["table3", "--n-list", "5"], {"povm_so3"}, _MONTE_CARLO),
-    (["so4", "--samples", "20000"], {"povm_so4", "numpy"}, {"povm_so3", "ortho", "states"}),
-    (["ortho", "--n-list", "5", "--samples", "100000"], _MONTE_CARLO, {"povm_so3", "states"}),
+     _STATE_ABSENT),
+    (["state", "--kind", "stark", "--n", "5"], {"states"}, {"povm_so3", *_STATE_ABSENT}),
+    (["state", "--kind", "circular", "--n", "5"], {"states"}, {"povm_so3", *_STATE_ABSENT}),
+    (["table1"], {"states", "povm_so3", "reference_values"}, _SHELL_ABSENT),
+    (["table2"], {"states", "povm_so3", "reference_values"}, _SHELL_ABSENT),
+    (["table3", "--n-list", "5"], {"povm_so3", "reference_values"}, _SHELL_ABSENT),
+    (["so4", "--samples", "20000"], {"povm_so4", "numpy"},
+     {"povm_so3", "ortho", "states", "reference_values", "dataclasses"}),
+    (["ortho", "--n-list", "5", "--samples", "100000"], _MONTE_CARLO,
+     {"povm_so3", "states", "reference_values", "dataclasses"}),
 ], ids=["state-elliptic", "state-stark", "state-circular", "table1", "table2", "table3", "so4",
         "ortho"])
 def test_each_command_loads_only_its_modules(argv, loaded, absent, tmp_path):
