@@ -25,7 +25,7 @@ from .angmom import MAX_N, MAX_SAMPLES
 from .geometry import UnitVector, two_axis_eta
 
 _METHOD_NOTE = ("closed-form Haar moments by the Clebsch-Gordan series; "
-                "golden-section search in e with a three-point vertex")
+                "optimum in e as the root of the complex-step d eta/de by Brent's zeroin")
 _DEFAULT_TOLERANCES = os.path.join(os.path.dirname(__file__), "tolerances.json")
 
 
@@ -42,12 +42,13 @@ def load_tolerances(path=None) -> dict:
     return json.loads(data)
 
 
-def check_tolerances(tol, command: str):
-    """Raise ValueError unless tol has a finite number >= 0 for each default key of command."""
+def check_tolerances(tol, command: str, defaults: dict):
+    """Raise ValueError unless tol has a finite number >= 0 for each key of
+    command's section in defaults (the package's `load_tolerances()`)."""
     section = tol.get(command) if isinstance(tol, dict) else None
     if not isinstance(section, dict):
         raise ValueError(f"no {command!r} section")
-    for key in load_tolerances()[command]:
+    for key in defaults[command]:
         value = section.get(key)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"section {command!r} has no number {key!r}")
@@ -102,7 +103,7 @@ def cmd_table1(args, tol: dict):
     columns = ["n", "axis", "e", "e_ref", "e_dev", "eta", "eta_ref", "eta_dev", "ok"]
     rows = []
     for n in sorted(ref.SINGLE_AXIS):
-        e_opt, eta_w = p3.optimize_eccentricity(n, "single_w_axis")
+        e_opt, eta_w, _ = p3.optimize_eccentricity(n, "single_w_axis")
         eta_l = 0.5 * (1.0 - p3.cos_omega_z(st.circular_state(n)))
         eta_k = 0.5 * (1.0 - p3.cos_omega_z(st.extreme_stark(n)))
         cells = {"w": (e_opt, eta_w), "l": (0.0, eta_l), "k": (1.0, eta_k)}
@@ -152,23 +153,24 @@ def cmd_table3(args, tol: dict):
     from . import povm_so3 as p3, reference_values as ref
 
     columns = ["kind", "n", "e", "eta", "e_ref", "e_dev", "eta_ref", "eta_dev",
-               "optimal_ref", "ok"]
+               "optimal_ref", "cos_omega_x", "cos_omega_y", "ok"]
     rows = []
     for n in args.n_list:
         for e in args.ecc_grid:
-            eta = two_axis_eta(*p3.cos_omega_xy(p3.alice_two_axis_state(n, e)))
-            rows.append(["curve", n, e, eta, None, None, None, None, None, None])
-        e_opt, eta_min = p3.optimize_eccentricity(n, "two_axes")
+            cosines = p3.cos_omega_xy(p3.alice_two_axis_state(n, e))
+            rows.append(["curve", n, e, two_axis_eta(*cosines),
+                         None, None, None, None, None, *cosines, None])
+        e_opt, eta_min, cosines = p3.optimize_eccentricity(n, "two_axes")
         reference = ref.TWO_AXIS.get(n)
         if reference is None:
             rows.append(["optimum", n, e_opt, eta_min,
-                         None, None, None, None, None, None])
+                         None, None, None, None, None, *cosines, None])
             continue
         e_dev = abs(e_opt - reference["e_opt"])
         eta_dev = abs(eta_min - reference["elliptic"])
         ok = e_dev <= tol["e_abs"] and eta_dev <= tol["eta_abs"]
         rows.append(["optimum", n, e_opt, eta_min, reference["e_opt"], e_dev,
-                     reference["elliptic"], eta_dev, reference["optimal"], ok])
+                     reference["elliptic"], eta_dev, reference["optimal"], *cosines, ok])
     meta = {"n_list": ",".join(str(n) for n in args.n_list), "method": _METHOD_NOTE}
     return meta, columns, rows
 
@@ -235,9 +237,7 @@ def _state(args):
     from . import states as st
 
     if args.kind == "elliptic":
-        from . import povm_so3 as p3
-
-        return p3.alice_two_axis_state(args.n, args.e)
+        return st.alice_two_axis_state(args.n, args.e)
     return st.circular_state(args.n) if args.kind == "circular" else st.extreme_stark(args.n)
 
 
@@ -367,7 +367,8 @@ def main(argv=None) -> int:
         if args.command != "state":
             try:
                 tol = load_tolerances(args.tolerance_file)
-                check_tolerances(tol, args.command)
+                defaults = tol if args.tolerance_file is None else load_tolerances()
+                check_tolerances(tol, args.command, defaults)
             except (OSError, ValueError) as exc:  # ValueError: bad JSON or bytes, a missing tolerance
                 parser.error(f"cannot load tolerances: {exc}")
         try:

@@ -33,14 +33,23 @@ trigonometric polynomials), which the tests integrate on as an oracle.
 QuadratureRule keeps only those node counts, although no code here evaluates
 a grid: the benchmark's tracer reads `QuadratureRule.for_shell`, and the result
 files name the closed form as their method.
+
+The optimal eccentricity of the two-axis state is the root of d eta/de, not
+the lowest of some eta values: eta is flat at its minimum, so values place e
+only to about 1e-8. The slope is exact to rounding by a complex step through
+the same row builder (`states._two_axis_rows`) and the same pass
+(`_fidelity_parts`), each given `cmath.sqrt` for its roots, and Brent's
+zeroin finds the root.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from functools import lru_cache
 
-from .states import WaveFunction, alice_two_axis_state
+from .states import WaveFunction, _two_axis_rows, alice_two_axis_state
 from .geometry import two_axis_eta
 
 
@@ -89,23 +98,24 @@ def _cg_plane(n: int, q: int):
                        for d_l in (-1, 0, 1) if abs(l - 1) <= l + d_l < n) for l in range(n))
 
 
-def _fidelity_parts(a: WaveFunction, q: int):
-    """One pass of the state's rows over the plane q: (parts, cross).
+def _fidelity_parts(rows: list, q: int, sqrt=math.sqrt):
+    """One pass of a state's rows over the plane q: (parts, cross).
 
     Each X_{lL} = sum_m r_{l,m} r_{L,m+q} <l m; 1 q | L m+q> is an ordered loop,
     and with p = ||a_l|| ||a_L|| the pass adds w X^2 / p into parts[dL + 1] and
     X_{l-1,l} X_{l,l-1} / p into cross at dL = -1, in ascending l; the three
     parts are to be added by the correctly rounded `fsum`. The pairs that hold
-    an empty row (p = 0, X = 0) add nothing.
+    an empty row (p = 0, X = 0) add nothing. Each norm is sqrt of the sum of
+    r * r, so with sqrt = cmath.sqrt the pass is analytic in complex rows.
     """
     norms = []
-    for row in a.rows:
+    for row in rows:
         total = 0.0
         for r in row:
             total += r * r
-        norms.append(math.sqrt(total))
-    rows, parts, cross, up = a.rows, [0.0, 0.0, 0.0], 0.0, 0.0
-    for l, blocks in enumerate(_cg_plane(a.n, q)):
+        norms.append(sqrt(total))
+    parts, cross, up = [0.0, 0.0, 0.0], 0.0, 0.0
+    for l, blocks in enumerate(_cg_plane(len(rows), q)):
         for d_l, first, cg, w in blocks:
             x = 0.0
             for u, v, c in zip(rows[l][l + first :], rows[l + d_l][l + d_l + first + q :], cg):
@@ -125,7 +135,7 @@ def cos_omega_z(a: WaveFunction) -> float:
     The Haar average of |<A|U|B>|^2 cos(beta), cos(beta) = D^1_00, from the
     q = 0 X-sums of the rows.
     """
-    return math.fsum(_fidelity_parts(a, 0)[0])
+    return math.fsum(_fidelity_parts(a.rows, 0)[0])
 
 
 def cos_omega_xy(a: WaveFunction):
@@ -145,7 +155,7 @@ def cos_omega_xy(a: WaveFunction):
     sum_l X_ll^2 / p_ll - 2 sum_l X_{l,l+1} X_{l+1,l} / p_{l,l+1}, whose first
     sum is the dL = 0 part of `same` (w_ll = 1).
     """
-    parts, cross = _fidelity_parts(a, 1)
+    parts, cross = _fidelity_parts(a.rows, 1)
     same, opposite = math.fsum(parts), parts[1] - 2.0 * cross
     return same - opposite, same + opposite
 
@@ -181,23 +191,69 @@ def optimal_m0_state(n: int) -> list:
 # ---------------------------------------------------------------------------
 # Eccentricity optimization over the two-axis states.
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# d eta/de changes sign on this bracket at every n = 3 .. MAX_N, for both objectives
+_BRACKET = (0.6, 0.72)
+_E_TOL = 5e-13  # the roots are defined to about 2e-13 at n >= 60 (the X loops' rounding)
+_STEP = 1e-30  # the complex step: h^2 is far below an ulp of e^2
 
 
-def _golden_section_min(f, lo: float, hi: float, tol: float):
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
+def _eta_slope(n: int, e: float, q: int) -> float:
+    """d eta/de of the two-axis state at e by complex step, Im eta(e + ih) / h
+    (Squire & Trapp, SIAM Rev. 40, 110 (1998)).
+
+    For both objectives eta = (1 - sum of the parts of the plane q) / 2: with
+    q = 1 it is 1/4 (1 - cos omega_x) + 1/4 (1 - cos omega_y), as
+    cos omega_x + cos omega_y is twice `same` (`cos_omega_xy`), and with q = 0
+    it is (1 - cos omega_z) / 2. The rows and the pass are the real kernels
+    given cmath.sqrt, analytic in e, so the step takes no difference and loses
+    no digit to cancellation.
+    """
+    rows = _two_axis_rows(n, complex(e, _STEP), cmath.sqrt)
+    return -0.5 * sum(_fidelity_parts(rows, q, cmath.sqrt)[0]).imag / _STEP
+
+
+def _zeroin(f, a: float, b: float, tol: float) -> float:
+    """A zero of f on [a, b] by Brent's zeroin (Brent 1973, ch. 4), to within
+    4 eps |x| + tol: inverse quadratic or linear interpolation inside the
+    bracket of a sign change, and bisection wherever those do not shrink it.
+
+    Raises ValueError unless f(a) and f(b) differ in sign (or one is zero).
+    """
+    fa, fb = f(a), f(b)
+    if not (fa <= 0.0 <= fb or fb <= 0.0 <= fa):  # false for NaN as well
+        raise ValueError(f"no sign change on [{a}, {b}]: f = {fa!r}, {fb!r}")
+    c, fc = b, fb
+    while True:
+        if fb * math.copysign(1.0, fc) > 0.0:  # b and c on one side: c takes a's side
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol1 = 2.0 * sys.float_info.epsilon * abs(b) + 0.5 * tol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol1 or fb == 0.0:
+            return b
+        if abs(e) < tol1 or abs(fa) <= abs(fb):
+            d = e = m
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-    return (x1, f1) if f1 < f2 else (x2, f2)
+            s = fb / fa
+            if a == c:  # the secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < 3.0 * m * q - abs(tol1 * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        fb = f(b)
 
 
 def optimize_eccentricity(n: int, objective: str = "two_axes"):
@@ -205,32 +261,24 @@ def optimize_eccentricity(n: int, objective: str = "two_axes"):
 
     objective "two_axes" minimizes the per-axis error for transmitting x and y;
     "single_w_axis" transmits z with the state whose minor axis w is along z
-    (both k and ell in the xy plane). Golden-section search on [0.01, 0.99]
-    down to 1e-4, then the vertex of a three-point parabola: 25 evaluations.
+    (both k and ell in the xy plane). The optimum is the root of the exact
+    d eta/de (`_eta_slope`) on `_BRACKET` by `_zeroin` to `_E_TOL`, 7 to 10
+    complex evaluations up to n = MAX_N; then one real evaluation through
+    `cos_omega_xy` or `cos_omega_z` gives eta there.
 
-    Returns (e_opt, eta_min).
+    Returns (e_opt, eta_min, cosines): cosines is that evaluation's
+    (cos omega_x, cos omega_y), or (cos omega_z,).
     """
     if n < 3:
         raise ValueError("eccentricity optimization needs n >= 3")
-
-    if objective == "two_axes":
-        def eta(e):
-            return two_axis_eta(*cos_omega_xy(alice_two_axis_state(n, e)))
-    elif objective == "single_w_axis":
-        def eta(e):
-            return 0.5 * (1.0 - cos_omega_z(alice_two_axis_state(n, e)))
-    else:
+    if objective not in ("two_axes", "single_w_axis"):
         raise ValueError(f"unknown objective {objective!r}")
 
-    step = 1e-4
-    e_best, eta_best = _golden_section_min(eta, 0.01, 0.99, step)
-
-    # vertex of the parabola through the golden minimum and its two neighbours
-    below, above = eta(e_best - step), eta(e_best + step)
-    curvature = below - 2.0 * eta_best + above
-    if curvature > 0.0:
-        vertex = min(max(e_best + 0.5 * step * (below - above) / curvature, 0.01), 0.99)
-        eta_vertex = eta(vertex)
-        if eta_vertex < eta_best:
-            e_best, eta_best = vertex, eta_vertex
-    return e_best, eta_best
+    q = 1 if objective == "two_axes" else 0
+    e_opt = _zeroin(lambda e: _eta_slope(n, e, q), *_BRACKET, _E_TOL)
+    state = alice_two_axis_state(n, e_opt)
+    if q:
+        cosines = cos_omega_xy(state)
+        return e_opt, two_axis_eta(*cosines), cosines
+    cos_z = cos_omega_z(state)
+    return e_opt, 0.5 * (1.0 - cos_z), (cos_z,)

@@ -116,7 +116,17 @@ def alice_two_axis_state(n: int, e: float) -> WaveFunction:
     """
     if not 0.0 <= e <= 1.0:
         raise ValueError(f"eccentricity must lie in [0, 1], got {e}")
-    c = math.sqrt((1.0 - e) * (1.0 + e))
+    return WaveFunction(n, _two_axis_rows(n, e), [n - 1 - l for l in range(n)])
+
+
+def _two_axis_rows(n: int, e, sqrt=math.sqrt) -> list:
+    """The rows of `alice_two_axis_state(n, e)`, unchecked.
+
+    Every step is +, x, / or the root c = sqrt(1 - e^2), so the rows are
+    analytic in e: with sqrt = cmath.sqrt a complex e goes through the same
+    steps, which `povm_so3`'s complex-step derivative in e reads.
+    """
+    c = sqrt((1.0 - e) * (1.0 + e))
     powers = [1.0]  # e^k, then reversed: e^(2j-l) at l
     for _ in range(n - 1):
         powers.append(powers[-1] * e)
@@ -131,7 +141,7 @@ def alice_two_axis_state(n: int, e: float) -> WaveFunction:
                  for below, mid, above in zip(prev, prev[1:], prev[2:])]
         half = [tm * w * power for tm, w in zip(t, weights)]
         rows.append(half[:0:-1] + half)
-    return WaveFunction(n, rows, [n - 1 - l for l in range(n)])
+    return rows
 
 
 def circular_state(n: int) -> WaveFunction:

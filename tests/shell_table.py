@@ -284,6 +284,113 @@ def haar_moments(a):
     return haar_total(a), z, 2.0 * same, -2.0 * opposite
 
 
+@lru_cache(maxsize=4)
+def _cg_plane_40(n: int, q: int) -> tuple:
+    """blocks[l] lists (dL, first, cg, w) for each L = l + dL in the shell with
+    |l - 1| <= L: cg[i] = <l m; 1 q | L m+q> for m = first + i, over the m with
+    |m| <= l and |m + q| <= L, and w = sqrt((2l+1) / (2L+1)), each the root of
+    an exact rational (`_CG_RANK_ONE` on Fractions) to 40 digits."""
+    def root(square):
+        value = (Decimal(abs(square.numerator)) / square.denominator).sqrt()
+        return -value if square < 0 else value
+
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        return tuple(
+            tuple((d_l, max(-l, -l - d_l - q),
+                   [root(Fraction(_CG_RANK_ONE[d_l, q](Fraction(l), Fraction(m + q))))
+                    for m in range(max(-l, -l - d_l - q), min(l, l + d_l - q) + 1)],
+                   root(Fraction(2 * l + 1, 2 * (l + d_l) + 1)))
+                  for d_l in (-1, 0, 1) if abs(l - 1) <= l + d_l < n)
+            for l in range(n))
+
+
+def eta_slope_40(n: int, e, q: int) -> tuple:
+    """(eta, d eta/de) of the two-axis state at e, in 40-digit decimals: the
+    per-axis error 1/2 (1 - (cos omega_x + cos omega_y) / 2) for q = 1, and
+    1/2 (1 - cos omega_z) for q = 0. e is a Decimal, or a float taken exactly.
+
+    The state is `two_axis_table_40`'s closed form, whose real rows and turns
+    leave eta = (1 - sum_{l,L} w_{lL} X_{lL}^2 / (||a_l|| ||a_L||)) / 2 over the
+    plane q (see `povm_so3.cos_omega_xy`). The derivative is carried through
+    every step in forward mode, from dc/de = -e/c and d e^k/de = k e^(k-1):
+    no difference quotient, so both are good to the working precision.
+    """
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        if not isinstance(e, Decimal):
+            exact = Fraction(e)
+            e = Decimal(exact.numerator) / exact.denominator
+        c = (1 - e * e).sqrt()
+        dc = -e / c
+        zero, half = Decimal(0), Decimal("0.5")
+        rows, slopes = [], []
+        t, dt = [Decimal(1)], [zero]  # t_l(l+M) and dt_l(l+M)/dc, M = 0 .. l
+        for l, weights in enumerate(_row_weights_40(n)):
+            if l:
+                prev, dprev = ([t[1] if l > 1 else zero, *t, zero, zero],
+                               [dt[1] if l > 1 else zero, *dt, zero, zero])
+                t, dt = ([half * (prev[m] + prev[m + 2]) + c * prev[m + 1] for m in range(l + 1)],
+                         [half * (dprev[m] + dprev[m + 2]) + prev[m + 1] + c * dprev[m + 1]
+                          for m in range(l + 1)])
+            k = n - 1 - l
+            power, dpower = e**k, k * e ** (k - 1) if k else zero
+            row = [power * tm * w for tm, w in zip(t, weights)]
+            slope = [(dpower * tm + power * dtm * dc) * w for tm, dtm, w in zip(t, dt, weights)]
+            rows.append(row[:0:-1] + row)
+            slopes.append(slope[:0:-1] + slope)
+        norms = [sum(r * r for r in row) for row in rows]
+        dnorms = [2 * sum(r * dr for r, dr in zip(row, slope)) for row, slope in zip(rows, slopes)]
+        total, dtotal = zero, zero
+        for l, blocks in enumerate(_cg_plane_40(n, q)):
+            for d_l, first, cg, w in blocks:
+                big_l = l + d_l
+                u, du = rows[l][l + first :], slopes[l][l + first :]
+                v, dv = rows[big_l][big_l + first + q :], slopes[big_l][big_l + first + q :]
+                x = sum(a * b * g for a, b, g in zip(u, v, cg))
+                dx = sum((da * b + a * db) * g for a, b, da, db, g in zip(u, v, du, dv, cg))
+                p2 = norms[l] * norms[big_l]
+                if p2:
+                    p = p2.sqrt()
+                    total += w * x * x / p
+                    dtotal += w * (2 * x * dx - x * x * half
+                                   * (dnorms[l] / norms[l] + dnorms[big_l] / norms[big_l])) / p
+        return half * (1 - total), -half * dtotal
+
+
+@lru_cache(maxsize=None)
+def optimum_40(n: int, q: int) -> Decimal:
+    """The root of d eta/de on [0.6, 0.72] (`eta_slope_40`), to 1e-30, by the
+    Illinois variant of regula falsi: a bracketed secant whose stalled end
+    has its value halved."""
+    def slope(e):
+        return eta_slope_40(n, e, q)[1]
+
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        a, b = Decimal("0.6"), Decimal("0.72")
+        fa, fb = slope(a), slope(b)
+        assert fa * fb < 0, (n, q)
+        side, root = 0, a
+        while True:
+            new = (a * fb - b * fa) / (fb - fa)
+            if abs(new - root) < Decimal("1e-30"):
+                return new
+            root, value = new, slope(new)
+            if value * fb > 0:
+                b, fb = root, value
+                if side == -1:
+                    fa /= 2
+                side = -1
+            elif value * fa > 0:
+                a, fa = root, value
+                if side == 1:
+                    fb /= 2
+                side = 1
+            else:
+                return root
+
+
 def povm_completeness_deviation(a: np.ndarray) -> float:
     """|integral |<A|U|B>|^2 dU - 1| of a state table: zero when the optimal
     method's POVM resolves the identity."""

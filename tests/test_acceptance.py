@@ -52,7 +52,7 @@ def test_criterion_1_single_axis_table():
     worst_eta, worst_e = 0.0, 0.0
     ok = True
     for n, cells in SINGLE_AXIS_REF.items():
-        e_w, eta_w = optimize_eccentricity(n, "single_w_axis")
+        e_w, eta_w, _ = optimize_eccentricity(n, "single_w_axis")
         eta_l = 0.5 * (1.0 - cos_omega_z(circular_state(n)))
         eta_k = 0.5 * (1.0 - cos_omega_z(extreme_stark(n)))
         computed = {"w": (e_w, eta_w), "l": (0.0, eta_l), "k": (1.0, eta_k)}
@@ -100,7 +100,7 @@ def test_criterion_3_two_axis_optima():
     ok = True
     details = []
     for n, (e_ref, eta_ref) in TWO_AXIS_REF.items():
-        e_opt, eta_min = optimize_eccentricity(n, "two_axes")
+        e_opt, eta_min, _ = optimize_eccentricity(n, "two_axes")
         ok &= abs(eta_min - eta_ref) <= 2e-4 and abs(e_opt - e_ref) <= 0.01
         details.append(f"n={n}: eta {eta_min:.5f} (ref {eta_ref}), e {e_opt:.3f}")
     elapsed = time.perf_counter() - start

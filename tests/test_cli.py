@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as hst
 
 import rydberg_frames
-from rydberg_frames import povm_so3
+from rydberg_frames import cli, povm_so3
 from rydberg_frames.angmom import MAX_SAMPLES
 from rydberg_frames.cli import build_parser, load_tolerances, main
+from shell_table import optimum_40
 
 
 def run_cli(argv):
@@ -95,6 +97,26 @@ def test_output_bytes_are_pinned(argv, digest, tmp_path):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, count", [(["table1"], 2), (["table3"], 3),
+                                         (["table3", "--n-list", "40"], 1),
+                                         (["table3", "--n-list", "101"], 1)],
+                         ids=["table1", "table3", "table3n40", "table3n101"])
+def test_printed_optima_are_the_40_digit_roots(argv, count, tmp_path):
+    # every printed e of an optimum (table1's w rows, table3's optimum rows) is
+    # the root of the exact d eta/de at its printed digits; at n >= 60 the
+    # float kernels define the root only to 2e-13 (their ordered loops' rounding)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    rows = list(csv.DictReader(line for line in out.read_text().splitlines()
+                               if not line.startswith("#")))
+    optima = [(int(row["n"]), 1 if "kind" in row else 0, row["e"]) for row in rows
+              if row.get("axis") == "w" or row.get("kind") == "optimum"]
+    assert len(optima) == count
+    for n, q, cell in optima:
+        root, noise = optimum_40(n, q), Decimal("2e-13") if n >= 60 else 0
+        assert cell in {f"{float(root - noise):.10g}", f"{float(root + noise):.10g}"}, (n, cell)
 
 
 def _numpy_dispatch():
@@ -320,8 +342,8 @@ _STATE_ABSENT = {*_SHELL_ABSENT, "reference_values"}
 
 
 @pytest.mark.parametrize("argv, loaded, absent", [
-    (["state", "--kind", "elliptic", "--n", "5", "--e", "0.7"], {"states", "povm_so3"},
-     _STATE_ABSENT),
+    (["state", "--kind", "elliptic", "--n", "5", "--e", "0.7"], {"states"},
+     {"povm_so3", *_STATE_ABSENT}),
     (["state", "--kind", "stark", "--n", "5"], {"states"}, {"povm_so3", *_STATE_ABSENT}),
     (["state", "--kind", "circular", "--n", "5"], {"states"}, {"povm_so3", *_STATE_ABSENT}),
     (["table1"], {"states", "povm_so3", "reference_values"}, _SHELL_ABSENT),
@@ -355,6 +377,21 @@ def test_state_eccentricity_out_of_range_is_usage_error():
     assert_usage_error(["state", "--kind", "elliptic", "--n", "5", "--e", "1.5"])
     # only the elliptic kind has an eccentricity
     assert_usage_error(["state", "--kind", "circular", "--n", "101", "--e", "5"])
+
+
+def test_each_tolerance_file_is_read_once(monkeypatch, tmp_path):
+    # the package's defaults, which name the keys to check, are read once,
+    # and a --tolerance-file besides them once more
+    reads = []
+    original = cli.load_tolerances
+    monkeypatch.setattr(cli, "load_tolerances", lambda path=None: reads.append(path) or original(path))
+    assert main(["table2", "--out", str(tmp_path / "out")]) == 0
+    assert reads == [None]
+    custom = tmp_path / "tol.json"
+    custom.write_text(json.dumps(original()))
+    reads.clear()
+    assert main(["table2", "--tolerance-file", str(custom), "--out", str(tmp_path / "out")]) == 0
+    assert reads == [str(custom), None]
 
 
 def test_missing_tolerance_file_is_usage_error(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -24,9 +25,11 @@ from shell_table import (
     block,
     bob_fiducial,
     cos_omega_z_m0,
+    eta_slope_40,
     haar_moments,
     lk_moments,
     m0_overlap_matrix,
+    optimum_40,
     padded,
     povm_completeness_deviation,
     random_m0_state,
@@ -412,30 +415,56 @@ def test_optimal_m0_state_matches_eigh_oracle():
         assert abs(cos_omega_z_m0(vec) - eigvals[-1]) <= 1e-15
 
 
-# e_opt as golden-section search with a five-point least-squares parabola found
-# it: the three-point vertex stays within 1e-7 of it
-_FIVE_POINT_OPTIMA = {
-    "single_w_axis": {3: 0.6632427770, 5: 0.6963851017, 10: 0.7012624657,
-                      20: 0.6729796657, 40: 0.6526289966},
-    "two_axes": {3: 0.6990318334, 5: 0.7086497589, 10: 0.7044180541,
-                 20: 0.6741820192, 40: 0.6532249333},
-}
-
-
-@pytest.mark.parametrize("objective", sorted(_FIVE_POINT_OPTIMA))
+@pytest.mark.parametrize("objective", ["single_w_axis", "two_axes"])
 @pytest.mark.parametrize("n", [3, 5, 10, 20, 40])
 def test_optimizer_evaluations_and_optimum(objective, n, monkeypatch):
-    # every evaluation goes through the module's cos_omega_* lookup, where
-    # perfbench's tracer counts them: 22 golden-section points, two
-    # neighbours and the vertex
-    calls = []
+    # the root takes at most 10 complex-step slopes, and eta there one real
+    # evaluation through the module's cos_omega_* lookup, where perfbench's
+    # tracer counts them; e_opt is the 40-digit root within zeroin's tolerance
+    slopes, calls = [], []
+    original_slope = povm_so3._eta_slope
+    monkeypatch.setattr(povm_so3, "_eta_slope",
+                        lambda n, e, q: slopes.append((n, q)) or original_slope(n, e, q))
     for name in ("cos_omega_xy", "cos_omega_z"):
         original = getattr(povm_so3, name)
-        monkeypatch.setattr(povm_so3, name,
-                            lambda a, original=original: calls.append(a.n) or original(a))
-    e_opt, _ = optimize_eccentricity(n, objective)
-    assert 0 < len(calls) <= 25 and set(calls) == {n}
-    assert e_opt == pytest.approx(_FIVE_POINT_OPTIMA[objective][n], abs=1e-7)
+        monkeypatch.setattr(povm_so3, name, lambda a, original=original, name=name:
+                            calls.append((name, a.n)) or original(a))
+    q = 1 if objective == "two_axes" else 0
+    e_opt, eta_min, cosines = optimize_eccentricity(n, objective)
+    assert 2 <= len(slopes) <= 10 and set(slopes) == {(n, q)}
+    assert calls == [("cos_omega_xy" if q else "cos_omega_z", n)]
+    assert abs(Decimal(e_opt) - optimum_40(n, q)) <= 5e-13
+    expected = two_axis_eta(*cosines) if q else 0.5 * (1.0 - cosines[0])
+    assert len(cosines) == 1 + q and eta_min == expected
+
+
+@pytest.mark.parametrize("q", [0, 1])
+def test_slope_changes_sign_on_the_bracket_at_every_shell(q):
+    lo, hi = povm_so3._BRACKET
+    for n in range(3, MAX_N + 1):
+        assert povm_so3._eta_slope(n, lo, q) < 0.0 < povm_so3._eta_slope(n, hi, q), n
+
+
+@pytest.mark.parametrize("q", [0, 1])
+@pytest.mark.parametrize("n", [3, 10, 40, 60, 101])
+def test_complex_step_slope_matches_40_digits(n, q):
+    # the step takes no difference, so it carries only the rounding of the
+    # float kernels' ordered loops: up to 2.4e-14 at n = 60
+    for e in (0.6, 0.65, 0.7, 0.72, 0.3, 0.95):
+        exact = eta_slope_40(n, e, q)[1]
+        assert abs(Decimal(povm_so3._eta_slope(n, e, q)) - exact) <= 5e-14, (n, q, e)
+
+
+def test_bracket_without_a_sign_change_is_refused(monkeypatch):
+    with pytest.raises(ValueError, match="no sign change"):
+        povm_so3._zeroin(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+    with pytest.raises(ValueError, match="no sign change"):
+        povm_so3._zeroin(lambda x: math.nan, 0.0, 1.0, 1e-12)
+    # above every root: the slope is positive at both ends
+    monkeypatch.setattr(povm_so3, "_BRACKET", (0.72, 0.9))
+    for objective in ("two_axes", "single_w_axis"):
+        with pytest.raises(ValueError, match="no sign change"):
+            optimize_eccentricity(10, objective)
 
 
 class TestTwoAxis:
@@ -505,12 +534,12 @@ class TestTwoAxis:
         assert two_axis_eta(0.36, 0.8) == pytest.approx(0.21)
 
     def test_reference_optimum_n5(self):
-        e_opt, eta_min = optimize_eccentricity(5, "two_axes")
+        e_opt, eta_min, cosines = optimize_eccentricity(5, "two_axes")
         assert eta_min == pytest.approx(0.14765, abs=2e-4)
         assert e_opt == pytest.approx(0.708, abs=0.01)
 
     def test_single_w_axis_reference_n5(self):
-        e_opt, eta_min = optimize_eccentricity(5, "single_w_axis")
+        e_opt, eta_min, _ = optimize_eccentricity(5, "single_w_axis")
         assert eta_min == pytest.approx(0.193967, abs=1e-4)
         assert e_opt == pytest.approx(0.6963, abs=0.003)
 
