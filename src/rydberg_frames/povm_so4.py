@@ -7,11 +7,10 @@ direction. That density integrates to one and has <cos chi> = (n-1)/(n+1),
 hence a per-direction mean square error of exactly 1/(n+1) for every n.
 
 The density is the same about every axis, so no result depends on which
-axes are sent: `so4` draws only the two error cosines and `ortho` draws its
-estimates about x and y, as the columns of (3, rows) blocks, with azimuths
-in [-pi, pi) from -e1 whose sines are taken from their cosines. Both draw in
-blocks of `_DUMP_BLOCK_ROWS` samples, so neither one's memory grows with the
-sample count.
+axes are sent: `so4` and `ortho` draw the same two error cosines
+(`_block_cosines`), and `ortho` adds the two azimuths, in [-pi, pi), from
+the segments between them. Both draw in blocks of `_DUMP_BLOCK_ROWS`
+samples, so neither one's memory grows with the sample count.
 All sampling is rejection-free through the inverse CDF on s = sin^2(chi/2)
 and uses numpy's counter-based 64-bit Philox generator with an explicit seed
 in every API. `_block_streams` positions generators anywhere in the seed's
@@ -45,7 +44,7 @@ import stat
 import numpy as np
 
 # The Monte Carlo path draws, reduces and renders this many samples at a time,
-# so no (3, count) array and no Python floats of the whole batch exist at once.
+# so no array and no Python floats of the whole batch exist at once.
 _DUMP_BLOCK_ROWS = 65536
 _DUMP_HEADER = b"sample,chi1,chi2,cos_chi1,cos_chi2\r\n"
 
@@ -130,35 +129,6 @@ def sample_error_cosines(n: int, count: int, rng: np.random.Generator,
     np.subtract(1.0, out, out=out)
     out *= 2.0
     return np.subtract(1.0, out, out=out)
-
-
-def sample_directions_about(n: int, axis: int, count: int,
-                            cos_rng: np.random.Generator,
-                            azimuth_rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Estimates of coordinate axis `axis` (0 = x, 1 = y) with the per-axis
-    error density, drawn into the columns of the C-contiguous (3, count) `out`.
-
-    The error cosines come from `cos_rng` and the azimuths az in [-pi, pi)
-    from `azimuth_rng` (one generator passed twice draws the cosines first).
-    az is measured from -e1 in the frame (axis, e1 = axis x z, axis x e1), so
-    the rows are (cos chi, sin chi cos az, sin chi sin az) about x and
-    (-sin chi cos az, cos chi, sin chi sin az) about y, each a contiguous row.
-    sin az is copysign(sqrt((1 - cos az)(1 + cos az)), az), its sign on sin chi.
-    """
-    cos_chi = sample_error_cosines(n, count, cos_rng, out[axis])
-    sin_chi = np.square(cos_chi)  # |cos chi| <= 1, so 1 - cos^2 >= 0
-    np.subtract(1.0, sin_chi, out=sin_chi)
-    np.sqrt(sin_chi, out=sin_chi)
-    azimuth = azimuth_rng.uniform(-math.pi, math.pi, count)
-    cos_az = np.cos(azimuth, out=out[2])
-    np.multiply(cos_az, sin_chi, out=out[1 - axis])
-    if axis == 1:
-        np.negative(out[0], out=out[0])
-    np.copysign(sin_chi, azimuth, out=sin_chi)
-    sin_az = np.add(1.0, cos_az, out=azimuth)
-    sin_az *= np.subtract(1.0, cos_az, out=cos_az)
-    np.multiply(np.sqrt(sin_az, out=sin_az), sin_chi, out=out[2])
-    return out
 
 
 _inherited = None  # the function the workers of `ordered_map` inherit by fork

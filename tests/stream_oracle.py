@@ -1,14 +1,19 @@
-"""One-shot Monte Carlo: the oracle for the block-streamed sampling path.
+"""One-shot Monte Carlo: the oracles for the block-streamed sampling path.
 
-Draws every sample in one pass over `philox_rng(seed)` into whole (count, 3)
-row-layout estimate arrays, by broadcast expressions frozen here, and reduces
-the whole error arrays by the same block partials and its own Chan update: the
-values the column-major, block-streamed kernel of `ortho.gain_factor` must
-reproduce bit for bit. `so4`'s cosines have their own
-one-pass oracle, which draws them with no azimuths or vectors, and its outcome
-dump is written row by row through `csv.writer` (`csv_writer_dump`).
-`block_cosines` gathers the cosines `so4` draws block by block, which no
-command keeps whole, so the tests can hold them against the oracles.
+Draws every sample in one pass over `philox_rng(seed)` as whole arrays and
+reduces the whole error arrays by the same block partials and its own Chan
+update. Two routes give the errors of `ortho`. The 3-vector route builds
+(count, 3) row-layout estimates (`directions`) and orthogonalizes them
+(`orthogonalize`): the reference for the construction. The dot form
+(`dot_error_pair`) freezes, as whole-array expressions, the closed form on
+the estimates' dot product in the order of operations of `ortho._ortho_block`:
+the values its blocks must reproduce bit for bit. The two routes agree within
+the rounding of 2 +- 2d near parallel and antiparallel estimates.
+`so4`'s cosines have their own one-pass oracle, which draws them with no
+azimuths or vectors, and its outcome dump is written row by row through
+`csv.writer` (`csv_writer_dump`). `block_cosines` gathers the cosines `so4`
+draws block by block, which no command keeps whole, so the tests can hold
+them against the oracles.
 """
 
 import csv
@@ -121,6 +126,29 @@ def error_pair(n, samples, seed):
     return np.stack([after, before])
 
 
+def dot_error_pair(n, samples, seed):
+    """Each sample's error (after, before) orthogonalization by the closed form
+    on the estimates' dot product, frozen here as whole-array expressions in
+    the order of operations of `ortho._ortho_block`: the values its blocks
+    must reproduce bit for bit. The draws are those of `sample_error_arrays`,
+    with no vector formed."""
+    rng = philox_rng(seed)
+    c_x = cosines(n, samples, rng)
+    az_x = rng.uniform(-math.pi, math.pi, samples)
+    c_y = cosines(n, samples, rng)
+    az_y = rng.uniform(-math.pi, math.pi, samples)
+    cos_x, cos_y = np.cos(az_x), np.cos(az_y)
+    sines = np.copysign(np.sqrt((1.0 + cos_x) * (1.0 - cos_x) * (1.0 + cos_y) * (1.0 - cos_y)),
+                        az_x * az_y)  # sin az_x sin az_y
+    s_x, s_y = np.sqrt(1.0 - c_x**2), np.sqrt(1.0 - c_y**2)
+    r_x1, minus_r_y0 = cos_x * s_x, cos_y * s_y
+    dot = r_x1 * c_y - c_x * minus_r_y0 + sines * (s_x * s_y)
+    both, lateral = c_x + c_y, r_x1 - minus_r_y0
+    half_sum = ((both + lateral) / np.sqrt(dot * 2.0 + 2.0)
+                + (both - lateral) / np.sqrt(2.0 - dot * 2.0)) * (0.25 / math.sqrt(2.0))
+    return np.stack([0.5 - half_sum, 0.25 * (1.0 - c_x) + 0.25 * (1.0 - c_y)])
+
+
 def chan_combined(partials):
     """(mean, M2) of all samples from the (rows, mean, M2) of each block, by
     the pairwise update of Chan, Golub & LeVeque (Am. Stat. 37, 242 (1983))
@@ -151,9 +179,25 @@ def block_partials(pair):
         yield block.shape[1], mean, [[(a * b).sum() for b in deviations] for a in deviations]
 
 
-def gain_factor(n, samples, seed):
-    """`ortho.gain_factor` on whole arrays, reduced by the same block partials."""
-    (g_new, g), m2 = chan_combined(block_partials(error_pair(n, samples, seed)))
+# How far the dot form's report may lie from the 3-vector route's, relative, in
+# g_new, the ratio and its standard error; g is equal. Measured at n = 2 .. 101
+# over 131,075 samples and at n = 2 .. 40 over 10^6: 8.5e-16, 8.5e-16 and
+# 1.4e-14 at most. The standard error's variance is a difference of nearly
+# equal co-moments, since the errors before and after are strongly
+# correlated, so it moves the most.
+REPORT_RTOL = (1e-14, 1e-14, 1e-13)
+
+
+def report_deviations(report, reference):
+    """The relative deviations of g_new, ratio and ratio_stderr of the
+    `GainReport` report from reference."""
+    return [abs(a - b) / abs(b) for a, b in zip(report[3:], reference[3:])]
+
+
+def gain_factor(n, samples, seed, errors=error_pair):
+    """`ortho.gain_factor` on the whole arrays of `errors` (by default the
+    3-vector route), reduced by the same block partials."""
+    (g_new, g), m2 = chan_combined(block_partials(errors(n, samples, seed)))
     g, g_new = float(g), float(g_new)
     ratio = g_new / g
     cov = m2 / (samples - 1)

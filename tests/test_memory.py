@@ -44,12 +44,12 @@ def test_outcome_batch_keeps_16_bytes_per_sample():
 
 @pytest.mark.parametrize("samples", [COUNT, 2 * 10**6])
 def test_gain_factor_heap_does_not_grow_with_samples(samples):
-    # one buffer set of 14 doubles per block row (7.3 MB) and the block's
-    # temporaries, 9 MiB; whole errors before and after take 16 B per sample,
-    # 32 MB at the larger count
+    # one buffer set of 5 doubles per block row (2.6 MB), the block's cosines
+    # (1 MB) and one temporary of its reduction, 4.7 MiB; whole errors before
+    # and after take 16 B per sample, 32 MB at the larger count
     peak, report = traced_peak(gain_factor, 10, samples, 1)
     assert report.samples == samples
-    assert peak <= 16 * 2**20
+    assert peak <= 8 * 2**20
 
 
 def test_so4_command_keeps_24_bytes_per_sample(tmp_path):

@@ -3,32 +3,51 @@ import math
 import numpy as np
 import pytest
 
+from rydberg_frames import ortho
 from rydberg_frames.geometry import UnitVector
 from rydberg_frames.angmom import MAX_N
-from rydberg_frames.ortho import _orthogonalize_rows, _ortho_block, gain_factor
-from rydberg_frames.povm_so4 import (_DUMP_BLOCK_ROWS, _combined, philox_rng,
-                                     sample_directions_about)
+from rydberg_frames.ortho import _ortho_block, gain_factor
+from rydberg_frames.povm_so4 import _DUMP_BLOCK_ROWS, _combined
 
 import stream_oracle
-from rotation_oracle import (X_AXIS, Y_AXIS, Z_AXIS, angle_between, as_array, from_spherical,
-                             neg, unit)
+from rotation_oracle import X_AXIS, Y_AXIS, angle_between, as_array, from_spherical, unit
 
 
 def orthogonalize(r_x, r_y):
-    """One estimate pair through `_orthogonalize_rows`, as (3, 1) columns."""
-    new_x, new_y = _orthogonalize_rows(as_array(r_x)[:, None], as_array(r_y)[:, None])
-    return UnitVector(*new_x[:, 0]), UnitVector(*new_y[:, 0])
+    """One estimate pair through the 3-vector reference `stream_oracle.orthogonalize`."""
+    new_x, new_y = stream_oracle.orthogonalize(as_array(r_x)[None, :], as_array(r_y)[None, :])
+    return UnitVector(*new_x[0]), UnitVector(*new_y[0])
 
 
 def sample_columns(n, count, seed):
     """(3, count) estimates of x, then of y, from one generator."""
-    rng = philox_rng(seed)
-    out = np.empty((2, 3, count))
-    for axis in (0, 1):
-        sample_directions_about(n, axis, count, rng, rng, out[axis])
-    return out
+    return [r.T for r in stream_oracle.sample_error_arrays(n, count, seed)]
 
 
+class _Uniforms:
+    """A stand-in for a block's azimuth generator: its doubles are `u`, so the
+    block's azimuths are u 2 pi - pi."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, count, out):
+        out[:] = self.u
+        return out
+
+
+def block_of_pairs(monkeypatch, c_x, c_y, u_x, u_y):
+    """`_ortho_block` on the given estimate pairs, one per entry: its cosines
+    and azimuth doubles stand in for the draws."""
+    monkeypatch.setattr(ortho, "_block_cosines", lambda *args: np.array([c_x, c_y], float))
+    monkeypatch.setattr(ortho, "_block_streams",
+                        lambda *args: [_Uniforms(u_x), _Uniforms(u_y)])
+    return _ortho_block(2, len(c_x), 0, np.empty(5 * len(c_x)), 0)
+
+
+# the construction on the 3-vector reference, which the kernel's dot form is
+# held to sample by sample (test_dot_form_matches_the_vector_route); the
+# refusal of degenerate pairs on the kernel itself
 class TestOrthogonalize:
     def test_symmetric_split_at_80_degrees(self):
         a = from_spherical(math.pi / 2, 0.0)
@@ -65,11 +84,19 @@ class TestOrthogonalize:
             assert angle_between(na, a) <= defect / 2 + 1e-12
             assert angle_between(nb, b) <= defect / 2 + 1e-12
 
-    def test_degenerate_inputs_raise(self):
-        with pytest.raises(ValueError):
-            orthogonalize(X_AXIS, X_AXIS)
-        with pytest.raises(ValueError):
-            orthogonalize(X_AXIS, neg(X_AXIS))
+    def test_degenerate_inputs_raise(self, monkeypatch):
+        # each block pairs x and y with one exactly degenerate pair; r_x is
+        # (c_x, s_x cos az_x, ...) and r_y (-s_y cos az_y, c_y, ...), and the
+        # azimuth double u gives az = u 2 pi - pi: 0 at u = 1/2, -pi at u = 0
+        rows, (after, before), _ = block_of_pairs(monkeypatch, [1.0], [1.0], [0.5], [0.5])
+        assert rows == 1 and abs(after) <= 1e-15 and before == 0.0
+        both_x = [1.0, 1.0], [1.0, 0.0], [0.5, 0.5], [0.5, 0.0]
+        x_and_minus_x = [1.0, 1.0], [1.0, 0.0], [0.5, 0.5], [0.5, 0.5]
+        both_y = [1.0, 0.0], [1.0, 1.0], [0.5, 0.5], [0.5, 0.5]
+        minus_y_and_y = [1.0, 0.0], [1.0, 1.0], [0.5, 0.0], [0.5, 0.5]
+        for pairs in (both_x, x_and_minus_x, both_y, minus_y_and_y):
+            with pytest.raises(ValueError, match="parallel or antiparallel"):
+                block_of_pairs(monkeypatch, *pairs)
 
     def test_first_order_azimuth_rule(self):
         # for small errors the new azimuths approach the mean of the old ones,
@@ -88,26 +115,8 @@ class TestOrthogonalize:
         assert r2 < r1 / 50.0  # quadratic, not linear, in the error size
 
 
-@pytest.mark.parametrize(
-    "center", [X_AXIS, Y_AXIS, Z_AXIS, unit(0.3, -0.5, 0.8)], ids="XYZO"
-)
-def test_orthogonalize_rows_bit_identical_to_expression(center):
-    # the (3, rows) outputs are the transpose of the row-layout expression, and
-    # the components picked out with given buffers are its columns
-    rng = philox_rng(31)
-    rows_x = stream_oracle.directions(10, center, 50000, rng)
-    e1 = UnitVector(*stream_oracle.frame(center)[1])
-    rows_y = stream_oracle.directions(10, e1, 50000, rng)
-    expected_x, expected_y = stream_oracle.orthogonalize(rows_x, rows_y)
-    r_x, r_y = np.ascontiguousarray(rows_x.T), np.ascontiguousarray(rows_y.T)
-    new_x, new_y = _orthogonalize_rows(r_x, r_y)
-    assert np.array_equal(new_x, expected_x.T) and np.array_equal(new_y, expected_y.T)
-    out = np.empty((2, 3, 50000))
-    new_x0, new_y1 = _orthogonalize_rows(r_x, r_y, 0, 1, out=out)
-    assert np.array_equal(new_x0, expected_x[:, 0]) and np.array_equal(new_y1, expected_y[:, 1])
-    assert np.array_equal(r_x, rows_x.T) and np.array_equal(r_y, rows_y.T)
-
-
+# the draws of the reference estimates, whose cosines and azimuths the kernel
+# takes bit for bit (test_gain_factor_bit_identical_to_one_shot)
 class TestSampler:
     def test_moments_and_azimuthal_symmetry(self):
         n, count = 10, 200000
@@ -178,17 +187,39 @@ B = _DUMP_BLOCK_ROWS
 @pytest.mark.parametrize("samples", [100003, 2 * B - 1, 2 * B, 2 * B + 1, 2 * B + 3])
 def test_gain_factor_bit_identical_to_one_shot(n, samples):
     # gain_factor needs 1e5 samples, so the block edges are tested at 2B +- 1;
-    # the oracle draws whole arrays and reduces them by the same block partials
-    assert gain_factor(n, samples, seed=n) == stream_oracle.gain_factor(n, samples, seed=n)
+    # the oracle draws whole arrays, takes the dot form in the kernel's order of
+    # operations and reduces the errors by the same block partials
+    assert gain_factor(n, samples, seed=n) == stream_oracle.gain_factor(
+        n, samples, seed=n, errors=stream_oracle.dot_error_pair)
+
+
+@pytest.mark.parametrize("n", [2, 5, 40, MAX_N])
+def test_dot_form_matches_the_vector_route(n):
+    # the dot form against the 3-vector construction, sample by sample: 2 +- 2d
+    # loses digits where the estimates are nearly parallel or antiparallel, so
+    # an after-error moves by a few eps / m^2, m the smaller of |r_x + r_y| and
+    # |r_x - r_y| (0.68 eps / m^2 at most measured, n = 2 .. 101, and 5.3e-12
+    # in all); the before-errors are the same bits
+    samples = 2 * B + 3
+    dot = stream_oracle.dot_error_pair(n, samples, seed=n)
+    vector = stream_oracle.error_pair(n, samples, seed=n)
+    r_x, r_y = stream_oracle.sample_error_arrays(n, samples, seed=n)
+    m = np.minimum(*(np.linalg.norm(v, axis=1) for v in (r_x + r_y, r_x - r_y)))
+    assert np.array_equal(dot[1], vector[1])
+    assert np.all(np.abs(dot[0] - vector[0]) <= 4.0 * np.finfo(float).eps * (1.0 + 1.0 / m**2))
+    report, reference = gain_factor(n, samples, seed=n), stream_oracle.gain_factor(n, samples, seed=n)
+    assert report.g == reference.g
+    deviations = stream_oracle.report_deviations(report, reference)
+    assert all(d <= tol for d, tol in zip(deviations, stream_oracle.REPORT_RTOL))
 
 
 @pytest.mark.parametrize("n", [2, 10, MAX_N])
 @pytest.mark.parametrize("samples", [2 * B + 3, 10**6])
 def test_combined_gain_reduces_as_numpy_within_rounding(n, samples):
-    buffers = np.empty(14 * B)  # the buffer set of one gain_factor call
+    buffers = np.empty(5 * B)  # the buffer set of one gain_factor call
     mean, m2 = _combined(_ortho_block(n, samples, 7, buffers, start)
                          for start in range(0, samples, B))
-    pair = stream_oracle.error_pair(n, samples, seed=7)
+    pair = stream_oracle.dot_error_pair(n, samples, seed=7)
     whole_mean = pair.mean(axis=1)
     deviations = pair - whole_mean[:, None]
     # numpy's pairwise sums over the whole arrays, the sums `std` forms; np.cov

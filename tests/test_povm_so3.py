@@ -415,6 +415,59 @@ def test_optimal_m0_state_matches_eigh_oracle():
         assert abs(cos_omega_z_m0(vec) - eigvals[-1]) <= 1e-15
 
 
+def largest_legendre_zero(n):
+    """x_n, the largest zero of P_n, by bisection on the three-term recurrence
+    between the bounds of Bruns' inequality, cos(pi / (n + 1/2)) < x_n <
+    cos(pi / (2n + 1)), where P_n changes sign once: to adjacent doubles."""
+    def legendre(x):
+        prev, p = 1.0, x
+        for l in range(1, n):
+            prev, p = p, ((2 * l + 1) * x * p - l * prev) / (l + 1)
+        return p
+
+    lo, hi = math.cos(math.pi / (n + 0.5)), math.cos(math.pi / (2 * n + 1))
+    assert legendre(lo) < 0.0 < legendre(hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (lo, mid) if legendre(mid) > 0.0 else (mid, hi)
+    return hi
+
+
+# a few ulps of x_n < 1: the bound's own rounding and that of the fidelity's sums
+_BOUND_SLACK = 4 * math.ulp(1.0)
+
+
+def test_m0_optimum_reaches_the_legendre_bound_at_every_shell():
+    # the best one-axis cosine over every state is x_n, and the m = 0
+    # optimum, written as a state, reaches it
+    for n in range(2, MAX_N + 1):
+        vec = optimal_m0_state(n)
+        rows = [[0.0] * l + [v] + [0.0] * l for l, v in enumerate(vec)]
+        cos_z = cos_omega_z(WaveFunction(n, rows, [0] * n))
+        assert abs(cos_z - largest_legendre_zero(n)) <= _BOUND_SLACK, n
+
+
+@settings(max_examples=30, deadline=None)
+@given(hst.integers(2, MAX_N), hst.integers(0, 2**32 - 1))
+@example(2, 0)
+@example(MAX_N, 0)
+def test_random_states_stay_below_the_legendre_bound(n, seed):
+    # real rows with random turns, each row scaled by 1, 0.1 or 1e-3
+    rng = np.random.default_rng(seed)
+    a = random_rows_state(n, rng, np.choose(rng.integers(3, size=n), [1.0, 0.1, 1e-3]))
+    assert cos_omega_z(a) <= largest_legendre_zero(n) + _BOUND_SLACK
+    assert all(-1.0 <= c <= 1.0 for c in cos_omega_xy(a))
+
+
+@settings(max_examples=30, deadline=None)
+@given(hst.integers(2, MAX_N), hst.floats(0.0, 1.0))
+@example(2, 0.0)
+@example(MAX_N, 1.0)
+def test_two_axis_states_stay_below_the_legendre_bound(n, e):
+    a = alice_two_axis_state(n, e)
+    assert cos_omega_z(a) <= largest_legendre_zero(n) + _BOUND_SLACK
+    assert all(-1.0 <= c <= 1.0 for c in cos_omega_xy(a))
+
+
 @pytest.mark.parametrize("objective", ["single_w_axis", "two_axes"])
 @pytest.mark.parametrize("n", [3, 5, 10, 20, 40])
 def test_optimizer_evaluations_and_optimum(objective, n, monkeypatch):

@@ -16,7 +16,6 @@ from rydberg_frames.povm_so4 import (
     _digit_groups,
     _render_rows,
     philox_rng,
-    sample_directions_about,
     sample_error_cosines,
     sample_outcome_batch,
     so4_infidelity,
@@ -31,8 +30,7 @@ from stark_blocks import stark_block_constants
 def _cos_chi_moments(n):
     """Exact mean and variance of cos(chi) under the per-axis error density."""
     mean = (n - 1.0) / (n + 1.0)
-    second = 1.0 - 8.0 * n / ((n + 1.0) * (n + 2.0)) + 8.0 / ((n + 1.0) * (n + 2.0)) * (n + 1.0) / 2.0
-    # simpler: cos = 1 - 2s, s ~ Beta(1, n): E s = 1/(n+1), E s^2 = 2/((n+1)(n+2))
+    # cos = 1 - 2s, s ~ Beta(1, n): E s = 1/(n+1), E s^2 = 2/((n+1)(n+2))
     var = 4.0 * (2.0 / ((n + 1.0) * (n + 2.0)) - 1.0 / (n + 1.0) ** 2)
     return mean, var
 
@@ -102,46 +100,35 @@ class TestSampling:
 OBLIQUE = unit(0.3, -0.5, 0.8)
 
 
-@pytest.mark.parametrize("axis", [0, 1], ids="XY")
-def test_directions_bit_identical_to_expression(axis):
-    # the (3, count) columns drawn about a coordinate axis are the transpose of
-    # the oracle's general-frame expression about that axis
-    rng = philox_rng(21)
-    out = np.full((3, 50000), np.nan)
-    assert sample_directions_about(7, axis, 50000, rng, rng, out) is out
-    expected = stream_oracle.directions(7, (X_AXIS, Y_AXIS)[axis], 50000, philox_rng(21))
-    assert np.array_equal(out, expected.T)
-
-
 @pytest.mark.parametrize("n", [2, 10, MAX_N])
 @pytest.mark.parametrize("axis", [0, 1], ids="XY")
 def test_directions_match_the_sin_cos_route(n, axis):
-    # the sampler against the route it replaced, written out here: np.cos and
-    # np.sin of azimuths phi in [0, 2 pi) measured from e1, over 10^6 draws in
-    # 8 chunks. Shifting the azimuth by the double pi moves a component by at
-    # most 3.4e-16, and a cos az within 1 ulp moves sqrt((1 - c)(1 + c)) by
-    # at most 2.2e-16 / |sin az|; that component's error is bounded in this
-    # scaled form, since its largest absolute value comes from whichever
-    # draw lies nearest 0 or pi (1.7e-11 to 5.9e-11 over seeds at n = 2)
-    center, e1, e2 = stream_oracle.frame((X_AXIS, Y_AXIS)[axis])
-    cos_rng, azimuth_rng, ref_cos, ref_azimuth, replay = (
-        philox_rng(seed) for seed in (n, n + 1, n, n + 1, n + 1))
+    # the reference estimates of `ortho`, whose azimuths' sines the dot form
+    # takes from their cosines as well, against the route they replaced,
+    # written out here: np.cos and np.sin of azimuths phi in [0, 2 pi) measured
+    # from e1, of the same doubles, over 10^6 draws in 8 chunks. Shifting the
+    # azimuth by the double pi moves a component by at most 3.4e-16, and a
+    # cos az within 1 ulp moves sqrt((1 - c)(1 + c)) by at most
+    # 2.2e-16 / |sin az|; that component's error is bounded in this scaled
+    # form, since its largest absolute value comes from whichever draw lies
+    # nearest 0 or pi (1.7e-11 to 5.9e-11 over seeds at n = 2)
+    direction = (X_AXIS, Y_AXIS)[axis]
+    center, e1, e2 = stream_oracle.frame(direction)
+    rng, ref = philox_rng(n), philox_rng(n)
     rows = 125000
-    out = np.empty((3, rows))
     for _ in range(8):
-        sample_directions_about(n, axis, rows, cos_rng, azimuth_rng, out)
-        cos_chi = stream_oracle.cosines(n, rows, ref_cos)
+        out = stream_oracle.directions(n, direction, rows, rng).T
+        cos_chi = stream_oracle.cosines(n, rows, ref)
         sin_chi = np.sqrt(1.0 - cos_chi**2)
-        phi = ref_azimuth.uniform(0.0, 2.0 * math.pi, rows)
+        phi = ref.uniform(0.0, 2.0 * math.pi, rows)
         sin_phi = np.sin(phi)
-        ref = (np.outer(center, cos_chi) + np.outer(e1, sin_chi * np.cos(phi))
-               + np.outer(e2, sin_chi * sin_phi))
+        expected = (np.outer(center, cos_chi) + np.outer(e1, sin_chi * np.cos(phi))
+                    + np.outer(e2, sin_chi * sin_phi))
         assert np.max(np.abs(np.sqrt(np.sum(out * out, axis=0)) - 1.0)) <= 1e-15
-        assert np.max(np.abs(out[:2] - ref[:2])) <= 1e-15  # cos chi and sin chi cos az
-        assert np.all(np.abs(out[2] - ref[2]) * np.abs(sin_phi) <= 6.7e-16 * sin_chi)
-        # the sine takes the sign of its azimuth in [-pi, pi)
-        assert np.array_equal(np.signbit(out[2]),
-                              np.signbit(replay.uniform(-math.pi, math.pi, rows)))
+        assert np.max(np.abs(out[:2] - expected[:2])) <= 1e-15  # cos chi and sin chi cos az
+        assert np.all(np.abs(out[2] - expected[2]) * np.abs(sin_phi) <= 6.7e-16 * sin_chi)
+        # the sine takes the sign of its azimuth phi - pi in [-pi, pi)
+        assert np.array_equal(np.signbit(out[2]), np.signbit(phi - math.pi))
 
 
 def _csv_writer_line(index, cells):

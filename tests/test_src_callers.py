@@ -15,7 +15,7 @@ import rydberg_frames
 SRC = Path(rydberg_frames.__file__).resolve().parent
 
 # perfbench's tracer reads `QuadratureRule.for_shell` for its node counts, and
-# ROADMAP item 3 deletes both once the tracer no longer reads them (item 1)
+# ROADMAP item 5 deletes both once the tracer no longer reads them (item 1 or 4)
 ALLOWED = {"povm_so3.QuadratureRule", "povm_so3.QuadratureRule.for_shell"}
 
 
