@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -331,14 +332,15 @@ _LOADED_PROBE = (
     "from rydberg_frames.cli import main\n"
     "code = main(sys.argv[1:])\n"
     "print(code, *sorted(m for m in sys.modules if m.startswith('rydberg_frames.')\n"
-    "                    or m in ('numpy', 'dataclasses', 'inspect')))\n"
+    "                    or m in ('numpy', 'dataclasses', 'inspect', 'json', 'csv')))\n"
 )
 # the Monte Carlo modules, and numpy, which only they import (for Philox)
 _MONTE_CARLO = {"povm_so4", "ortho", "numpy"}
 # no command imports dataclasses; numpy imports inspect, so only the shell
 # commands, which load no numpy, can be held to start without it
 _SHELL_ABSENT = {*_MONTE_CARLO, "dataclasses", "inspect"}
-_STATE_ABSENT = {*_SHELL_ABSENT, "reference_values"}
+# `state` reads no tolerances and writes its JSON by itself
+_STATE_ABSENT = {*_SHELL_ABSENT, "reference_values", "json", "csv"}
 
 
 @pytest.mark.parametrize("argv, loaded, absent", [
@@ -363,6 +365,50 @@ def test_each_command_loads_only_its_modules(argv, loaded, absent, tmp_path):
     assert code == "0"
     assert loaded <= modules
     assert not absent & modules
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("argv", [["table2"], ["so4", "--samples", "20000"]], ids=["table2", "so4"])
+def test_main_leaves_the_collector_alone(argv, enabled, tmp_path):
+    # only the entry, which ends with its process, turns the collector off
+    # and freezes; tests and the tracer call main in their own process
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert gc.isenabled() == enabled
+        assert gc.get_freeze_count() == frozen
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+# Runs `python -m rydberg_frames` in this interpreter (its __main__ calls
+# cli.run) and prints at exit whether the collector is on and how many
+# objects are frozen.
+_ENTRY_PROBE = (
+    "import atexit, gc, runpy\n"
+    "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count()))\n"
+    "runpy.run_module('rydberg_frames', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def test_entry_runs_with_the_collector_off_and_frozen(tmp_path):
+    strict = load_tolerances()
+    strict["table1"]["eta_abs"] = 0.0
+    (tmp_path / "strict.json").write_text(json.dumps(strict))
+    for argv, expected in (
+        (["state", "--kind", "circular", "--n", "5", "--out", str(tmp_path / "state")], 0),
+        (["so4", "--samples", "20000", "--out", str(tmp_path / "so4")], 0),
+        (["so4", "--n", "abc"], 2),
+        (["table1", "--tolerance-file", str(tmp_path / "strict.json"),
+          "--out", str(tmp_path / "table1")], 1),
+    ):
+        proc = subprocess.run([sys.executable, "-c", _ENTRY_PROBE, *argv], capture_output=True,
+                              text=True, env=child_env(), timeout=120)
+        assert proc.returncode == expected, argv
+        enabled, frozen = proc.stdout.split()
+        assert enabled == "False" and int(frozen) > 0, argv
 
 
 def assert_usage_error(argv):

@@ -8,6 +8,7 @@ count. Whole-batch arrays, 8 B per sample for each per-sample value, fail
 these bounds.
 """
 
+import gc
 import tracemalloc
 
 import pytest
@@ -83,3 +84,26 @@ def test_elliptic_state_at_max_n_keeps_a_few_tables():
     peak, state = traced_peak(alice_two_axis_state, n, 0.3)
     assert state.n == n
     assert peak <= 4 * n * (2 * n - 1) * 16
+
+
+@pytest.mark.parametrize("argv", [
+    ["so4"], ["so4", "--dump-samples", "@"], ["ortho", "--n-list", "5"],
+], ids=["so4", "so4-dump", "ortho"])
+def test_runs_with_the_collector_off_leave_no_growing_garbage(tmp_path, argv):
+    # the entry runs each command with the cyclic collector off, so cycles a
+    # run makes stay until the process exits: they must not grow with the
+    # sample count (argparse's parser graph is the same few hundred objects)
+    argv = [str(tmp_path / "dump.csv") if arg == "@" else arg for arg in argv]
+    out = str(tmp_path / "out.csv")
+    main([*argv, "--samples", "100000", "--out", out])  # imports and caches first
+    was_enabled = gc.isenabled()
+    left = []
+    gc.disable()
+    try:
+        for samples in (100000, 300000):
+            gc.collect()
+            main([*argv, "--samples", str(samples), "--out", out])
+            left.append(gc.collect())
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert left[0] == left[1] <= 1000, left
